@@ -9,8 +9,9 @@ from fractions import Fraction
 
 from qschur import LaurentPoly, MarkerSeries, NotDivisible, ONE, qpow
 
-# Polynomials are sparse maps exponent -> integer coefficient.  Negative
-# exponents are first-class citizens.
+# A polynomial is stored packed, as its value at q = 2^B (one big integer
+# whose digits are the coefficients).  Negative exponents are first-class
+# citizens.
 p = (ONE - qpow(-1)) * (ONE - qpow(1))
 print("(1 - q^-1)(1 - q) =", p)                 # -q^-1 + 2 - q
 print("value at q = 2:", p.evaluate(2))          # -1/2, exact rational

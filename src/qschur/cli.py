@@ -3,18 +3,15 @@ traces and generating-function dumps.
 
 Exit codes, stable across subcommands: 0 when everything holds, 1 when a
 counterexample was found (the first witness is printed), 2 on usage or
-parse errors.  The QSCHUR_THREADS environment variable sets the worker
-count for sweep cells; output order is deterministic regardless.
+parse errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence
 
 from .bijection import BijectionTrace, InvalidInput, forward, inverse
@@ -80,14 +77,6 @@ def _witness_line(v: Verdict) -> str:
             f"{where}: lhs {w.lhs_coeff}, rhs {w.rhs_coeff}")
 
 
-def _map_fn():
-    threads = int(os.environ.get("QSCHUR_THREADS", "1") or "1")
-    if threads > 1:
-        pool = ThreadPoolExecutor(max_workers=threads)
-        return lambda fn, items: list(pool.map(fn, items))
-    return map
-
-
 def _reject_csv(args):
     if args.format == "csv":
         raise UsageError("--format csv is only available for 'count'")
@@ -107,8 +96,7 @@ def cmd_verify(args) -> int:
         ranges[name] = _parse_range(value)
     caps = {name: getattr(args, name) for name in spec.cap_params
             if getattr(args, name) is not None}
-    result = sweep(args.identity, ranges, caps,
-                   perturb=args.perturb, map_fn=_map_fn())
+    result = sweep(args.identity, ranges, caps, perturb=args.perturb)
 
     if args.format == "json":
         payload = {"summary": result.summary(),

@@ -106,16 +106,13 @@ class Verdict:
         }
 
 
-def _first_witness(lhs: Value, rhs: Value) -> Optional[Witness]:
-    if isinstance(lhs, LaurentPoly):
-        diff = lhs - rhs
-        if not diff:
-            return None
-        e = diff.min_exp
-        return Witness(e, lhs.coeff(e), rhs.coeff(e))
-    diff = lhs - rhs
+def _first_witness(lhs: Value, rhs: Value, diff: Value) -> Optional[Witness]:
+    """The witness for ``diff = lhs - rhs``, or None when it is zero."""
     if not diff:
         return None
+    if isinstance(diff, LaurentPoly):
+        e = diff.min_exp
+        return Witness(e, lhs.coeff(e), rhs.coeff(e))
     exps, poly = next(diff.terms())
     e = poly.min_exp
     return Witness(e, lhs.coeff(exps).coeff(e), rhs.coeff(exps).coeff(e), marker=exps)
@@ -123,7 +120,7 @@ def _first_witness(lhs: Value, rhs: Value) -> Optional[Witness]:
 
 def _verdict(identity: str, params: dict, lhs: Value, rhs: Value) -> Verdict:
     difference = lhs - rhs
-    witness = _first_witness(lhs, rhs)
+    witness = _first_witness(lhs, rhs, difference)
     return Verdict(identity, params, witness is None, lhs, rhs, difference, witness)
 
 
@@ -495,7 +492,9 @@ def verify_11(amax: int, bmax: int, qmax: int) -> Verdict:
     """Truncated two-marker key identity: the k-sum double series, the
     Pochhammer double series and the double product all agree within the
     caps.  The verdict compares the k-sum form against the product; the
-    middle form is checked against both en route."""
+    middle form is checked against both en route; a failing eq26 cell is
+    reported at its marker (i, j)."""
+    params = dict(amax=amax, bmax=bmax, qmax=qmax)
     trunc = Truncation((amax, bmax), qmax)
     ksum: dict[tuple[int, int], LaurentPoly] = {}
     middle: dict[tuple[int, int], LaurentPoly] = {}
@@ -503,7 +502,9 @@ def verify_11(amax: int, bmax: int, qmax: int) -> Verdict:
         for j in range(0, bmax + 1):
             cell = verify_26_cell(i, j, qmax)
             if not cell.holds:
-                break
+                lhs = MarkerSeries(2, {(i, j): cell.lhs}, trunc)
+                rhs = MarkerSeries(2, {(i, j): cell.rhs}, trunc)
+                return _verdict("eq11", params, lhs, rhs)
             if cell.lhs:
                 ksum[(i, j)] = cell.lhs
             if cell.rhs:
@@ -512,8 +513,8 @@ def verify_11(amax: int, bmax: int, qmax: int) -> Verdict:
     mid = MarkerSeries(2, middle, trunc)
     product = _marker_product((amax, bmax), qmax)
     if mid != product:
-        return _verdict("eq11", dict(amax=amax, bmax=bmax, qmax=qmax), mid, product)
-    return _verdict("eq11", dict(amax=amax, bmax=bmax, qmax=qmax), lhs, product)
+        return _verdict("eq11", params, mid, product)
+    return _verdict("eq11", params, lhs, product)
 
 
 def _cell_61(i: int, j: int, k: int, q_cap: int) -> LaurentPoly:
@@ -660,12 +661,10 @@ def _perturbed(verdict: Verdict) -> Verdict:
 
 def sweep(identity: str, ranges: dict[str, Sequence[int]],
           caps: Optional[dict[str, int]] = None, *,
-          perturb: bool = False,
-          map_fn=map) -> SweepResult:
+          perturb: bool = False) -> SweepResult:
     """Check one identity over the Cartesian grid of its parameter ranges.
 
-    Returns the failures only (in deterministic grid order) plus counts;
-    ``map_fn`` may be an executor map for parallel cell evaluation.
+    Returns the failures only (in deterministic grid order) plus counts.
     """
     if identity not in IDENTITIES:
         raise KeyError(f"unknown identity {identity!r}")
@@ -692,5 +691,5 @@ def sweep(identity: str, ranges: dict[str, Sequence[int]],
         verdict = spec.fn(**params, **cap_values)
         return _perturbed(verdict) if perturb else verdict
 
-    failures = [v for v in map_fn(run, jobs) if not v.holds]
+    failures = [v for v in map(run, jobs) if not v.holds]
     return SweepResult(identity, cells, skipped, failures)

@@ -4,12 +4,25 @@ Everything downstream of this module computes in the ring of Laurent
 polynomials in q with arbitrary-precision integer coefficients, optionally
 graded by formal markers A, B (and C).  All arithmetic is exact; there is
 no floating point and no rational rounding anywhere in the package.
+
+A LaurentPoly is stored packed, by Kronecker substitution: the polynomial
+q^lo * sum_k c_k q^k is kept as lo and the one integer
+V = sum_k c_k 2^(B*k), whose balanced base-2^B digits are the
+coefficients.  The digit width B is a multiple of 64 and every value
+carries a bound with |c_k| <= bound < 2^(B-1), under which (lo, V)
+determines the polynomial.  Each operation derives the bound of its
+result before forming it (a sum adds the bounds, a product multiplies
+them by the shorter operand's length) and widens B when the bound would
+not fit, so no digit can carry into the next: sums, products, shifts,
+truncations and equality are single big-integer operations, and terms
+are decoded only where they are read.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -30,114 +43,78 @@ class NotDivisible(ArithmeticError):
 
 
 # --------------------------------------------------------------------------
-# low-level term-dict arithmetic
+# packed digits
 #
-# Multiplication has a Kronecker-substitution fast path: pack the
-# coefficient vector of each operand into a single big integer (128-bit
-# digits), multiply once with CPython's subquadratic bigint product, and
-# unpack.  Digits must stay nonnegative and below 2^128, so operands are
-# split by sign and an exact coefficient bound is checked before packing.
+# Adding the offset sum_k 2^(B-1) 2^(B*k) to V turns its balanced digits
+# c_k into the unsigned digits c_k + 2^(B-1), which one to_bytes exposes.
 
-_PACK_BITS = 128
-_PACK_BYTES = _PACK_BITS // 8
-_PACK_LIMIT = 1 << _PACK_BITS
-_PACK_MIN_WORK = 1500  # len(a)*len(b) below this: plain dict loop wins
+_WORD = 64
 
 
-def _mul_dicts(a: dict, b: dict) -> dict:
-    if len(a) > len(b):
-        a, b = b, a
-    out: dict[int, int] = {}
-    get = out.get
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = ea + eb
-            v = get(e)
-            out[e] = ca * cb if v is None else v + ca * cb
-    return {e: c for e, c in out.items() if c}
+def _width(bound: int) -> int:
+    """The narrowest digit width, a multiple of 64, with bound < 2^(width-1)."""
+    return (bound.bit_length() // _WORD + 1) * _WORD
 
 
-def _pack(d: dict, lo: int, span: int) -> int:
-    buf = bytearray(span * _PACK_BYTES)
-    for e, c in d.items():
-        off = (e - lo) * _PACK_BYTES
-        buf[off:off + _PACK_BYTES] = c.to_bytes(_PACK_BYTES, "little")
-    return int.from_bytes(buf, "little")
+def _offset(width: int, n: int, slot: int = 0) -> int:
+    """sum_{k<n} 2^(width-1) * 2^(slot*k), with slot defaulting to width."""
+    pad = bytes((slot - width) // 8) if slot else b""
+    return int.from_bytes((bytes(width // 8 - 1) + b"\x80" + pad) * n, "little")
 
 
-def _unpack(n: int, lo: int) -> dict:
-    raw = n.to_bytes((n.bit_length() + 7) // 8 + _PACK_BYTES, "little")
-    out = {}
-    for idx in range(len(raw) // _PACK_BYTES):
-        c = int.from_bytes(raw[idx * _PACK_BYTES:(idx + 1) * _PACK_BYTES], "little")
-        if c:
-            out[lo + idx] = c
-    return out
+def _unsigned(v: int, width: int) -> bytes:
+    """The offset digits of v as little-endian bytes.  Every integer has
+    balanced digits in [-2^(width-1), 2^(width-1)); the
+    (v.bit_length() + 1) // width + 1 digits written are all of them, or
+    all and one zero digit more."""
+    n = (v.bit_length() + 1) // width + 1
+    return (v + _offset(width, n)).to_bytes(n * width // 8, "little")
 
 
-def _mul_nonneg(a: dict, b: dict) -> Optional[dict]:
-    """Packed product of two dicts with nonnegative coefficients.
-
-    Returns None when packing is unsafe (possible digit overflow) or
-    unprofitable (exponents too sparse); the caller then falls back to
-    the schoolbook loop.
-    """
-    alo, ahi = min(a), max(a)
-    blo, bhi = min(b), max(b)
-    aspan, bspan = ahi - alo + 1, bhi - blo + 1
-    if aspan > 8 * len(a) + 64 or bspan > 8 * len(b) + 64:
-        return None
-    # any product coefficient is at most min(max(a)*sum(b), max(b)*sum(a))
-    if min(max(a.values()) * sum(b.values()),
-           max(b.values()) * sum(a.values())) >= _PACK_LIMIT:
-        return None
-    prod = _pack(a, alo, aspan) * _pack(b, blo, bspan)
-    return _unpack(prod, alo + blo)
+def _balanced(v: int, bits: int) -> int:
+    """The residue of v modulo 2^bits that lies in [-2^(bits-1), 2^(bits-1))."""
+    half = 1 << (bits - 1)
+    return ((v + half) & ((half << 1) - 1)) - half
 
 
-def _mul_terms(a: dict, b: dict) -> dict:
-    if not a or not b:
-        return {}
-    if len(a) * len(b) < _PACK_MIN_WORK:
-        return _mul_dicts(a, b)
-    apos = {e: c for e, c in a.items() if c > 0}
-    aneg = {e: -c for e, c in a.items() if c < 0}
-    bpos = {e: c for e, c in b.items() if c > 0}
-    bneg = {e: -c for e, c in b.items() if c < 0}
-    plus: dict[int, int] = {}
-    minus: dict[int, int] = {}
-    for x, y, acc in ((apos, bpos, plus), (aneg, bneg, plus),
-                      (apos, bneg, minus), (aneg, bpos, minus)):
-        if not x or not y:
-            continue
-        part = _mul_nonneg(x, y) if len(x) * len(y) >= _PACK_MIN_WORK else None
-        if part is None:
-            part = _mul_dicts(x, y)
-        for e, c in part.items():
-            acc[e] = acc.get(e, 0) + c
-    if not minus:
-        return plus
-    for e, c in minus.items():
-        v = plus.get(e, 0) - c
-        if v:
-            plus[e] = v
-        else:
-            plus.pop(e, None)
-    return plus
+def _digits(v: int, width: int) -> list[int]:
+    """The balanced digits c_0, c_1, ... of v, up to the last nonzero one."""
+    if not v:
+        return []
+    raw = _unsigned(v, width)
+    half = 1 << (width - 1)
+    if width == _WORD:
+        digits = [d - half for d in struct.unpack(f"<{len(raw) // 8}Q", raw)]
+    else:
+        w = width // 8
+        digits = [int.from_bytes(raw[i:i + w], "little") - half
+                  for i in range(0, len(raw), w)]
+    if not digits[-1]:
+        digits.pop()
+    return digits
+
+
+def _widened(v: int, width: int, wider: int) -> int:
+    """v, packed at ``width``, re-packed at the wider digit width ``wider``."""
+    raw = _unsigned(v, width)
+    w, step = width // 8, wider // 8
+    n = len(raw) // w
+    buf = bytearray(n * step)
+    for j in range(w):
+        buf[j::step] = raw[j::w]
+    return int.from_bytes(buf, "little") - _offset(width, n, wider)
 
 
 class LaurentPoly:
     """A Laurent polynomial in q over the integers.
 
-    Terms are stored sparsely as an exponent -> coefficient mapping;
-    exponents may be negative, coefficients are Python ints, and zero
-    coefficients are never stored (the zero polynomial is the empty
-    mapping).  Instances are immutable: every operation returns a new
-    value, so polynomials can be shared freely (including across
-    threads) and used as cache values.
+    Stored packed as (lo, V, width, bound); see the module docstring.
+    Exponents may be negative and coefficients are Python ints of any
+    size.  Instances are immutable: every operation returns a new value,
+    so polynomials can be shared freely and used as cache values.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_lo", "_v", "_width", "_bound")
 
     def __init__(self, terms: Union[Mapping[int, int], Iterable[tuple[int, int]]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -150,41 +127,80 @@ class LaurentPoly:
                 acc[e] = v
             else:
                 acc.pop(e, None)
-        self._terms = acc
+        packed = LaurentPoly._raw(acc)
+        self._lo, self._v = packed._lo, packed._v
+        self._width, self._bound = packed._width, packed._bound
 
     @classmethod
     def _raw(cls, terms: dict) -> "LaurentPoly":
-        # trusted constructor: terms already normalized, ownership passes
+        # trusted constructor: terms already normalized (no zero coefficients)
+        if not terms:
+            return ZERO
+        lo = min(terms)
+        n = max(terms) - lo + 1
+        bound = max(abs(c) for c in terms.values())
+        width = _width(bound)
+        w, half = width // 8, 1 << (width - 1)
+        buf = bytearray((bytes(w - 1) + b"\x80") * n)  # n zero digits, offset
+        for e, c in terms.items():
+            i = (e - lo) * w
+            buf[i:i + w] = (c + half).to_bytes(w, "little")
+        v = int.from_bytes(buf, "little") - _offset(width, n)
+        return cls._packed(lo, v, width, bound)
+
+    @classmethod
+    def _packed(cls, lo: int, v: int, width: int, bound: int) -> "LaurentPoly":
+        # trusted constructor: every digit of v is at most bound < 2^(width-1)
+        # in size, and the lowest digit is nonzero (or v == 0 and lo == 0)
         self = object.__new__(cls)
-        self._terms = terms
+        self._lo = lo
+        self._v = v
+        self._width = width
+        self._bound = bound
         return self
 
     @classmethod
     def const(cls, c: int) -> "LaurentPoly":
-        return cls._raw({0: c} if c else {})
+        if not c:
+            return ZERO
+        return cls._packed(0, c, _width(abs(c)), abs(c))
+
+    def _items(self) -> list[tuple[int, int]]:
+        lo = self._lo
+        return [(lo + k, c) for k, c in enumerate(_digits(self._v, self._width)) if c]
 
     # -- inspection ---------------------------------------------------------
 
     def coeff(self, exponent: int) -> int:
-        return self._terms.get(exponent, 0)
+        v, width = self._v, self._width
+        k = exponent - self._lo
+        if k < 0 or k > v.bit_length() // width:  # below lo or above the top digit
+            return 0
+        if k:
+            # round V / 2^bits: the digits below k add up to less than
+            # 2^(bits-1) in size
+            bits = width * k
+            v = (v + (1 << (bits - 1))) >> bits
+        return _balanced(v, width)
 
     def terms(self) -> Iterator[tuple[int, int]]:
         """Iterate (exponent, coefficient) pairs in ascending exponent order."""
-        return iter(sorted(self._terms.items()))
+        return iter(self._items())
 
     @property
     def min_exp(self) -> Optional[int]:
-        return min(self._terms) if self._terms else None
+        return self._lo if self._v else None
 
     @property
     def max_exp(self) -> Optional[int]:
-        return max(self._terms) if self._terms else None
+        return self._lo + len(_digits(self._v, self._width)) - 1 if self._v else None
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._v)
 
     def __len__(self) -> int:
-        return len(self._terms)
+        digits = _digits(self._v, self._width)
+        return len(digits) - digits.count(0)
 
     # -- ring operations ----------------------------------------------------
 
@@ -192,22 +208,32 @@ class LaurentPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._terms, other._terms
-        if len(a) < len(b):
-            a, b = b, a
-        out = dict(a)
-        for e, c in b.items():
-            v = out.get(e, 0) + c
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
-        return LaurentPoly._raw(out)
+        if not other._v:
+            return self
+        if not self._v:
+            return other
+        bound = self._bound + other._bound
+        width, a, b = _aligned(self, other, bound)
+        gap = other._lo - self._lo
+        if gap > 0:
+            return LaurentPoly._packed(self._lo, a + (b << width * gap), width, bound)
+        if gap < 0:
+            return LaurentPoly._packed(other._lo, (a << -width * gap) + b, width, bound)
+        # equal lowest exponents: the lowest digits may cancel
+        v = a + b
+        if not v:
+            return ZERO
+        lo = self._lo
+        if not v & ((1 << width) - 1):
+            k = ((v & -v).bit_length() - 1) // width
+            v >>= width * k
+            lo += k
+        return LaurentPoly._packed(lo, v, width, bound)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly._raw({e: -c for e, c in self._terms.items()})
+        return LaurentPoly._packed(self._lo, -self._v, self._width, self._bound)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -223,12 +249,19 @@ class LaurentPoly:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            if not other:
-                return ZERO
-            return LaurentPoly._raw({e: c * other for e, c in self._terms.items()})
-        if not isinstance(other, LaurentPoly):
+            other = LaurentPoly.const(other)
+        elif not isinstance(other, LaurentPoly):
             return NotImplemented
-        return LaurentPoly._raw(_mul_terms(self._terms, other._terms))
+        if not self._v or not other._v:
+            return ZERO
+        # a product coefficient sums at most min(span) products of
+        # coefficients, where bit_length // width + 1 bounds a span; the
+        # lowest digits multiply to the (nonzero) lowest digit
+        span = min(self._v.bit_length() // self._width,
+                   other._v.bit_length() // other._width) + 1
+        bound = span * self._bound * other._bound
+        width, a, b = _aligned(self, other, bound)
+        return LaurentPoly._packed(self._lo + other._lo, a * b, width, bound)
 
     __rmul__ = __mul__
 
@@ -245,9 +278,9 @@ class LaurentPoly:
 
     def shifted(self, k: int) -> "LaurentPoly":
         """Multiply by q^k."""
-        if not k:
+        if not k or not self._v:
             return self
-        return LaurentPoly._raw({e + k: c for e, c in self._terms.items()})
+        return LaurentPoly._packed(self._lo + k, self._v, self._width, self._bound)
 
     def dilated(self, power: int) -> "LaurentPoly":
         """Substitute q -> q^power (power >= 1)."""
@@ -255,11 +288,17 @@ class LaurentPoly:
             raise ValueError("dilation power must be >= 1")
         if power == 1:
             return self
-        return LaurentPoly._raw({e * power: c for e, c in self._terms.items()})
+        return LaurentPoly._raw({e * power: c for e, c in self._items()})
 
     def truncated(self, q_cap: int) -> "LaurentPoly":
         """Drop terms with exponent above q_cap."""
-        return LaurentPoly._raw({e: c for e, c in self._terms.items() if e <= q_cap})
+        keep = q_cap - self._lo + 1  # digits kept
+        if not self._v or self._v.bit_length() // self._width < keep:
+            return self
+        if keep <= 0:
+            return ZERO
+        return LaurentPoly._packed(self._lo, _balanced(self._v, self._width * keep),
+                                   self._width, self._bound)
 
     def divide_exact(self, other: "LaurentPoly") -> "LaurentPoly":
         """Return c with c * other == self, raising NotDivisible otherwise."""
@@ -268,10 +307,23 @@ class LaurentPoly:
             raise ZeroDivisionError("division by the zero polynomial")
         if not self:
             return ZERO
-        alo = min(self._terms)
-        blo = min(other._terms)
-        num = {e - alo: c for e, c in self._terms.items()}
-        den = {e - blo: c for e, c in other._terms.items()}
+        off = self._lo - other._lo
+        # Divide the packed values.  If that is exact and the quotient's
+        # digits q_k are small enough that the product q * other cannot
+        # carry at this width, then q * other has the same value and the
+        # same digits as self, so q is the quotient.
+        width, a, b = _aligned(self, other, 0)
+        v, rem = divmod(a, b)
+        if not rem:
+            digits, divisor = _digits(v, width), _digits(b, width)
+            bound = min(len(digits), len(divisor)) * max(map(abs, digits)) \
+                * max(map(abs, divisor))
+            if not bound >> (width - 1):
+                return LaurentPoly._raw(
+                    {k + off: c for k, c in enumerate(digits) if c})
+        # otherwise long division on the terms decides
+        num = {k: c for k, c in enumerate(_digits(self._v, self._width)) if c}
+        den = {k: c for k, c in enumerate(_digits(other._v, other._width)) if c}
         ddeg = max(den)
         dlead = den[ddeg]
         quo: dict[int, int] = {}
@@ -291,7 +343,6 @@ class LaurentPoly:
                     num[e2] = v
                 else:
                     num.pop(e2, None)
-        off = alo - blo
         return LaurentPoly._raw({e + off: c for e, c in quo.items()})
 
     def evaluate(self, q0: Union[int, Fraction]) -> Fraction:
@@ -299,7 +350,7 @@ class LaurentPoly:
         x = Fraction(q0)
         if x == 0 and self.min_exp is not None and self.min_exp < 0:
             raise ZeroDivisionError("negative exponents cannot be evaluated at 0")
-        return sum((c * x ** e for e, c in self._terms.items()), Fraction(0))
+        return sum((c * x ** e for e, c in self._items()), Fraction(0))
 
     # -- comparison / hashing -----------------------------------------------
 
@@ -307,23 +358,25 @@ class LaurentPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._terms == other._terms
+        if self._lo != other._lo:
+            return False
+        _, a, b = _aligned(self, other, 0)
+        return a == b
 
     def __hash__(self) -> int:
+        digits = _digits(self._v, self._width)
         # constants hash like the ints they equal
-        if not self._terms:
-            return hash(0)
-        if len(self._terms) == 1 and 0 in self._terms:
-            return hash(self._terms[0])
-        return hash(frozenset(self._terms.items()))
+        if self._lo == 0 and len(digits) <= 1:
+            return hash(self._v)
+        return hash((self._lo, tuple(digits)))
 
     # -- canonical text -----------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self._v:
             return "0"
         pieces = []
-        for e, c in sorted(self._terms.items()):
+        for e, c in self._items():
             mag = abs(c)
             if e == 0:
                 body = str(mag)
@@ -375,13 +428,24 @@ def _coerce(value) -> "LaurentPoly":
     return NotImplemented
 
 
-ZERO = LaurentPoly._raw({})
-ONE = LaurentPoly._raw({0: 1})
+def _aligned(a: LaurentPoly, b: LaurentPoly, bound: int) -> tuple[int, int, int]:
+    """The digit width for a result of a and b whose digits are at most
+    bound, with the V of a and of b at that width."""
+    width = a._width if a._width >= b._width else b._width
+    if bound >> (width - 1):
+        width = _width(bound)
+    va = a._v if a._width == width else _widened(a._v, a._width, width)
+    vb = b._v if b._width == width else _widened(b._v, b._width, width)
+    return width, va, vb
+
+
+ZERO = LaurentPoly._packed(0, 0, _WORD, 0)
+ONE = LaurentPoly.const(1)
 
 
 def qpow(exponent: int, coeff: int = 1) -> LaurentPoly:
     """The monomial coeff * q^exponent."""
-    return LaurentPoly._raw({exponent: coeff} if coeff else {})
+    return LaurentPoly.const(coeff).shifted(exponent)
 
 
 # --------------------------------------------------------------------------

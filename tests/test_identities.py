@@ -336,6 +336,27 @@ class TestTruncated:
         assert v.rhs.coeff((1, 1)).coeff(3) == 2
         assert v.rhs.coeff((1, 1)).coeff(4) == 3
 
+    def test_eq11_reports_a_failing_eq26_cell_at_its_marker(self, monkeypatch):
+        import qschur.identities as identities
+        real = identities.verify_26_cell
+
+        def broken(i, j, qmax):
+            verdict = real(i, j, qmax)
+            if (i, j) != (1, 2):
+                return verdict
+            return identities._verdict("eq26", verdict.params, verdict.lhs,
+                                       verdict.rhs + qpow(6))
+
+        monkeypatch.setattr(identities, "verify_26_cell", broken)
+        cell = broken(1, 2, 10)
+        v = verify_11(2, 2, 10)
+        assert not cell.holds and not v.holds
+        assert v.identity == "eq11"
+        assert v.witness.marker == (1, 2)
+        assert v.witness.q_exp == cell.witness.q_exp == 6
+        assert (v.witness.lhs_coeff, v.witness.rhs_coeff) == \
+            (cell.witness.lhs_coeff, cell.witness.rhs_coeff)
+
     def test_eq61_small_caps(self):
         assert verify_61(2, 2, 2, 16).holds
 

@@ -15,11 +15,33 @@ from qschur.qseries import (
     ZERO,
     qpow,
 )
-from qschur.qseries import _mul_dicts, _mul_terms
 
 
 def lp(*pairs):
     return LaurentPoly(pairs)
+
+
+# --------------------------------------------------------------------------
+# term-dict oracle: the plain schoolbook ring the packed one must match
+
+
+def _mul_dicts(a: dict, b: dict) -> dict:
+    out: dict[int, int] = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            out[ea + eb] = out.get(ea + eb, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _add_dicts(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _terms(p: LaurentPoly) -> dict:
+    return dict(p.terms())
 
 
 small_polys = st.builds(
@@ -29,6 +51,14 @@ small_polys = st.builds(
 big_polys = st.builds(
     LaurentPoly,
     st.dictionaries(st.integers(-60, 60), st.integers(-10**24, 10**24), max_size=80))
+
+# coefficients just under the digit limits 2^63 and 2^127, many of them
+edge_coefficients = st.sampled_from(
+    [s * (2**63 - d) for s in (1, -1) for d in (1, 2**40)]
+    + [s * (2**127 - 1) for s in (1, -1)] + [1, -1])
+edge_polys = st.builds(
+    LaurentPoly,
+    st.dictionaries(st.integers(-20, 20), edge_coefficients, max_size=41))
 
 rationals = st.fractions(
     min_value=Fraction(-4), max_value=Fraction(4)).filter(lambda x: x != 0)
@@ -103,8 +133,119 @@ class TestLaurentPoly:
     @given(big_polys, big_polys)
     @settings(max_examples=60)
     def test_packed_multiplication_matches_schoolbook(self, a, b):
-        assert _mul_terms(dict(a._terms), dict(b._terms)) == \
-            _mul_dicts(a._terms, b._terms)
+        assert _terms(a * b) == _mul_dicts(_terms(a), _terms(b))
+
+
+class TestPackedRing:
+    """The packed ring against the term-dict oracle, on coefficients up to
+    10^24 (digits wider than 64 bits), coefficients just under the digit
+    limits, and small ones."""
+
+    @given(edge_polys, st.one_of(edge_polys, big_polys))
+    @settings(max_examples=60)
+    def test_products_at_the_digit_limit(self, a, b):
+        assert _terms(a * b) == _mul_dicts(_terms(a), _terms(b))
+        assert _terms(a + b) == _add_dicts(_terms(a), _terms(b))
+        assert _terms(a * a * b) == _mul_dicts(_mul_dicts(_terms(a), _terms(a)), _terms(b))
+
+    @given(st.one_of(big_polys, small_polys, edge_polys),
+           st.one_of(big_polys, small_polys, edge_polys),
+           st.integers(-10**30, 10**30))
+    @settings(max_examples=80)
+    def test_sum_difference_and_scalar(self, a, b, k):
+        ta, tb = _terms(a), _terms(b)
+        assert _terms(a + b) == _add_dicts(ta, tb)
+        assert _terms(a - b) == _add_dicts(ta, {e: -c for e, c in tb.items()})
+        assert _terms(-a) == {e: -c for e, c in ta.items()}
+        assert _terms(a * k) == {e: c * k for e, c in ta.items() if c * k}
+        assert _terms(a + k) == _add_dicts(ta, {0: k} if k else {})
+
+    @given(big_polys, st.integers(-70, 70), st.integers(-70, 70), st.integers(1, 4))
+    def test_shift_truncate_dilate(self, a, k, cap, power):
+        ta = _terms(a)
+        assert _terms(a.shifted(k)) == {e + k: c for e, c in ta.items()}
+        assert _terms(a.truncated(cap)) == {e: c for e, c in ta.items() if e <= cap}
+        assert _terms(a.dilated(power)) == {e * power: c for e, c in ta.items()}
+
+    @given(big_polys, st.integers(-70, 70))
+    def test_inspection(self, a, e):
+        ta = _terms(a)
+        assert len(a) == len(ta)
+        assert a.coeff(e) == ta.get(e, 0)
+        assert a.min_exp == (min(ta) if ta else None)
+        assert a.max_exp == (max(ta) if ta else None)
+        assert LaurentPoly.parse(str(a)) == a
+
+    @given(big_polys, big_polys)
+    @settings(max_examples=60)
+    def test_division_round_trip_wide(self, a, b):
+        if not b:
+            return
+        assert (a * b).divide_exact(b) == a
+
+    def test_division_with_cancelling_dividend(self):
+        # the dividend c - c q^2 fits 64-bit digits, but the packed quotient
+        # cannot be proven at that width; the quotient is still exact
+        c = 2**62
+        quotient = (qpow(0, c) - qpow(2, c)).divide_exact(ONE + qpow(1))
+        assert quotient == qpow(0, c) - qpow(1, c)
+        with pytest.raises(NotDivisible):
+            (qpow(0, c) - qpow(2, c) + 1).divide_exact(ONE + qpow(1))
+
+    @given(small_polys, small_polys, small_polys)
+    def test_not_divisible_matches_oracle(self, a, b, r):
+        if not b:
+            return
+        num = a * b + r
+        expected = _divide_dicts(_terms(num), _terms(b))
+        if expected is None:
+            with pytest.raises(NotDivisible):
+                num.divide_exact(b)
+        else:
+            assert _terms(num.divide_exact(b)) == expected
+
+    @given(big_polys, st.integers(-10, 10))
+    def test_equality_and_hash_across_widths(self, a, k):
+        huge = qpow(k, 10**30) + qpow(k + 3, -1)
+        detour = (a * huge + a) - a * huge
+        assert detour == a and a == detour
+        assert hash(detour) == hash(a)
+        if a:
+            assert detour._width > a._width  # the detour really was wider
+
+    @given(st.integers(-10**40, 10**40))
+    def test_constants_hash_like_ints(self, c):
+        assert hash(LaurentPoly.const(c)) == hash(c)
+        assert hash(LaurentPoly.const(c) * qpow(0)) == hash(c)
+        assert LaurentPoly.const(c) == c
+
+    def test_repeated_doubling_widens(self):
+        p, n = qpow(-3, 2**62) + qpow(5, -(2**62)), 2**62
+        for _ in range(200):
+            p, n = p + p, n * 2
+        assert _terms(p) == {-3: n, 5: -n}
+        assert _terms(p * p) == {-6: n * n, 2: -2 * n * n, 10: n * n}
+
+
+def _divide_dicts(a: dict, b: dict):
+    """Schoolbook Laurent long division on term dicts, with both operands
+    moved to lowest exponent 0: the quotient, or None."""
+    if not a:
+        return {}
+    alo, blo = min(a), min(b)
+    num = {e - alo: c for e, c in a.items()}
+    den = {e - blo: c for e, c in b.items()}
+    quo, top = {}, max(den)
+    while num:
+        high = max(num)
+        if high < top:
+            return None
+        c, r = divmod(num[high], den[top])
+        if r:
+            return None
+        quo[high - top + alo - blo] = c
+        num = _add_dicts(num, {e + high - top: -c * cd for e, cd in den.items()})
+    return quo
 
 
 class TestCanonicalText:
