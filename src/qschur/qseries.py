@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import re
-import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -82,13 +81,9 @@ def _digits(v: int, width: int) -> list[int]:
     if not v:
         return []
     raw = _unsigned(v, width)
-    half = 1 << (width - 1)
-    if width == _WORD:
-        digits = [d - half for d in struct.unpack(f"<{len(raw) // 8}Q", raw)]
-    else:
-        w = width // 8
-        digits = [int.from_bytes(raw[i:i + w], "little") - half
-                  for i in range(0, len(raw), w)]
+    w, half = width // 8, 1 << (width - 1)
+    digits = [int.from_bytes(raw[i:i + w], "little") - half
+              for i in range(0, len(raw), w)]
     if not digits[-1]:
         digits.pop()
     return digits
@@ -112,6 +107,10 @@ class LaurentPoly:
     Exponents may be negative and coefficients are Python ints of any
     size.  Instances are immutable: every operation returns a new value,
     so polynomials can be shared freely and used as cache values.
+
+    Storage is dense: a value takes width/8 bytes (8 or more) for every
+    exponent between its lowest and highest term, zero or not, so a
+    sparse value such as 1 + q^(10^10) needs about 80 GB.
     """
 
     __slots__ = ("_lo", "_v", "_width", "_bound")
@@ -397,7 +396,12 @@ class LaurentPoly:
 
     @classmethod
     def parse(cls, text: str) -> "LaurentPoly":
-        """Parse the canonical text rendering produced by ``str``."""
+        """Parse the canonical text rendering produced by ``str``.
+
+        The result is stored densely (see the class docstring), so text
+        whose exponents lie far apart, such as ``1 + q^10000000000``,
+        costs memory in proportion to that distance.
+        """
         s = text.strip()
         if s == "0":
             return ZERO
