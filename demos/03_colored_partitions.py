@@ -2,8 +2,8 @@
 integers with the classical difference conditions.
 """
 
-from qschur import ColoredPartition, enumerate_type1, is_type1, schur_counts
-from qschur.partitions import symbol
+from qschur import ColoredPartition, is_type1, schur_counts
+from qschur.partitions import iter_type1, symbol
 
 P = ColoredPartition.from_text
 
@@ -19,7 +19,8 @@ print("a2+b1 ok? ", is_type1(P("a2+b1")))    # a over b needs gap 2
 print("ab2+a1 ok?", is_type1(P("ab2+a1")))   # ab on top needs gap 2
 
 # Enumerate every gap partition with weight <= 3 and parts <= b2.
-for p in enumerate_type1(3, symbol("b2")):
+for parts in iter_type1(3, symbol("b2")):
+    p = ColoredPartition(parts, sort=False)
     print(" ", p, "-> dilated", p.dilated())
 
 # The dilation a_n -> 3n-2, b_n -> 3n-1, ab_n -> 3n-3 maps the colored

@@ -23,15 +23,12 @@ from .partitions import (
     ColoredSymbol,
     DurfeeDecomposition,
     NoValidStatistic,
-    count_S,
     count_V,
     durfee_decompose,
-    enumerate_type1,
     goellnitz_counts,
     is_type1,
     nu_statistics,
     schur_counts,
-    theorem3_counts,
 )
 from .bijection import (
     BijectionTrace,
@@ -60,8 +57,6 @@ from .identities import (
     verify_53,
     verify_63,
     verify_63_closed_LM,
-    verify_recurrence,
-    verify_truncated,
 )
 from .theorems import (
     CountReport,

@@ -96,6 +96,9 @@ def cmd_verify(args) -> int:
         ranges[name] = _parse_range(value)
     caps = {name: getattr(args, name) for name in spec.cap_params
             if getattr(args, name) is not None}
+    for name, value in caps.items():
+        if value < 0:
+            raise UsageError(f"--{name} must be nonnegative")
     result = sweep(args.identity, ranges, caps, perturb=args.perturb)
 
     if args.format == "json":
@@ -127,7 +130,12 @@ def _count_reports(args) -> list[CountReport]:
 
     def axis(name, default):
         value = getattr(args, name)
-        return _parse_range(value) if value else default
+        if not value:
+            return default
+        values = _parse_range(value)
+        if name in ("i", "j") and values[0] < 0:
+            raise UsageError(f"--{name} must be nonnegative")
+        return values
 
     reports = []
     if theorem == "T1":
@@ -252,9 +260,9 @@ def cmd_gf(args) -> int:
     _reject_csv(args)
     if args.kind not in GF_KINDS:
         raise UsageError(f"unknown kind {args.kind!r}; choose from {', '.join(GF_KINDS)}")
-    L = int(args.L) if args.L is not None else None
-    if L is None or L < 0:
+    if args.L is None or not re.fullmatch(r"\d+", args.L.strip()):
         raise UsageError("gf needs --L >= 0")
+    L = int(args.L)
     if args.kind == "trinomialRHS" and L < 1:
         raise UsageError("trinomialRHS needs --L >= 1")
     builder = {"GL": build_GL, "RL": build_RL, "PL": build_PL,

@@ -53,8 +53,6 @@ __all__ = [
     "verify_rec55",
     "verify_rec58",
     "verify_rec59",
-    "verify_recurrence",
-    "verify_truncated",
 ]
 
 
@@ -128,13 +126,21 @@ def _verdict(identity: str, params: dict, lhs: Value, rhs: Value) -> Verdict:
 # the bounded key identity and its variants
 
 
-def lhs_21(L: int, M: int, i: int, j: int) -> LaurentPoly:
-    """Sum over k of q^{(i-k)(j-k)} [M-i-j+k; k] [M-j; i-k] [L-i; j-k]."""
+def _ksum(L: int, M: int, i: int, j: int,
+          triangular_exponents: bool = False) -> LaurentPoly:
+    """Sum over k of q^{e_k} [M-i-j+k; k] [M-j; i-k] [L-i; j-k], where
+    e_k = (i-k)(j-k), or T_{i+j-k} + T_k with ``triangular_exponents``."""
     total = ZERO
     for k in range(0, min(i, j) + 1):
         term = qbinom(M - i - j + k, k) * qbinom(M - j, i - k) * qbinom(L - i, j - k)
-        total = total + term.shifted((i - k) * (j - k))
+        total = total + term.shifted(triangular(i + j - k) + triangular(k)
+                                     if triangular_exponents else (i - k) * (j - k))
     return total
+
+
+def lhs_21(L: int, M: int, i: int, j: int) -> LaurentPoly:
+    """Sum over k of q^{(i-k)(j-k)} [M-i-j+k; k] [M-j; i-k] [L-i; j-k]."""
+    return _ksum(L, M, i, j)
 
 
 def rhs_21(L: int, M: int, i: int, j: int) -> LaurentPoly:
@@ -143,8 +149,10 @@ def rhs_21(L: int, M: int, i: int, j: int) -> LaurentPoly:
 
 def verify_21(L: int, M: int, i: int, j: int) -> Verdict:
     """The double-bounded key identity; valid for arbitrary integers."""
+    # _ksum is lhs_21 without its wrapper call, which costs about 2% of a
+    # signed-grid sweep
     return _verdict("eq21", dict(L=L, M=M, i=i, j=j),
-                    lhs_21(L, M, i, j), rhs_21(L, M, i, j))
+                    _ksum(L, M, i, j), rhs_21(L, M, i, j))
 
 
 def verify_32(L: int, i: int, j: int) -> Verdict:
@@ -162,12 +170,9 @@ def verify_44(L: int, M: int, i: int, j: int) -> Verdict:
     Also cross-asserts, termwise via T_{i+j-k} + T_k = T_i + T_j +
     (i-k)(j-k), that this is exactly q^{T_i+T_j} times the eq21 form.
     """
-    lhs = ZERO
-    for k in range(0, min(i, j) + 1):
-        term = qbinom(M - i - j + k, k) * qbinom(M - j, i - k) * qbinom(L - i, j - k)
-        lhs = lhs + term.shifted(triangular(i + j - k) + triangular(k))
-    rhs = (qbinom(L, j) * qbinom(M - j, i)).shifted(triangular(i) + triangular(j))
+    lhs = _ksum(L, M, i, j, triangular_exponents=True)
     shift = triangular(i) + triangular(j)
+    rhs = (qbinom(L, j) * qbinom(M - j, i)).shifted(shift)
     if lhs != lhs_21(L, M, i, j).shifted(shift):
         raise InternalMismatch("triangular-exponent form disagrees with eq21 scaling")
     return _verdict("eq44", dict(L=L, M=M, i=i, j=j), lhs, rhs)
@@ -232,11 +237,7 @@ def _series_from_sum(L: int) -> MarkerSeries:
     coeffs = {}
     for i in range(0, L + 1):
         for j in range(0, L - i + 1):
-            cell = ZERO
-            for k in range(0, min(i, j) + 1):
-                term = (qbinom(L - i - j + k, k) * qbinom(L - j, i - k)
-                        * qbinom(L - i, j - k))
-                cell = cell + term.shifted(triangular(i + j - k) + triangular(k))
+            cell = _ksum(L, L, i, j, triangular_exponents=True)
             if cell:
                 coeffs[(i, j)] = cell
     return MarkerSeries(2, coeffs)
@@ -325,15 +326,6 @@ def verify_rec59(L: int, i: int, j: int) -> Verdict:
            + qmultinomial3(L - 1, i, j - 1).shifted(L - i - j)
            + qmultinomial3(L - 1, i - 1, j).shifted(L - i))
     return _verdict("rec59", dict(L=L, i=i, j=j), lhs, rhs)
-
-
-def verify_recurrence(variant: str, **params) -> Verdict:
-    """Dispatch on {'rec55', 'rec58', 'rec59', 'rec512'}."""
-    table = {"rec55": verify_rec55, "rec512": verify_rec512,
-             "rec58": verify_rec58, "rec59": verify_rec59}
-    if variant not in table:
-        raise ValueError(f"unknown recurrence {variant!r}")
-    return table[variant](**params)
 
 
 def trinomial_rhs(L: int) -> MarkerSeries:
@@ -447,6 +439,16 @@ def verify_63_closed_LM(L: int, i: int, j: int, k: int) -> Verdict:
 # truncated infinite identities
 
 
+def _capped_product(factors: Sequence[LaurentPoly], q_cap: int,
+                    shift: int = 0) -> LaurentPoly:
+    """q^shift times the product of ``factors``, truncated at q^q_cap
+    after every factor so no intermediate product outgrows the cap."""
+    product, *rest = factors
+    for factor in rest:
+        product = (product * factor).truncated(q_cap)
+    return product.shifted(shift).truncated(q_cap)
+
+
 @lru_cache(maxsize=None)
 def inv_poch_trunc(n: int, q_cap: int) -> LaurentPoly:
     """1/(q)_n as a power series truncated at q^q_cap (n >= 0), obtained
@@ -456,7 +458,7 @@ def inv_poch_trunc(n: int, q_cap: int) -> LaurentPoly:
     if n == 0:
         return ONE
     geom = LaurentPoly({t: 1 for t in range(0, q_cap + 1, n)})
-    return (inv_poch_trunc(n - 1, q_cap) * geom).truncated(q_cap)
+    return _capped_product((inv_poch_trunc(n - 1, q_cap), geom), q_cap)
 
 
 def verify_26_cell(i: int, j: int, qmax: int) -> Verdict:
@@ -465,12 +467,11 @@ def verify_26_cell(i: int, j: int, qmax: int) -> Verdict:
     q^{T_i+T_j} / ((q)_i (q)_j), both truncated at qmax."""
     lhs = ZERO
     for k in range(0, min(i, j) + 1):
-        term = inv_poch_trunc(i - k, qmax) * inv_poch_trunc(j - k, qmax)
-        term = term.truncated(qmax) * inv_poch_trunc(k, qmax)
-        lhs = lhs + term.truncated(qmax).shifted(
-            triangular(i + j - k) + triangular(k)).truncated(qmax)
-    rhs = (inv_poch_trunc(i, qmax) * inv_poch_trunc(j, qmax)).truncated(qmax)
-    rhs = rhs.shifted(triangular(i) + triangular(j)).truncated(qmax)
+        lhs = lhs + _capped_product(
+            [inv_poch_trunc(n, qmax) for n in (i - k, j - k, k)], qmax,
+            triangular(i + j - k) + triangular(k))
+    rhs = _capped_product((inv_poch_trunc(i, qmax), inv_poch_trunc(j, qmax)), qmax,
+                          triangular(i) + triangular(j))
     return _verdict("eq26", dict(i=i, j=j, qmax=qmax), lhs, rhs)
 
 
@@ -526,11 +527,10 @@ def _cell_61(i: int, j: int, k: int, q_cap: int) -> LaurentPoly:
                  + triangular(c.epsilon) + triangular(c.phi - 1))
         if shift > q_cap:
             continue
-        inv = ONE
-        for n in (c.alpha, c.beta, c.gamma, c.delta, c.epsilon, c.phi):
-            inv = (inv * inv_poch_trunc(n, q_cap)).truncated(q_cap)
-        bracket = ONE - qpow(c.alpha) + qpow(c.alpha + c.phi)
-        total = total + (inv * bracket).truncated(q_cap).shifted(shift).truncated(q_cap)
+        factors = [inv_poch_trunc(n, q_cap) for n in
+                   (c.alpha, c.beta, c.gamma, c.delta, c.epsilon, c.phi)]
+        factors.append(ONE - qpow(c.alpha) + qpow(c.alpha + c.phi))
+        total = total + _capped_product(factors, q_cap, shift)
     return total
 
 
@@ -545,10 +545,9 @@ def verify_61(amax: int, bmax: int, cmax: int, qmax: int) -> Verdict:
         for j in range(0, bmax + 1):
             for k in range(0, cmax + 1):
                 cell = _cell_61(i, j, k, qmax)
-                reduced = inv_poch_trunc(i, qmax) * inv_poch_trunc(j, qmax)
-                reduced = reduced.truncated(qmax) * inv_poch_trunc(k, qmax)
-                reduced = reduced.truncated(qmax).shifted(
-                    triangular(i) + triangular(j) + triangular(k)).truncated(qmax)
+                reduced = _capped_product(
+                    [inv_poch_trunc(n, qmax) for n in (i, j, k)], qmax,
+                    triangular(i) + triangular(j) + triangular(k))
                 if cell != reduced:
                     lhs = MarkerSeries(3, {(i, j, k): cell}, trunc)
                     rhs = MarkerSeries(3, {(i, j, k): reduced}, trunc)
@@ -560,17 +559,6 @@ def verify_61(amax: int, bmax: int, cmax: int, qmax: int) -> Verdict:
     product = _marker_product((amax, bmax, cmax), qmax)
     return _verdict("eq61", dict(amax=amax, bmax=bmax, cmax=cmax, qmax=qmax),
                     lhs, product)
-
-
-def verify_truncated(variant: str, **caps) -> Verdict:
-    """Dispatch on {'eq26', 'eq11', 'eq61'} with their cap arguments."""
-    if variant == "eq26":
-        return verify_26_cell(caps["i"], caps["j"], caps["qmax"])
-    if variant == "eq11":
-        return verify_11(caps["amax"], caps["bmax"], caps["qmax"])
-    if variant == "eq61":
-        return verify_61(caps["amax"], caps["bmax"], caps["cmax"], caps["qmax"])
-    raise ValueError(f"unknown truncated variant {variant!r}")
 
 
 # --------------------------------------------------------------------------

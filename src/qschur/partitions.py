@@ -29,19 +29,14 @@ __all__ = [
     "DurfeeDecomposition",
     "NoRectangle",
     "NoValidStatistic",
-    "PartitionStats",
-    "count_S",
     "count_V",
     "count_distinct_parts",
-    "dilate_symbol",
     "durfee_decompose",
-    "enumerate_type1",
     "goellnitz_counts",
     "is_type1",
     "iter_type1",
     "nu_statistics",
     "schur_counts",
-    "theorem3_counts",
 ]
 
 COLORS = ("a", "b", "ab")
@@ -119,24 +114,15 @@ def _sym(color: str, weight: int) -> ColoredSymbol:
     return cached
 
 
-def dilate_symbol(symbol: ColoredSymbol) -> int:
-    return symbol.dilated
+@lru_cache(maxsize=None)
+def undilate(value: int) -> ColoredSymbol:
+    """The symbol whose dilated image is the positive integer ``value``."""
+    return ColoredSymbol(("ab", "a", "b")[value % 3], value // 3 + 1)
 
 
 def symbol(text: str) -> ColoredSymbol:
     """Shorthand parser: symbol('ab12') == ColoredSymbol('ab', 12)."""
     return ColoredSymbol.parse(text)
-
-
-@dataclass(frozen=True)
-class PartitionStats:
-    sigma: int
-    lambda_rank: int
-    nu_a: int
-    nu_b: int
-    nu_ab: int
-    nu_l: Optional[int] = None
-    nu_m: Optional[int] = None
 
 
 class ColoredPartition:
@@ -201,13 +187,6 @@ class ColoredPartition:
     def nu_ab(self) -> int:
         return self.count("ab")
 
-    def stats(self, L: Optional[int] = None, M: Optional[int] = None) -> PartitionStats:
-        nu_l = nu_m = None
-        if L is not None and M is not None:
-            nu_l, nu_m = nu_statistics(self, L, M)
-        return PartitionStats(self.sigma, self.lambda_rank,
-                              self.nu_a, self.nu_b, self.nu_ab, nu_l, nu_m)
-
     def dilated(self) -> tuple[int, ...]:
         """The ordinary-integer image of each part (decreasing)."""
         return tuple(p.dilated for p in self.parts)
@@ -248,10 +227,6 @@ def is_type1(partition: ColoredPartition) -> bool:
         if upper.weight - lower.weight < _gap_needed(upper, lower.color):
             return False
     return True
-
-
-def _color_cap(color: str, a_max, b_max, ab_max) -> Optional[int]:
-    return {"a": a_max, "b": b_max, "ab": ab_max}[color]
 
 
 def iter_type1(max_weight: int,
@@ -298,43 +273,38 @@ def iter_type1(max_weight: int,
     yield from extend(None, max_weight, top_rank)
 
 
-def enumerate_type1(max_weight: int,
-                    largest: Optional[ColoredSymbol] = None,
-                    a_max: Optional[int] = None,
-                    b_max: Optional[int] = None,
-                    ab_max: Optional[int] = None) -> list[ColoredPartition]:
-    """List form of iter_type1, wrapped as ColoredPartition values."""
-    return [ColoredPartition(parts, sort=False)
-            for parts in iter_type1(max_weight, largest, a_max, b_max, ab_max)]
-
-
 # --------------------------------------------------------------------------
 # boundary statistics
 
 
-def _scan_statistic(parts: Sequence[ColoredSymbol], X: int, Y: int,
-                    bounded_colors: tuple[str, ...]) -> int:
-    """Find the unique ell >= 0 such that the partition has exactly ell
-    parts with weights in [X-ell+2, Y], every part colored in
-    ``bounded_colors`` has weight <= X-ell, and no part has weight
-    X-ell+1."""
+def scan_statistic(parts: Sequence[ColoredSymbol], X: int, Y: int,
+                   bounded_colors: tuple[str, ...]) -> Optional[int]:
+    """The boundary statistic: the ell >= 0 such that exactly ell parts
+    have weights in [X-ell+2, Y], no part has weight X-ell+1 and every
+    part colored in ``bounded_colors`` has weight <= X-ell.
+
+    Returns None when no ell fits and raises NoValidStatistic when more
+    than one does.  nu_statistics and every bucketed census in
+    ``qschur.theorems`` go through this one scan.
+    """
     weights = [p.weight for p in parts]
+    top = len(weights)
+    # the bounded colors cap ell at X minus their largest weight; with no
+    # part of a bounded color there is no cap at all (in particular not X)
+    for p in parts:
+        if p.color in bounded_colors and X - p.weight < top:
+            top = X - p.weight
     found = []
-    for ell in range(0, len(parts) + 1):
-        in_interval = sum(1 for w in weights if X - ell + 2 <= w <= Y)
-        if in_interval != ell:
-            continue
-        if any(w == X - ell + 1 for w in weights):
-            continue
-        if any(p.weight > X - ell for p in parts if p.color in bounded_colors):
-            continue
-        found.append(ell)
-    if not found:
-        raise NoValidStatistic(
-            f"no boundary statistic fits (bounds {X}, {Y}; partition {'+'.join(map(str, parts)) or '∅'})")
+    inside = len([w for w in weights if X + 2 <= w <= Y])  # parts in [X-ell+2, Y]
+    for ell in range(0, top + 1):
+        edge = weights.count(X - ell + 1)
+        if not edge and inside == ell:
+            found.append(ell)
+        if X - ell + 1 <= Y:
+            inside += edge  # the interval for ell+1 starts at X-ell+1
     if len(found) > 1:
         raise NoValidStatistic(f"boundary statistic not unique: candidates {found}")
-    return found[0]
+    return found[0] if found else None
 
 
 def nu_statistics(partition: ColoredPartition, L: int, M: int) -> tuple[int, int]:
@@ -347,9 +317,14 @@ def nu_statistics(partition: ColoredPartition, L: int, M: int) -> tuple[int, int
     no unique) ell fits, which flags an input outside the theorem's
     partition class.
     """
-    nu_l = 0 if L >= M else _scan_statistic(partition.parts, L, M, ("b",))
-    nu_m = 0 if M >= L else _scan_statistic(partition.parts, M, L, ("a", "ab"))
-    return nu_l, nu_m
+    nu = []
+    for X, Y, bounded_colors in ((L, M, ("b",)), (M, L, ("a", "ab"))):
+        ell = 0 if X >= Y else scan_statistic(partition.parts, X, Y, bounded_colors)
+        if ell is None:
+            raise NoValidStatistic(
+                f"no boundary statistic fits (bounds {X}, {Y}; partition {partition})")
+        nu.append(ell)
+    return nu[0], nu[1]
 
 
 # --------------------------------------------------------------------------
@@ -376,41 +351,6 @@ def count_V(n: int, i: int, j: int, L: int, M: int) -> int:
     return sum(count_distinct_parts(m, i, max(M - j, 0))
                * count_distinct_parts(n - m, j, max(L, 0))
                for m in range(0, n + 1))
-
-
-def _satisfies_S(parts: tuple[ColoredSymbol, ...], l: int, L: int, M: int) -> bool:
-    """The bound profile of the bucketed gap-partition count: a,ab-parts
-    <= M, b-parts <= L-l, exactly l a,ab-parts >= L-l+2, no part = L-l+1."""
-    marked = 0
-    for p in parts:
-        if p.color == "b":
-            if p.weight > L - l:
-                return False
-        else:
-            if p.weight > M:
-                return False
-            if p.weight >= L - l + 2:
-                marked += 1
-        if p.weight == L - l + 1:
-            return False
-    return marked == l
-
-
-def count_S(n: int, r: int, s: int, t: int, l: int, L: int, M: int) -> int:
-    """Gap partitions of n with r a-parts <= M, s b-parts <= L-l, t
-    ab-parts <= M, exactly l a,ab-parts >= L-l+2 and no part = L-l+1."""
-    if min(n, r, s, t, l) < 0:
-        return 0
-    total = 0
-    for parts in iter_type1(n, a_max=M, b_max=max(L - l, 0), ab_max=M):
-        if sum(p.weight for p in parts) != n:
-            continue
-        counts = (sum(1 for p in parts if p.color == "a"),
-                  sum(1 for p in parts if p.color == "b"),
-                  sum(1 for p in parts if p.color == "ab"))
-        if counts == (r, s, t) and _satisfies_S(parts, l, L, M):
-            total += 1
-    return total
 
 
 # -- ordinary-integer (dilated) enumerations --------------------------------
@@ -491,76 +431,6 @@ def goellnitz_counts(n: int) -> tuple[int, int]:
     if n < 0:
         raise ValueError("n must be nonnegative")
     return (_count_distinct_residue(n, (2, 4, 5), 6, n), _count_goellnitz_gap(n, n))
-
-
-def _count_P3(n: int, i: int, j: int, L: int, M: int) -> int:
-    """Partitions of n into i distinct parts = 1 mod 3 each <= 3(M-j)-2
-    and j distinct parts = 2 mod 3 each <= 3L-1."""
-    total = 0
-    for m in range(0, n + 1):
-        x = _count_distinct_in_class(m, i, 1, max(3 * (M - j) - 2, 0))
-        if x:
-            total += x * _count_distinct_in_class(n - m, j, 2, max(3 * L - 1, 0))
-    return total
-
-
-@lru_cache(maxsize=None)
-def _count_distinct_in_class(n: int, k: int, residue: int, cap: int) -> int:
-    """Exactly k distinct parts = residue (mod 3), each <= cap, summing to n."""
-    if k == 0:
-        return 1 if n == 0 else 0
-    if n <= 0 or cap < 1:
-        return 0
-    total = 0
-    for p in range(residue, cap + 1, 3):
-        if p > n:
-            break
-        total += _count_distinct_in_class(n - p, k - 1, residue, p - 1)
-    return total
-
-
-def _G3_satisfies(parts: tuple[int, ...], l: int, L: int, M: int) -> bool:
-    """Dilated bound profile: parts = 1 mod 3 <= 3M-2, parts = 2 mod 3 <=
-    3(L-l)-1, parts = 0 mod 3 <= 3M-3, exactly l parts (in the 0,1 mod 3
-    classes) > 3(L-l)+2, no part equal to 3(L-l) or 3(L-l)+1."""
-    marked = 0
-    for p in parts:
-        r = p % 3
-        if r == 2:
-            if p > 3 * (L - l) - 1:
-                return False
-        else:
-            if p > (3 * M - 2 if r == 1 else 3 * M - 3):
-                return False
-            if p > 3 * (L - l) + 2:
-                marked += 1
-        if p in (3 * (L - l), 3 * (L - l) + 1):
-            return False
-    return marked == l
-
-
-def _count_G3(n: int, r: int, s: int, t: int, l: int, L: int, M: int) -> int:
-    """Schur-gap partitions of n matching the dilated (r, s, t, l) profile."""
-    total = 0
-    for parts in iter_schur_gap(n, min(n, max(3 * M - 2, 0))):
-        counts = [0, 0, 0]
-        for p in parts:
-            counts[p % 3] += 1
-        if (counts[1], counts[2], counts[0]) == (r, s, t) and _G3_satisfies(parts, l, L, M):
-            total += 1
-    return total
-
-
-def theorem3_counts(n: int, i: int, j: int, L: int, M: int) -> tuple[int, int]:
-    """Both sides of the dilated double-bounded refinement: the residue-
-    class count P and the bucketed gap-partition sum over r+t=i, s+t=j, l."""
-    P = _count_P3(n, i, j, L, M)
-    G = 0
-    for t in range(0, min(i, j) + 1):
-        r, s = i - t, j - t
-        for l in range(0, L + 1):
-            G += _count_G3(n, r, s, t, l, L, M)
-    return P, G
 
 
 # --------------------------------------------------------------------------

@@ -6,8 +6,9 @@ the right, and reports both totals plus the per-bucket breakdown.
 
 The bucketed counts are built through cached censuses: one enumeration
 sweep per bound pair classifies every gap partition by its color counts
-and its unique boundary statistic, and all later lookups are O(1).  The
-statistic's uniqueness is asserted during the sweep, never assumed.
+and its boundary statistic, and all later lookups are O(1).  Every census
+buckets through the shared scan ``partitions.scan_statistic``, which
+asserts the statistic's uniqueness on each partition it classifies.
 """
 
 from __future__ import annotations
@@ -16,18 +17,19 @@ import csv
 import io
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional
+from typing import Iterable
 
 from .partitions import (
+    ColoredSymbol,
     NoValidStatistic,
-    _G3_satisfies,
-    _satisfies_S,
     count_V,
+    count_distinct_parts,
     goellnitz_counts,
     iter_schur_gap,
     iter_type1,
+    scan_statistic,
     schur_counts,
-    _count_P3,
+    undilate,
 )
 
 __all__ = [
@@ -86,10 +88,15 @@ def reports_to_csv(reports: list[CountReport]) -> str:
 # censuses
 
 
+def _color_counts(parts: Iterable[ColoredSymbol]) -> tuple[int, int, int]:
+    """(r, s, t): the numbers of a-, b- and ab-parts."""
+    colors = [p.color for p in parts]
+    return colors.count("a"), colors.count("b"), colors.count("ab")
+
+
 @lru_cache(maxsize=None)
 def _vector_census(n_max: int) -> dict:
     """(n, i, j) -> number of pairs of distinct a-parts / b-parts."""
-    from .partitions import count_distinct_parts
     out: dict[tuple[int, int, int], int] = {}
     for n in range(0, n_max + 1):
         for i in range(0, n + 1):
@@ -111,97 +118,86 @@ def _type1_census(n_max: int) -> dict:
     """(n, r, s, t) -> number of gap partitions of n by color counts."""
     out: dict[tuple[int, int, int, int], int] = {}
     for parts in iter_type1(n_max):
-        n = sum(p.weight for p in parts)
-        r = sum(1 for p in parts if p.color == "a")
-        s = sum(1 for p in parts if p.color == "b")
-        t = sum(1 for p in parts if p.color == "ab")
-        key = (n, r, s, t)
+        key = (sum(p.weight for p in parts), *_color_counts(parts))
         out[key] = out.get(key, 0) + 1
     return out
 
 
-def _unique_bucket(candidates: list[int], what: str) -> Optional[int]:
-    if not candidates:
-        return None
-    if len(candidates) > 1:
-        raise NoValidStatistic(f"{what}: bucket statistic not unique ({candidates})")
-    return candidates[0]
+def _bucket_census(weighed: Iterable[tuple[int, tuple[ColoredSymbol, ...]]],
+                   X: int, Y: int, bounded_colors: tuple[str, ...]) -> dict:
+    """(n, r, s, t, l) -> number of the (n, parts) pairs whose boundary
+    statistic at (X, Y, bounded_colors) is l; parts where no l fits are
+    outside every bucket."""
+    out: dict[tuple[int, int, int, int, int], int] = {}
+    for n, parts in weighed:
+        l = scan_statistic(parts, X, Y, bounded_colors)
+        if l is not None:
+            key = (n, *_color_counts(parts), l)
+            out[key] = out.get(key, 0) + 1
+    return out
+
+
+def _weighed(stream: Iterable[tuple[ColoredSymbol, ...]]):
+    return ((sum(p.weight for p in parts), parts) for parts in stream)
 
 
 @lru_cache(maxsize=None)
 def _s_census(L: int, M: int, n_max: int) -> dict:
-    """(n, r, s, t, l) -> bounded gap-partition counts for the regime
-    M >= L (bucket l is the boundary statistic at the bound L)."""
-    out: dict[tuple[int, int, int, int, int], int] = {}
-    for parts in iter_type1(n_max, a_max=M, b_max=min(L, M), ab_max=M):
-        n = sum(p.weight for p in parts)
-        fits = [l for l in range(0, len(parts) + 1) if _satisfies_S(parts, l, L, M)]
-        l = _unique_bucket(fits, f"partition {'+'.join(map(str, parts)) or 'empty'}")
-        if l is None:
-            continue
-        r = sum(1 for p in parts if p.color == "a")
-        s = sum(1 for p in parts if p.color == "b")
-        t = sum(1 for p in parts if p.color == "ab")
-        key = (n, r, s, t, l)
-        out[key] = out.get(key, 0) + 1
-    return out
-
-
-def _satisfies_S_mirrored(parts, m: int, L: int, M: int) -> bool:
-    """Mirrored profile for L >= M: a,ab-parts <= M-m, b-parts <= L,
-    exactly m b-parts >= M-m+2, no part = M-m+1."""
-    marked = 0
-    for p in parts:
-        if p.color == "b":
-            if p.weight > L:
-                return False
-            if p.weight >= M - m + 2:
-                marked += 1
-        else:
-            if p.weight > M - m:
-                return False
-        if p.weight == M - m + 1:
-            return False
-    return marked == m
+    """Bounded gap-partition counts for the regime M >= L: a,ab-parts
+    <= M, b-parts <= L-l, bucket l the boundary statistic at the bound L."""
+    stream = iter_type1(n_max, a_max=M, b_max=min(L, M), ab_max=M)
+    return _bucket_census(_weighed(stream), L, M, ("b",))
 
 
 @lru_cache(maxsize=None)
 def _s_census_mirrored(L: int, M: int, n_max: int) -> dict:
-    out: dict[tuple[int, int, int, int, int], int] = {}
-    for parts in iter_type1(n_max, a_max=min(L, M), b_max=L, ab_max=min(L, M)):
-        n = sum(p.weight for p in parts)
-        fits = [m for m in range(0, len(parts) + 1)
-                if _satisfies_S_mirrored(parts, m, L, M)]
-        m = _unique_bucket(fits, f"partition {'+'.join(map(str, parts)) or 'empty'}")
-        if m is None:
-            continue
-        r = sum(1 for p in parts if p.color == "a")
-        s = sum(1 for p in parts if p.color == "b")
-        t = sum(1 for p in parts if p.color == "ab")
-        key = (n, r, s, t, m)
-        out[key] = out.get(key, 0) + 1
-    return out
+    """The regime L >= M with the bounds' roles swapped: b-parts <= L,
+    a,ab-parts <= M-m, bucket m the boundary statistic at the bound M."""
+    stream = iter_type1(n_max, a_max=min(L, M), b_max=L, ab_max=min(L, M))
+    return _bucket_census(_weighed(stream), M, L, ("a", "ab"))
 
 
 @lru_cache(maxsize=None)
 def _g3_census(L: int, M: int, n_max: int) -> dict:
-    """(n, r, s, t, l) -> bounded Schur-gap counts in the dilated world."""
-    out: dict[tuple[int, int, int, int, int], int] = {}
+    """Bounded Schur-gap counts in the dilated world (M >= L), keyed by
+    the dilated weight n: each partition is undilated (class 1 -> a,
+    class 2 -> b, class 0 -> ab) and bucketed as in _s_census."""
+    if L > M:
+        # the Schur-gap cap then admits a-parts above M, which the scan
+        # at the bound L does not reject
+        raise ValueError("the dilated census needs M >= L")
     # the loosest per-class caps are 3M-2 (class 1) and 3L-1 (class 2, l = 0)
     cap = max(3 * M - 2, 3 * L - 1, 0)
-    for n in range(0, n_max + 1):
-        for parts in iter_schur_gap(n, min(n, cap)):
-            fits = [l for l in range(0, len(parts) + 1)
-                    if _G3_satisfies(parts, l, L, M)]
-            l = _unique_bucket(fits, f"partition {parts}")
-            if l is None:
-                continue
-            counts = [0, 0, 0]
-            for p in parts:
-                counts[p % 3] += 1
-            key = (n, counts[1], counts[2], counts[0], l)
-            out[key] = out.get(key, 0) + 1
-    return out
+    weighed = ((n, tuple(map(undilate, parts)))
+               for n in range(0, n_max + 1)
+               for parts in iter_schur_gap(n, min(n, cap)))
+    return _bucket_census(weighed, L, M, ("b",))
+
+
+def _count_P3(n: int, i: int, j: int, L: int, M: int) -> int:
+    """Partitions of n into i distinct parts = 1 mod 3 each <= 3(M-j)-2
+    and j distinct parts = 2 mod 3 each <= 3L-1."""
+    total = 0
+    for m in range(0, n + 1):
+        x = _count_distinct_in_class(m, i, 1, max(3 * (M - j) - 2, 0))
+        if x:
+            total += x * _count_distinct_in_class(n - m, j, 2, max(3 * L - 1, 0))
+    return total
+
+
+@lru_cache(maxsize=None)
+def _count_distinct_in_class(n: int, k: int, residue: int, cap: int) -> int:
+    """Exactly k distinct parts = residue (mod 3), each <= cap, summing to n."""
+    if k == 0:
+        return 1 if n == 0 else 0
+    if n <= 0 or cap < 1:
+        return 0
+    total = 0
+    for p in range(residue, cap + 1, 3):
+        if p > n:
+            break
+        total += _count_distinct_in_class(n - p, k - 1, residue, p - 1)
+    return total
 
 
 # --------------------------------------------------------------------------

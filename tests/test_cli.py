@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from qschur.cli import main
 from qschur.qseries import MarkerSeries
 
@@ -61,6 +63,25 @@ class TestExitCodes:
     def test_csv_rejected_outside_count(self):
         assert run_cli("gf", "GL", "--L", "1", "--format", "csv")[0] == 2
         assert run_cli("verify", "eq53", "--L", "0..2", "--format", "csv")[0] == 2
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("argv", [
+        ["gf", "GL", "--L", "abc"],
+        ["gf", "GL", "--L", "1..2"],
+        ["count", "T1", "--n", "3", "--i", "-1"],
+        ["count", "T2", "--n", "3", "--L", "2", "--M", "2", "--i", "-1"],
+        ["count", "T2", "--n", "3", "--L", "2", "--M", "2", "--j", "-1"],
+        ["count", "T3", "--n", "3", "--L", "2", "--M", "2", "--i", "-1"],
+        ["count", "T3", "--n", "3", "--L", "2", "--M", "2", "--j", "-1"],
+        ["verify", "eq26", "--i", "0", "--j", "0", "--qmax", "-3"],
+        ["verify", "eq11", "--amax", "-1", "--bmax", "2", "--qmax", "5"],
+    ], ids=" ".join)
+    def test_exits_2_with_one_error_line(self, argv, capsys):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestVerifyCommand:

@@ -31,8 +31,6 @@ from qschur.identities import (
     verify_rec55,
     verify_rec58,
     verify_rec59,
-    verify_recurrence,
-    verify_truncated,
 )
 from qschur.qseries import LaurentPoly, MarkerSeries, ONE, ZERO, qpow
 
@@ -216,10 +214,10 @@ class TestRecurrences:
             assert verify_rec512(L).holds
 
     def test_dispatcher(self):
-        assert verify_recurrence("rec55", L=3).holds
-        assert verify_recurrence("rec58", L=3, i=1, j=1).holds
-        with pytest.raises(ValueError):
-            verify_recurrence("rec999", L=3)
+        assert IDENTITIES["rec55"].fn(L=3).holds
+        assert IDENTITIES["rec58"].fn(L=3, i=1, j=1).holds
+        with pytest.raises(KeyError):
+            sweep("rec999", {"L": [3]})
 
 
 class TestTrinomialRepresentation:
@@ -361,10 +359,10 @@ class TestTruncated:
         assert verify_61(2, 2, 2, 16).holds
 
     def test_dispatcher(self):
-        assert verify_truncated("eq26", i=1, j=2, qmax=12).holds
-        assert verify_truncated("eq11", amax=2, bmax=2, qmax=8).holds
-        with pytest.raises(ValueError):
-            verify_truncated("eq99", qmax=5)
+        assert IDENTITIES["eq26"].fn(i=1, j=2, qmax=12).holds
+        assert IDENTITIES["eq11"].fn(amax=2, bmax=2, qmax=8).holds
+        with pytest.raises(KeyError):
+            sweep("eq99", {}, {"qmax": 5})
 
 
 class TestSweep:
@@ -401,6 +399,43 @@ class TestSweep:
         for verdict in result.failures:
             assert verdict.witness.q_exp == 0
             assert verdict.witness.rhs_coeff - verdict.witness.lhs_coeff == 1
+
+    # one tiny valid grid (ranges, caps) per registry entry
+    TINY_GRIDS = {
+        "eq21": ({"L": [1, 2], "M": [2], "i": [0, 1], "j": [1]}, None),
+        "eq32": ({"L": [2, 3], "i": [0, 1], "j": [1]}, None),
+        "eq44": ({"L": [2], "M": [2, 3], "i": [1], "j": [0, 1]}, None),
+        "eq46": ({"L": [1, 2], "M": [2]}, None),
+        "eq48": ({"L": [2], "M": [2], "i": [0, 1], "j": [1]}, None),
+        "eq53": ({"L": [0, 2]}, None),
+        "eq516": ({"L": [1, 2]}, None),
+        "eq63": ({"L": [3], "M": [3], "i": [1], "j": [0, 1], "k": [1]}, None),
+        "eq63lm": ({"L": [3], "i": [1], "j": [1], "k": [0, 1]}, None),
+        "rec55": ({"L": [2, 3]}, None),
+        "rec58": ({"L": [2, 3], "i": [1], "j": [0]}, None),
+        "rec59": ({"L": [1, 2], "i": [1], "j": [0]}, None),
+        "rec512": ({"L": [0, 2]}, None),
+        "eq26": ({"i": [0, 1], "j": [1]}, {"qmax": 6}),
+        "eq11": ({}, {"amax": 1, "bmax": 1, "qmax": 5}),
+        "eq61": ({}, {"amax": 1, "bmax": 1, "cmax": 1, "qmax": 5}),
+    }
+
+    def test_tiny_grids_cover_the_registry(self):
+        assert set(self.TINY_GRIDS) == set(IDENTITIES)
+
+    @pytest.mark.parametrize("tag", sorted(TINY_GRIDS))
+    def test_perturbation_fails_every_cell_at_the_constant_term(self, tag):
+        ranges, caps = self.TINY_GRIDS[tag]
+        assert sweep(tag, ranges, caps).holds
+        result = sweep(tag, ranges, caps, perturb=True)
+        assert result.cells > 0 and result.skipped == 0
+        assert len(result.failures) == result.cells
+        for verdict in result.failures:
+            w = verdict.witness
+            assert w.q_exp == 0
+            assert w.rhs_coeff - w.lhs_coeff == 1
+            if not isinstance(verdict.lhs, LaurentPoly):
+                assert w.marker == (0,) * verdict.lhs.arity
 
     def test_witness_locates_first_differing_coefficient(self):
         lhs = LaurentPoly({-1: 2, 0: 1, 5: 3})

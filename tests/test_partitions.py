@@ -9,11 +9,9 @@ from qschur.partitions import (
     ColoredPartition,
     ColoredSymbol,
     NoValidStatistic,
-    count_S,
     count_V,
     count_distinct_parts,
     durfee_decompose,
-    enumerate_type1,
     goellnitz_counts,
     is_type1,
     iter_schur_gap,
@@ -21,12 +19,20 @@ from qschur.partitions import (
     nu_statistics,
     schur_counts,
     symbol,
-    theorem3_counts,
+    undilate,
 )
 from qschur.coefficients import qbinom
 from qschur.qseries import LaurentPoly
+from qschur.theorems import _s_census, check_theorem3
+
+from oracles import fitting_buckets, s_profile
 
 P = ColoredPartition.from_text
+
+
+def type1(max_weight, largest=None, **caps):
+    return [ColoredPartition(parts, sort=False)
+            for parts in iter_type1(max_weight, largest, **caps)]
 
 
 class TestSymbols:
@@ -60,6 +66,10 @@ class TestSymbols:
         assert all(s.dilated % 3 == {"a": 1, "b": 2, "ab": 0}[s.color]
                    for s in symbols)
 
+    def test_undilate_inverts_the_dilation(self):
+        for value in range(1, 40):
+            assert undilate(value).dilated == value
+
     def test_text_round_trip(self):
         p = P("ab12+ab10+b7+b6+a5+ab4+b2+a1")
         assert str(p) == "ab12+ab10+b7+b6+a5+ab4+b2+a1"
@@ -86,16 +96,16 @@ class TestGapCondition:
         assert is_type1(P(text)) is expected
 
     def test_enumerate_weight_1(self):
-        got = {str(p) for p in enumerate_type1(1, symbol("b1"))}
+        got = {str(p) for p in type1(1, symbol("b1"))}
         assert got == {"∅", "a1", "b1"}
 
     def test_enumerate_weight_3_bound_b2(self):
-        got = {str(p) for p in enumerate_type1(3, symbol("b2"))}
+        got = {str(p) for p in type1(3, symbol("b2"))}
         assert got == {"∅", "a1", "b1", "ab2", "a2", "b2",
                        "a2+a1", "b2+a1", "b2+b1"}
 
     def test_enumerate_weight_0(self):
-        assert [str(p) for p in enumerate_type1(0)] == ["∅"]
+        assert [str(p) for p in type1(0)] == ["∅"]
 
     def test_enumeration_is_duplicate_free_and_valid(self):
         seen = set()
@@ -105,7 +115,7 @@ class TestGapCondition:
             assert is_type1(ColoredPartition(parts, sort=False))
 
     def test_per_color_caps(self):
-        for p in enumerate_type1(8, a_max=3, b_max=2, ab_max=4):
+        for p in type1(8, a_max=3, b_max=2, ab_max=4):
             for s in p:
                 cap = {"a": 3, "b": 2, "ab": 4}[s.color]
                 assert s.weight <= cap
@@ -153,12 +163,10 @@ class TestNuStatistics:
         # over all gap partitions with a,ab <= M and b <= L, the scan
         # succeeds exactly when some bucket l satisfies the bounded
         # profile, and then the bucket is unique and equals nu(L)
-        from qschur.partitions import _satisfies_S
         for L, M in ((2, 5), (3, 4), (1, 6)):
             for parts in iter_type1(12, a_max=M, b_max=L, ab_max=M):
                 p = ColoredPartition(parts, sort=False)
-                fits = [l for l in range(0, len(parts) + 1)
-                        if _satisfies_S(parts, l, L, M)]
+                fits = fitting_buckets(s_profile, parts, L, M)
                 assert len(fits) <= 1
                 try:
                     nu_l, nu_m = nu_statistics(p, L, M)
@@ -189,7 +197,9 @@ class TestCounts:
         ((5, 0, 0, 0, 0, 3, 3), 0),   # no parts cannot carry weight
     ])
     def test_count_S_examples(self, args, expected):
-        assert count_S(*args) == expected
+        # S(n; r, s, t, l, L, M), read from the bucketed census
+        n, r, s, t, l, L, M = args
+        assert _s_census(L, M, n).get((n, r, s, t, l), 0) == expected
 
     def test_schur_counts(self):
         assert schur_counts(9) == (3, 3)
@@ -227,12 +237,13 @@ class TestCounts:
         (12, 1, 1, 2, 3),
     ])
     def test_theorem3_counts_agree(self, args):
-        lhs, rhs = theorem3_counts(*args)
-        assert lhs == rhs
+        report = check_theorem3(*args)
+        assert report.lhs_count == report.rhs_count
 
     def test_theorem3_example_value(self):
         # pairs (x = 1 mod 3 <= 1, y = 2 mod 3 <= 5) with x + y = 3: only (1, 2)
-        assert theorem3_counts(3, 1, 1, 2, 2) == (1, 1)
+        report = check_theorem3(3, 1, 1, 2, 2)
+        assert (report.lhs_count, report.rhs_count) == (1, 1)
 
 
 class TestDurfee:

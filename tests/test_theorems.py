@@ -1,11 +1,23 @@
 """Theorem-level count equalities and their serializations."""
 
 import json
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qschur.partitions import iter_type1
+from qschur.partitions import (
+    ColoredPartition,
+    NoValidStatistic,
+    iter_schur_gap,
+    iter_type1,
+    nu_statistics,
+)
 from qschur.theorems import (
+    _g3_census,
+    _s_census,
+    _s_census_mirrored,
     check_goellnitz,
     check_schur,
     check_theorem1,
@@ -13,6 +25,8 @@ from qschur.theorems import (
     check_theorem3,
     reports_to_csv,
 )
+
+from oracles import fitting_buckets, g3_profile, s_profile, s_profile_mirrored
 
 
 class TestTheorem1:
@@ -124,6 +138,61 @@ class TestTheorem3:
         # P(n) can only be nonzero when n + 2i + j is divisible by 3
         report = check_theorem3(4, 1, 1, 2, 2)  # 4 + 2 + 1 = 7, not divisible
         assert report.lhs_count == 0 and report.holds
+
+
+N_MAX = 14
+# (weight, parts) of every gap partition and every Schur-gap partition
+# (weight = dilated weight) up to N_MAX, with no bound applied
+GAP = [(sum(p.weight for p in parts), parts) for parts in iter_type1(N_MAX)]
+SCHUR = [(n, parts) for n in range(0, N_MAX + 1) for parts in iter_schur_gap(n, n)]
+
+
+def _colors(parts):
+    return tuple(sum(1 for p in parts if p.color == c) for c in ("a", "b", "ab"))
+
+
+def _residues(parts):
+    return tuple(sum(1 for p in parts if p % 3 == r) for r in (1, 2, 0))
+
+
+def _oracle_census(weighed, profile, counts, L, M, n_max):
+    """The bucketed counts by definition: every partition, every bucket."""
+    out = Counter()
+    for n, parts in weighed:
+        if n > n_max:
+            continue
+        fits = fitting_buckets(profile, parts, L, M)
+        assert len(fits) <= 1
+        if fits:
+            out[(n, *counts(parts), fits[0])] += 1
+    return out
+
+
+class TestCensusOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(L=st.integers(0, 6), M=st.integers(0, 6), n_max=st.integers(0, N_MAX))
+    def test_censuses_and_statistic_match_the_profile_oracle(self, L, M, n_max):
+        if M >= L:
+            assert _s_census(L, M, n_max) == _oracle_census(
+                GAP, s_profile, _colors, L, M, n_max)
+            assert _g3_census(L, M, n_max) == _oracle_census(
+                SCHUR, g3_profile, _residues, L, M, n_max)
+        if L >= M:
+            assert _s_census_mirrored(L, M, n_max) == _oracle_census(
+                GAP, s_profile_mirrored, _colors, L, M, n_max)
+        # nu(L), nu(M) is the oracle's unique fitting bucket (0 at the
+        # larger bound) on every gap partition within the caps
+        for n, parts in GAP:
+            if n > n_max or any(p.weight > (L if p.color == "b" else M) for p in parts):
+                continue
+            nu_l = fitting_buckets(s_profile, parts, L, M) if L < M else [0]
+            nu_m = fitting_buckets(s_profile_mirrored, parts, L, M) if M < L else [0]
+            partition = ColoredPartition(parts, sort=False)
+            if nu_l and nu_m:
+                assert nu_statistics(partition, L, M) == (nu_l[0], nu_m[0])
+            else:
+                with pytest.raises(NoValidStatistic):
+                    nu_statistics(partition, L, M)
 
 
 class TestClassicalTheorems:
