@@ -18,10 +18,12 @@ print("b2+a1 ok? ", is_type1(P("b2+a1")))    # gap 1 under b: fine
 print("a2+b1 ok? ", is_type1(P("a2+b1")))    # a over b needs gap 2
 print("ab2+a1 ok?", is_type1(P("ab2+a1")))   # ab on top needs gap 2
 
-# Enumerate every gap partition with weight <= 3 and parts <= b2.
-for parts in iter_type1(3, symbol("b2")):
-    p = ColoredPartition(parts, sort=False)
-    print(" ", p, "-> dilated", p.dilated())
+# Enumerate every gap partition of weight <= 3 with parts <= b2 (so
+# every color capped at weight 2); iter_type1 takes an exact weight n.
+for n in range(0, 4):
+    for parts in iter_type1(n, a_max=2, b_max=2, ab_max=2):
+        p = ColoredPartition(parts, sort=False)
+        print(" ", p, "-> dilated", p.dilated())
 
 # The dilation a_n -> 3n-2, b_n -> 3n-1, ab_n -> 3n-3 maps the colored
 # order to the natural order and the gap condition to: differences >= 3,

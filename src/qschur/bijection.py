@@ -22,7 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .partitions import ColoredPartition, ColoredSymbol, is_type1, nu_statistics
+from .partitions import (
+    ColoredPartition,
+    ColoredSymbol,
+    color_counts,
+    is_type1,
+    nu_statistics,
+)
 
 __all__ = [
     "BijectionTrace",
@@ -205,16 +211,16 @@ def forward_bounded(pi1: ColoredPartition, pi2: ColoredPartition,
 
     trace = forward(pi1, pi2)
     nu_l, nu_m = nu_statistics(trace.pi3, L, M)
+    a_count, b_count, k = color_counts(trace.pi3.parts)
     cert = BoundCertificate(
         L=L, M=M, nu_l=nu_l, nu_m=nu_m,
-        a_count=trace.pi3.nu_a, b_count=trace.pi3.nu_b, ab_count=trace.pi3.nu_ab,
+        a_count=a_count, b_count=b_count, ab_count=k,
         a_bound=M - nu_m, b_bound=L - nu_l, ab_bound=M - nu_m)
 
-    k = trace.pi3.nu_ab
-    if not (trace.pi3.nu_a == i - k and trace.pi3.nu_b == j - k):
+    if not (a_count == i - k and b_count == j - k):
         raise BoundViolation(
             f"statistic map failed: expected ({i - k}, {j - k}, {k}) parts, "
-            f"got ({trace.pi3.nu_a}, {trace.pi3.nu_b}, {trace.pi3.nu_ab})")
+            f"got ({a_count}, {b_count}, {k})")
     for color, bound in (("a", cert.a_bound), ("b", cert.b_bound), ("ab", cert.ab_bound)):
         for p in trace.pi3.parts:
             if p.color == color and p.weight > bound:

@@ -133,7 +133,7 @@ def _count_reports(args) -> list[CountReport]:
         if not value:
             return default
         values = _parse_range(value)
-        if name in ("i", "j") and values[0] < 0:
+        if values[0] < 0:
             raise UsageError(f"--{name} must be nonnegative")
         return values
 
@@ -265,6 +265,9 @@ def cmd_gf(args) -> int:
     L = int(args.L)
     if args.kind == "trinomialRHS" and L < 1:
         raise UsageError("trinomialRHS needs --L >= 1")
+    for name in ("qmax", "amax", "bmax"):
+        if getattr(args, name) is not None and getattr(args, name) < 0:
+            raise UsageError(f"--{name} must be nonnegative")
     builder = {"GL": build_GL, "RL": build_RL, "PL": build_PL,
                "trinomialRHS": trinomial_rhs}[args.kind]
     series = builder(L)

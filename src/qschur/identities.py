@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .coefficients import qbinom, qmultinomial3, qtrinomial, triangular
-from .partitions import ColoredSymbol, iter_type1
+from .partitions import color_counts, iter_type1
 from .qseries import LaurentPoly, MarkerSeries, Truncation, ONE, ZERO, qpow
 
 __all__ = [
@@ -214,20 +214,11 @@ def verify_46(L: int, M: int) -> Verdict:
 def _series_from_type1(L: int) -> MarkerSeries:
     """G_L by direct enumeration of gap partitions with parts <= b_L."""
     acc: dict[tuple[int, int], dict[int, int]] = {}
-    bound = ColoredSymbol("b", L) if L >= 1 else None
-    if L >= 1:
-        stream = iter_type1(triangular(L), largest=bound)
-    else:
-        stream = iter([()])
-    for parts in stream:
-        sigma = 0
-        nu = {"a": 0, "b": 0, "ab": 0}
-        for p in parts:
-            sigma += p.weight
-            nu[p.color] += 1
-        key = (nu["a"] + nu["ab"], nu["b"] + nu["ab"])
-        cell = acc.setdefault(key, {})
-        cell[sigma] = cell.get(sigma, 0) + 1
+    for sigma in range(0, triangular(L) + 1):
+        for parts in iter_type1(sigma, a_max=L, b_max=L, ab_max=L):
+            r, s, t = color_counts(parts)
+            cell = acc.setdefault((r + t, s + t), {})
+            cell[sigma] = cell.get(sigma, 0) + 1
     return MarkerSeries(2, {k: LaurentPoly(v) for k, v in acc.items()})
 
 

@@ -29,6 +29,7 @@ __all__ = [
     "DurfeeDecomposition",
     "NoRectangle",
     "NoValidStatistic",
+    "color_counts",
     "count_V",
     "count_distinct_parts",
     "durfee_decompose",
@@ -167,26 +168,6 @@ class ColoredPartition:
         """Total weight: the sum of the part weights."""
         return sum(p.weight for p in self.parts)
 
-    @property
-    def lambda_rank(self) -> int:
-        """Rank of the largest part, 0 for the empty partition."""
-        return self.parts[0].rank if self.parts else 0
-
-    def count(self, color: str) -> int:
-        return sum(1 for p in self.parts if p.color == color)
-
-    @property
-    def nu_a(self) -> int:
-        return self.count("a")
-
-    @property
-    def nu_b(self) -> int:
-        return self.count("b")
-
-    @property
-    def nu_ab(self) -> int:
-        return self.count("ab")
-
     def dilated(self) -> tuple[int, ...]:
         """The ordinary-integer image of each part (decreasing)."""
         return tuple(p.dilated for p in self.parts)
@@ -229,48 +210,45 @@ def is_type1(partition: ColoredPartition) -> bool:
     return True
 
 
-def iter_type1(max_weight: int,
-               largest: Optional[ColoredSymbol] = None,
+def iter_type1(n: int,
                a_max: Optional[int] = None,
                b_max: Optional[int] = None,
                ab_max: Optional[int] = None) -> Iterator[tuple[ColoredSymbol, ...]]:
-    """Yield every gap partition with total weight <= max_weight.
+    """Yield every gap partition of exactly n.
 
-    ``largest`` bounds the largest part in the symbol order; the per-color
-    arguments cap the weight of parts of that color.  Parts come out in
-    decreasing order and the stream is duplicate-free, ordered
+    The per-color arguments cap the weight of parts of that color.  Parts
+    come out in decreasing order and the stream is duplicate-free, ordered
     lexicographically by the rank sequence (largest first).
     """
-
-    rank_offset = {"ab": 0, "a": 1, "b": 2}
     caps = {"a": a_max, "b": b_max, "ab": ab_max}
 
-    def candidates(budget: int, rank_bound: int, prev: Optional[ColoredSymbol]):
-        top = min(budget, max_weight)
-        if prev is not None:
-            top = min(top, prev.weight - 1)
+    def extend(prev: Optional[ColoredSymbol], budget: int):
+        if budget == 0:
+            yield ()
+            return
+        top = budget if prev is None else min(budget, prev.weight - 1)
         for w in range(top, 0, -1):
-            base = 3 * w
+            if w * (w + 1) // 2 < budget:
+                return  # distinct weights <= w cannot fill the budget
             for color in ("b", "a", "ab"):  # descending rank within a weight
                 if color == "ab" and w < 2:
                     continue
                 cap = caps[color]
                 if cap is not None and w > cap:
                     continue
-                if base + rank_offset[color] > rank_bound:
-                    continue
                 if prev is not None and prev.weight - w < _gap_needed(prev, color):
                     continue
-                yield _sym(color, w)
+                s = _sym(color, w)
+                for rest in extend(s, budget - w):
+                    yield (s,) + rest
 
-    def extend(prev: Optional[ColoredSymbol], budget: int, rank_bound: int):
-        yield ()
-        for s in candidates(budget, rank_bound, prev):
-            for rest in extend(s, budget - s.weight, s.rank - 1):
-                yield (s,) + rest
+    yield from extend(None, n)
 
-    top_rank = largest.rank if largest is not None else 3 * max_weight + 2
-    yield from extend(None, max_weight, top_rank)
+
+def color_counts(parts: Iterable[ColoredSymbol]) -> tuple[int, int, int]:
+    """(r, s, t): the numbers of a-, b- and ab-parts."""
+    colors = [p.color for p in parts]
+    return colors.count("a"), colors.count("b"), colors.count("ab")
 
 
 # --------------------------------------------------------------------------

@@ -4,17 +4,20 @@ Each check pairs an independently enumerated left side (vector partitions
 or residue-class partitions) with the bucketed gap-partition counts on
 the right, and reports both totals plus the per-bucket breakdown.
 
-The bucketed counts are built through cached censuses: one enumeration
-sweep per bound pair classifies every gap partition by its color counts
-and its boundary statistic, and all later lookups are O(1).  Every census
-buckets through the shared scan ``partitions.scan_statistic``, which
-asserts the statistic's uniqueness on each partition it classifies.
+The bucketed counts are built through cached censuses, one per bound
+pair and exact weight n: a single enumeration of the gap partitions of n
+classifies each by its color counts and its boundary statistic, and all
+later lookups at that n are O(1).  A check at weight n builds and reads
+only the census of n.  Every census buckets through the shared scan
+``partitions.scan_statistic``, which asserts the statistic's uniqueness
+on each partition it classifies.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable
@@ -22,6 +25,7 @@ from typing import Iterable
 from .partitions import (
     ColoredSymbol,
     NoValidStatistic,
+    color_counts,
     count_V,
     count_distinct_parts,
     goellnitz_counts,
@@ -88,90 +92,73 @@ def reports_to_csv(reports: list[CountReport]) -> str:
 # censuses
 
 
-def _color_counts(parts: Iterable[ColoredSymbol]) -> tuple[int, int, int]:
-    """(r, s, t): the numbers of a-, b- and ab-parts."""
-    colors = [p.color for p in parts]
-    return colors.count("a"), colors.count("b"), colors.count("ab")
-
-
 @lru_cache(maxsize=None)
-def _vector_census(n_max: int) -> dict:
-    """(n, i, j) -> number of pairs of distinct a-parts / b-parts."""
-    out: dict[tuple[int, int, int], int] = {}
-    for n in range(0, n_max + 1):
-        for i in range(0, n + 1):
-            if i * (i + 1) // 2 > n:
+def _vector_census(n: int) -> dict:
+    """(i, j) -> number of pairs of i distinct a-parts and j distinct
+    b-parts of total weight n."""
+    out: dict[tuple[int, int], int] = {}
+    for i in range(0, n + 1):
+        if i * (i + 1) // 2 > n:
+            break
+        for j in range(0, n + 1):
+            if i * (i + 1) // 2 + j * (j + 1) // 2 > n:
                 break
-            for j in range(0, n + 1):
-                if i * (i + 1) // 2 + j * (j + 1) // 2 > n:
-                    break
-                total = sum(count_distinct_parts(m, i, m) *
-                            count_distinct_parts(n - m, j, n - m)
-                            for m in range(0, n + 1))
-                if total:
-                    out[(n, i, j)] = total
+            total = sum(count_distinct_parts(m, i, m) *
+                        count_distinct_parts(n - m, j, n - m)
+                        for m in range(0, n + 1))
+            if total:
+                out[(i, j)] = total
     return out
 
 
 @lru_cache(maxsize=None)
-def _type1_census(n_max: int) -> dict:
-    """(n, r, s, t) -> number of gap partitions of n by color counts."""
-    out: dict[tuple[int, int, int, int], int] = {}
-    for parts in iter_type1(n_max):
-        key = (sum(p.weight for p in parts), *_color_counts(parts))
-        out[key] = out.get(key, 0) + 1
-    return out
+def _type1_census(n: int) -> Counter:
+    """(r, s, t) -> number of gap partitions of n by color counts."""
+    return Counter(map(color_counts, iter_type1(n)))
 
 
-def _bucket_census(weighed: Iterable[tuple[int, tuple[ColoredSymbol, ...]]],
-                   X: int, Y: int, bounded_colors: tuple[str, ...]) -> dict:
-    """(n, r, s, t, l) -> number of the (n, parts) pairs whose boundary
-    statistic at (X, Y, bounded_colors) is l; parts where no l fits are
-    outside every bucket."""
-    out: dict[tuple[int, int, int, int, int], int] = {}
-    for n, parts in weighed:
+def _bucket_census(stream: Iterable[tuple[ColoredSymbol, ...]],
+                   X: int, Y: int, bounded_colors: tuple[str, ...]) -> Counter:
+    """(r, s, t, l) -> number of the partitions in ``stream`` whose
+    boundary statistic at (X, Y, bounded_colors) is l; partitions where no
+    l fits are outside every bucket."""
+    out: Counter = Counter()
+    for parts in stream:
         l = scan_statistic(parts, X, Y, bounded_colors)
         if l is not None:
-            key = (n, *_color_counts(parts), l)
-            out[key] = out.get(key, 0) + 1
+            out[(*color_counts(parts), l)] += 1
     return out
 
 
-def _weighed(stream: Iterable[tuple[ColoredSymbol, ...]]):
-    return ((sum(p.weight for p in parts), parts) for parts in stream)
-
-
 @lru_cache(maxsize=None)
-def _s_census(L: int, M: int, n_max: int) -> dict:
-    """Bounded gap-partition counts for the regime M >= L: a,ab-parts
+def _s_census(L: int, M: int, n: int) -> Counter:
+    """Bounded gap-partition counts of n for the regime M >= L: a,ab-parts
     <= M, b-parts <= L-l, bucket l the boundary statistic at the bound L."""
-    stream = iter_type1(n_max, a_max=M, b_max=min(L, M), ab_max=M)
-    return _bucket_census(_weighed(stream), L, M, ("b",))
+    stream = iter_type1(n, a_max=M, b_max=min(L, M), ab_max=M)
+    return _bucket_census(stream, L, M, ("b",))
 
 
 @lru_cache(maxsize=None)
-def _s_census_mirrored(L: int, M: int, n_max: int) -> dict:
+def _s_census_mirrored(L: int, M: int, n: int) -> Counter:
     """The regime L >= M with the bounds' roles swapped: b-parts <= L,
     a,ab-parts <= M-m, bucket m the boundary statistic at the bound M."""
-    stream = iter_type1(n_max, a_max=min(L, M), b_max=L, ab_max=min(L, M))
-    return _bucket_census(_weighed(stream), M, L, ("a", "ab"))
+    stream = iter_type1(n, a_max=min(L, M), b_max=L, ab_max=min(L, M))
+    return _bucket_census(stream, M, L, ("a", "ab"))
 
 
 @lru_cache(maxsize=None)
-def _g3_census(L: int, M: int, n_max: int) -> dict:
-    """Bounded Schur-gap counts in the dilated world (M >= L), keyed by
-    the dilated weight n: each partition is undilated (class 1 -> a,
-    class 2 -> b, class 0 -> ab) and bucketed as in _s_census."""
+def _g3_census(L: int, M: int, n: int) -> Counter:
+    """Bounded Schur-gap counts of the dilated weight n (M >= L): each
+    partition is undilated (class 1 -> a, class 2 -> b, class 0 -> ab)
+    and bucketed as in _s_census."""
     if L > M:
         # the Schur-gap cap then admits a-parts above M, which the scan
         # at the bound L does not reject
         raise ValueError("the dilated census needs M >= L")
     # the loosest per-class caps are 3M-2 (class 1) and 3L-1 (class 2, l = 0)
     cap = max(3 * M - 2, 3 * L - 1, 0)
-    weighed = ((n, tuple(map(undilate, parts)))
-               for n in range(0, n_max + 1)
-               for parts in iter_schur_gap(n, min(n, cap)))
-    return _bucket_census(weighed, L, M, ("b",))
+    stream = (tuple(map(undilate, parts)) for parts in iter_schur_gap(n, min(n, cap)))
+    return _bucket_census(stream, L, M, ("b",))
 
 
 def _count_P3(n: int, i: int, j: int, L: int, M: int) -> int:
@@ -209,13 +196,13 @@ def check_theorem1(n: int, i: int, j: int) -> CountReport:
     gap-partition count summed over color splits r+t = i, s+t = j."""
     if min(n, i, j) < 0:
         raise ValueError("n, i, j must be nonnegative")
-    lhs = _vector_census(n).get((n, i, j), 0)
+    lhs = _vector_census(n).get((i, j), 0)
     breakdown = {}
     rhs = 0
     census = _type1_census(n)
     for t in range(0, min(i, j) + 1):
         r, s = i - t, j - t
-        c = census.get((n, r, s, t), 0)
+        c = census.get((r, s, t), 0)
         if c:
             breakdown[(r, s, t)] = c
             rhs += c
@@ -251,7 +238,7 @@ def check_theorem2(n: int, i: int, j: int, L: int, M: int, *,
     for t in range(0, min(i, j) + 1):
         r, s = i - t, j - t
         for l in range(0, n + 1):
-            c = census.get((n, r, s, t, l), 0)
+            c = census.get((r, s, t, l), 0)
             if c:
                 breakdown[(r, s, t, l)] = c
                 rhs += c
@@ -274,7 +261,7 @@ def check_theorem3(n: int, i: int, j: int, L: int, M: int) -> CountReport:
     for t in range(0, min(i, j) + 1):
         r, s = i - t, j - t
         for l in range(0, L + 1):
-            c = census.get((n, r, s, t, l), 0)
+            c = census.get((r, s, t, l), 0)
             if c:
                 breakdown[(r, s, t, l)] = c
                 rhs += c

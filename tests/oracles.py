@@ -1,9 +1,48 @@
-"""Brute-force bound profiles of the bucketed gap-partition counts.
+"""Reference enumerations and brute-force bound profiles.
 
-Each filter states one bucket's defining conditions literally, for one
-partition and one candidate bucket at a time; the census tests compare
-the library's scan-bucketed censuses against counts built from these.
+``type1_upto`` is the at-most-``max_weight`` walk the library's exact-weight
+``iter_type1`` replaced; the enumerator tests compare the two weight by
+weight.  Each profile filter states one bucket's defining conditions
+literally, for one partition and one candidate bucket at a time; the
+census tests compare the library's scan-bucketed censuses against counts
+built from these.
 """
+
+from qschur.partitions import ColoredSymbol
+
+
+def _gap_needed(upper, lower_color) -> int:
+    if upper.color == "ab" or (upper.color == "a" and lower_color == "b"):
+        return 2
+    return 1
+
+
+def type1_upto(max_weight, largest=None, a_max=None, b_max=None, ab_max=None):
+    """Every gap partition with total weight <= max_weight, largest part
+    <= ``largest`` in the symbol order and per-color weight caps, as
+    decreasing part tuples ordered lexicographically by the rank sequence
+    (largest first); a prefix comes before its extensions."""
+    caps = {"a": a_max, "b": b_max, "ab": ab_max}
+
+    def extend(prev, budget, rank_bound):
+        yield ()
+        top = budget if prev is None else min(budget, prev.weight - 1)
+        for w in range(top, 0, -1):
+            for color in ("b", "a", "ab"):  # descending rank within a weight
+                if color == "ab" and w < 2:
+                    continue
+                if caps[color] is not None and w > caps[color]:
+                    continue
+                s = ColoredSymbol(color, w)
+                if s.rank > rank_bound:
+                    continue
+                if prev is not None and prev.weight - w < _gap_needed(prev, color):
+                    continue
+                for rest in extend(s, budget - w, s.rank - 1):
+                    yield (s,) + rest
+
+    top_rank = largest.rank if largest is not None else 3 * max_weight + 2
+    yield from extend(None, max_weight, top_rank)
 
 
 def s_profile(parts, l, L, M) -> bool:

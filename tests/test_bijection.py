@@ -11,7 +11,7 @@ from qschur.bijection import (
     forward_bounded,
     inverse,
 )
-from qschur.partitions import ColoredPartition, is_type1
+from qschur.partitions import ColoredPartition, color_counts, is_type1
 
 P = ColoredPartition.from_text
 
@@ -54,7 +54,7 @@ class TestWorkedExample:
 
     def test_statistics_map(self, trace):
         # i = 5 a-parts and j = 6 b-parts map to (i-k, j-k, k) with k = 3
-        assert (trace.pi3.nu_a, trace.pi3.nu_b, trace.pi3.nu_ab) == (2, 3, 3)
+        assert color_counts(trace.pi3.parts) == (2, 3, 3)
 
 
 class TestSmallCases:

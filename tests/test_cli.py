@@ -3,11 +3,15 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from qschur.cli import main
 from qschur.qseries import MarkerSeries
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(*args):
@@ -76,6 +80,13 @@ class TestBadInput:
         ["count", "T3", "--n", "3", "--L", "2", "--M", "2", "--j", "-1"],
         ["verify", "eq26", "--i", "0", "--j", "0", "--qmax", "-3"],
         ["verify", "eq11", "--amax", "-1", "--bmax", "2", "--qmax", "5"],
+        ["gf", "GL", "--L", "2", "--qmax", "-1"],
+        ["gf", "GL", "--L", "2", "--amax", "-1", "--bmax", "0"],
+        ["gf", "GL", "--L", "2", "--amax", "0", "--bmax", "-1"],
+        ["count", "T2", "--n", "3", "--L", "-1", "--M", "2"],
+        ["count", "T2", "--n", "3", "--L", "2", "--M", "-1"],
+        ["count", "T3", "--n", "3", "--L", "-1", "--M", "2"],
+        ["count", "T3", "--n", "3", "--L", "1", "--M", "-1..2"],
     ], ids=" ".join)
     def test_exits_2_with_one_error_line(self, argv, capsys):
         assert main(argv) == 2
@@ -145,6 +156,18 @@ class TestCountCommand:
         assert code == 0
         lines = out.strip().splitlines()
         assert all(" i=1 " in line for line in lines[:-1])
+
+    @pytest.mark.parametrize("golden,argv", [
+        ("count_T2_n0-6_L2_M3.json",
+         ["count", "T2", "--n", "0..6", "--L", "2", "--M", "3", "--format", "json"]),
+        ("count_T3_n0-9_L1_M2.json",
+         ["count", "T3", "--n", "0..9", "--L", "1", "--M", "2", "--format", "json"]),
+    ])
+    def test_json_matches_the_recorded_bytes(self, golden, argv, capsys):
+        # pins the JSON contract, breakdown key order included
+        assert main(argv) == 0
+        out, _ = capsys.readouterr()
+        assert out.encode() == (GOLDEN / golden).read_bytes()
 
     def test_count_out_file(self, tmp_path):
         target = tmp_path / "schur.csv"

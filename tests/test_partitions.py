@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qschur.partitions import (
     COLORS,
@@ -25,14 +27,13 @@ from qschur.coefficients import qbinom
 from qschur.qseries import LaurentPoly
 from qschur.theorems import _s_census, check_theorem3
 
-from oracles import fitting_buckets, s_profile
+from oracles import fitting_buckets, s_profile, type1_upto
 
 P = ColoredPartition.from_text
 
 
-def type1(max_weight, largest=None, **caps):
-    return [ColoredPartition(parts, sort=False)
-            for parts in iter_type1(max_weight, largest, **caps)]
+def type1(n, **caps):
+    return [ColoredPartition(parts, sort=False) for parts in iter_type1(n, **caps)]
 
 
 class TestSymbols:
@@ -96,29 +97,36 @@ class TestGapCondition:
         assert is_type1(P(text)) is expected
 
     def test_enumerate_weight_1(self):
-        got = {str(p) for p in type1(1, symbol("b1"))}
-        assert got == {"∅", "a1", "b1"}
+        # parts <= b1 in the symbol order: a- and b-parts <= 1, no ab-part
+        got = [{str(p) for p in type1(n, a_max=1, b_max=1, ab_max=1)}
+               for n in range(0, 2)]
+        assert got == [{"∅"}, {"a1", "b1"}]
 
     def test_enumerate_weight_3_bound_b2(self):
-        got = {str(p) for p in type1(3, symbol("b2"))}
-        assert got == {"∅", "a1", "b1", "ab2", "a2", "b2",
-                       "a2+a1", "b2+a1", "b2+b1"}
+        # parts <= b2 in the symbol order: every color capped at weight 2
+        got = [{str(p) for p in type1(n, a_max=2, b_max=2, ab_max=2)}
+               for n in range(0, 4)]
+        assert got == [{"∅"}, {"a1", "b1"}, {"ab2", "a2", "b2"},
+                       {"a2+a1", "b2+a1", "b2+b1"}]
 
     def test_enumerate_weight_0(self):
         assert [str(p) for p in type1(0)] == ["∅"]
 
     def test_enumeration_is_duplicate_free_and_valid(self):
         seen = set()
-        for parts in iter_type1(9):
-            assert parts not in seen
-            seen.add(parts)
-            assert is_type1(ColoredPartition(parts, sort=False))
+        for n in range(0, 10):
+            for parts in iter_type1(n):
+                assert parts not in seen
+                seen.add(parts)
+                assert sum(p.weight for p in parts) == n
+                assert is_type1(ColoredPartition(parts, sort=False))
 
     def test_per_color_caps(self):
-        for p in type1(8, a_max=3, b_max=2, ab_max=4):
-            for s in p:
-                cap = {"a": 3, "b": 2, "ab": 4}[s.color]
-                assert s.weight <= cap
+        for n in range(0, 9):
+            for p in type1(n, a_max=3, b_max=2, ab_max=4):
+                for s in p:
+                    cap = {"a": 3, "b": 2, "ab": 4}[s.color]
+                    assert s.weight <= cap
 
     def test_gap_condition_equals_dilated_schur_condition(self):
         # exhaustively for total weight <= 20: the colored gap condition
@@ -128,8 +136,7 @@ class TestGapCondition:
             return all(x - y >= 3 + (1 if x % 3 == 0 else 0)
                        for x, y in zip(values, values[1:]))
         checked = 0
-        for parts in iter_type1(20):
-            p = ColoredPartition(parts, sort=False)
+        for p in (q for n in range(0, 21) for q in type1(n)):
             assert schur_ok(p.dilated())
             checked += 1
         assert checked > 1000
@@ -139,6 +146,29 @@ class TestGapCondition:
             q = P(text)
             assert not is_type1(q)
             assert not schur_ok(q.dilated())
+
+
+CAP = st.one_of(st.none(), st.integers(0, 8))
+
+
+class TestEnumeratorOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(0, 14), a_max=CAP, b_max=CAP, ab_max=CAP)
+    def test_exact_weight_matches_the_at_most_walk(self, n, a_max, b_max, ab_max):
+        # the partitions of weight n in the reference walk, in its order
+        caps = dict(a_max=a_max, b_max=b_max, ab_max=ab_max)
+        expected = [parts for parts in type1_upto(n, **caps)
+                    if sum(p.weight for p in parts) == n]
+        assert list(iter_type1(n, **caps)) == expected
+
+    @pytest.mark.parametrize("L", range(0, 7))
+    def test_caps_at_L_are_the_largest_part_bound_b_L(self, L):
+        # G_L's enumeration: caps a, b, ab <= L give the set below b_L
+        largest = ColoredSymbol("b", L) if L else None
+        expected = set(type1_upto(L * (L + 1) // 2, largest))
+        got = {parts for n in range(0, L * (L + 1) // 2 + 1)
+               for parts in iter_type1(n, a_max=L, b_max=L, ab_max=L)}
+        assert got == expected
 
 
 class TestNuStatistics:
@@ -164,8 +194,9 @@ class TestNuStatistics:
         # succeeds exactly when some bucket l satisfies the bounded
         # profile, and then the bucket is unique and equals nu(L)
         for L, M in ((2, 5), (3, 4), (1, 6)):
-            for parts in iter_type1(12, a_max=M, b_max=L, ab_max=M):
-                p = ColoredPartition(parts, sort=False)
+            for p in (q for n in range(0, 13)
+                      for q in type1(n, a_max=M, b_max=L, ab_max=M)):
+                parts = p.parts
                 fits = fitting_buckets(s_profile, parts, L, M)
                 assert len(fits) <= 1
                 try:
@@ -199,7 +230,7 @@ class TestCounts:
     def test_count_S_examples(self, args, expected):
         # S(n; r, s, t, l, L, M), read from the bucketed census
         n, r, s, t, l, L, M = args
-        assert _s_census(L, M, n).get((n, r, s, t, l), 0) == expected
+        assert _s_census(L, M, n).get((r, s, t, l), 0) == expected
 
     def test_schur_counts(self):
         assert schur_counts(9) == (3, 3)

@@ -141,10 +141,10 @@ class TestTheorem3:
 
 
 N_MAX = 14
-# (weight, parts) of every gap partition and every Schur-gap partition
-# (weight = dilated weight) up to N_MAX, with no bound applied
-GAP = [(sum(p.weight for p in parts), parts) for parts in iter_type1(N_MAX)]
-SCHUR = [(n, parts) for n in range(0, N_MAX + 1) for parts in iter_schur_gap(n, n)]
+# weight -> every gap partition and every Schur-gap partition (weight =
+# dilated weight) of that weight, up to N_MAX, with no bound applied
+GAP = {n: list(iter_type1(n)) for n in range(0, N_MAX + 1)}
+SCHUR = {n: list(iter_schur_gap(n, n)) for n in range(0, N_MAX + 1)}
 
 
 def _colors(parts):
@@ -155,16 +155,14 @@ def _residues(parts):
     return tuple(sum(1 for p in parts if p % 3 == r) for r in (1, 2, 0))
 
 
-def _oracle_census(weighed, profile, counts, L, M, n_max):
+def _oracle_census(partitions, profile, counts, L, M):
     """The bucketed counts by definition: every partition, every bucket."""
     out = Counter()
-    for n, parts in weighed:
-        if n > n_max:
-            continue
+    for parts in partitions:
         fits = fitting_buckets(profile, parts, L, M)
         assert len(fits) <= 1
         if fits:
-            out[(n, *counts(parts), fits[0])] += 1
+            out[(*counts(parts), fits[0])] += 1
     return out
 
 
@@ -172,18 +170,19 @@ class TestCensusOracle:
     @settings(max_examples=200, deadline=None)
     @given(L=st.integers(0, 6), M=st.integers(0, 6), n_max=st.integers(0, N_MAX))
     def test_censuses_and_statistic_match_the_profile_oracle(self, L, M, n_max):
-        if M >= L:
-            assert _s_census(L, M, n_max) == _oracle_census(
-                GAP, s_profile, _colors, L, M, n_max)
-            assert _g3_census(L, M, n_max) == _oracle_census(
-                SCHUR, g3_profile, _residues, L, M, n_max)
-        if L >= M:
-            assert _s_census_mirrored(L, M, n_max) == _oracle_census(
-                GAP, s_profile_mirrored, _colors, L, M, n_max)
+        for n in range(0, n_max + 1):
+            if M >= L:
+                assert _s_census(L, M, n) == _oracle_census(
+                    GAP[n], s_profile, _colors, L, M)
+                assert _g3_census(L, M, n) == _oracle_census(
+                    SCHUR[n], g3_profile, _residues, L, M)
+            if L >= M:
+                assert _s_census_mirrored(L, M, n) == _oracle_census(
+                    GAP[n], s_profile_mirrored, _colors, L, M)
         # nu(L), nu(M) is the oracle's unique fitting bucket (0 at the
         # larger bound) on every gap partition within the caps
-        for n, parts in GAP:
-            if n > n_max or any(p.weight > (L if p.color == "b" else M) for p in parts):
+        for parts in (q for n in range(0, n_max + 1) for q in GAP[n]):
+            if any(p.weight > (L if p.color == "b" else M) for p in parts):
                 continue
             nu_l = fitting_buckets(s_profile, parts, L, M) if L < M else [0]
             nu_m = fitting_buckets(s_profile_mirrored, parts, L, M) if M < L else [0]
@@ -211,10 +210,9 @@ class TestClassicalTheorems:
         # preimage weight classes: sum over (i, j) of the S-side counts
         from qschur.partitions import schur_counts
         for n in range(0, 21):
-            colored = 0
-            for parts in iter_type1(n):
-                if sum(p.dilated for p in parts) == n:
-                    colored += 1
+            # a dilated weight of n needs a weight of at most n
+            colored = sum(1 for w in range(0, n + 1) for parts in iter_type1(w)
+                          if sum(p.dilated for p in parts) == n)
             assert colored == schur_counts(n)[1]
 
 
