@@ -271,9 +271,15 @@ def cmd_gf(args) -> int:
     builder = {"GL": build_GL, "RL": build_RL, "PL": build_PL,
                "trinomialRHS": trinomial_rhs}[args.kind]
     series = builder(L)
-    if args.amax is not None or args.bmax is not None or args.qmax is not None:
-        caps = (args.amax, args.bmax)
-        marker_caps = None if any(c is None for c in caps) else tuple(caps)
+    caps = (args.amax, args.bmax)
+    marker_caps = None
+    if caps != (None, None):
+        # a missing cap leaves its marker uncapped: cap it at the series'
+        # own largest exponent there
+        tops = [max((exps[p] for exps, _ in series.terms()), default=0)
+                for p in (0, 1)]
+        marker_caps = tuple(top if cap is None else cap for cap, top in zip(caps, tops))
+    if marker_caps is not None or args.qmax is not None:
         series = series.with_truncation(Truncation(marker_caps, args.qmax))
     if args.format == "json":
         _emit(series.to_json_text(), args.out)

@@ -7,8 +7,9 @@ Identity tags (eq21, eq32, ...) are the stable vocabulary shared with
 the command line; see IDENTITIES for the registry.
 
 The generating function G_L of gap partitions with parts bounded by b_L
-is always built twice, from the enumeration and from the k-sum formula,
-and the two constructions are asserted equal before either is used.
+is always built twice, by a transfer-matrix count of the partitions and
+from the k-sum formula, and the two constructions are asserted equal
+before either is used.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from functools import lru_cache
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .coefficients import qbinom, qmultinomial3, qtrinomial, triangular
-from .partitions import color_counts, iter_type1
 from .qseries import LaurentPoly, MarkerSeries, Truncation, ONE, ZERO, qpow
 
 __all__ = [
@@ -211,20 +211,44 @@ def verify_46(L: int, M: int) -> Verdict:
 # the L = M world: G_L, R_L, P_L, recurrences, trinomials
 
 
-def _series_from_type1(L: int) -> MarkerSeries:
-    """G_L by direct enumeration of gap partitions with parts <= b_L."""
-    acc: dict[tuple[int, int], dict[int, int]] = {}
-    for sigma in range(0, triangular(L) + 1):
-        for parts in iter_type1(sigma, a_max=L, b_max=L, ab_max=L):
-            r, s, t = color_counts(parts)
-            cell = acc.setdefault((r + t, s + t), {})
-            cell[sigma] = cell.get(sigma, 0) + 1
-    return MarkerSeries(2, {k: LaurentPoly(v) for k, v in acc.items()})
+def _times_monomial(series: MarkerSeries, i: int, j: int, w: int) -> MarkerSeries:
+    """A^i B^j q^w times a two-marker series."""
+    return MarkerSeries(2, {(a + i, b + j): poly.shifted(w)
+                            for (a, b), poly in series.terms()})
+
+
+def _series_from_transfer(L: int) -> MarkerSeries:
+    """G_L by the transfer-matrix method (Stanley, EC1 4.7).
+
+    The gap condition links only consecutive parts, so the series F(x) of
+    gap partitions whose largest part is x follows from the parts below
+    it.  With S[w] = 1 (the empty partition) + every F of weight <= w,
+    and S[-1] = 1,
+
+        F(ab_w) = AB q^w S[w-2]                           (w >= 2)
+        F(a_w)  = A q^w (S[w-2] + F(a_{w-1}) + F(ab_{w-1}))
+        F(b_w)  = B q^w S[w-1]
+
+    since below ab_w the next part weighs at most w-2, below a_w it is
+    any part of weight <= w-2 or a_{w-1} or ab_{w-1}, and below b_w any
+    part of weight <= w-1.  The parts <= b_L are the symbols of weight
+    <= L, so G_L = S[L]; the count takes O(L) series additions.
+    """
+    below2 = below1 = MarkerSeries.one(2)  # S[w-2], S[w-1]
+    f_a = f_ab = MarkerSeries.zero(2)      # F(a_{w-1}), F(ab_{w-1})
+    for w in range(1, L + 1):
+        f_a = _times_monomial(below2 + f_a + f_ab, 1, 0, w)
+        f_ab = _times_monomial(below2, 1, 1, w) if w >= 2 else f_ab
+        f_b = _times_monomial(below1, 0, 1, w)
+        below2, below1 = below1, below1 + f_ab + f_a + f_b
+    return below1
 
 
 def _series_from_sum(L: int) -> MarkerSeries:
     """G_L by the k-sum formula: sum over i, j of A^i B^j times
-    sum_k q^{T_{i+j-k}+T_k} [L-i-j+k; k] [L-j; i-k] [L-i; j-k]."""
+    sum_k q^{T_{i+j-k}+T_k} [L-i-j+k; k] [L-j; i-k] [L-i; j-k].
+    This is the series build_GL returns once the transfer-matrix count
+    agrees with it."""
     coeffs = {}
     for i in range(0, L + 1):
         for j in range(0, L - i + 1):
@@ -238,16 +262,17 @@ def _series_from_sum(L: int) -> MarkerSeries:
 def build_GL(L: int) -> MarkerSeries:
     """The generating function of gap partitions with parts <= b_L.
 
-    Computed independently by enumeration and by the k-sum formula; the
-    two must agree exactly (InternalMismatch otherwise).
+    Computed independently by a transfer-matrix count of the partitions
+    and by the k-sum formula; the two must agree exactly
+    (InternalMismatch otherwise).  The k-sum series is returned.
     """
     if L < 0:
         raise ValueError("L must be nonnegative")
-    enumerated = _series_from_type1(L)
+    counted = _series_from_transfer(L)
     summed = _series_from_sum(L)
-    if enumerated != summed:
+    if counted != summed:
         raise InternalMismatch(
-            f"enumeration and k-sum constructions of G_{L} disagree")
+            f"transfer-matrix and k-sum constructions of G_{L} disagree")
     return summed
 
 

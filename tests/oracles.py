@@ -2,13 +2,17 @@
 
 ``type1_upto`` is the at-most-``max_weight`` walk the library's exact-weight
 ``iter_type1`` replaced; the enumerator tests compare the two weight by
-weight.  Each profile filter states one bucket's defining conditions
+weight.  ``gl_by_enumeration`` builds G_L by walking every gap partition
+with parts <= b_L, the reference for the library's transfer-matrix
+count.  Each profile filter states one bucket's defining conditions
 literally, for one partition and one candidate bucket at a time; the
 census tests compare the library's scan-bucketed censuses against counts
 built from these.
 """
 
-from qschur.partitions import ColoredSymbol
+from qschur.coefficients import triangular
+from qschur.partitions import ColoredSymbol, color_counts, iter_type1
+from qschur.qseries import LaurentPoly, MarkerSeries
 
 
 def _gap_needed(upper, lower_color) -> int:
@@ -43,6 +47,18 @@ def type1_upto(max_weight, largest=None, a_max=None, b_max=None, ab_max=None):
 
     top_rank = largest.rank if largest is not None else 3 * max_weight + 2
     yield from extend(None, max_weight, top_rank)
+
+
+def gl_by_enumeration(L) -> MarkerSeries:
+    """G_L by direct enumeration of the gap partitions with parts <= b_L:
+    A counts a- and ab-parts, B counts b- and ab-parts, q the weight."""
+    acc = {}
+    for sigma in range(0, triangular(L) + 1):
+        for parts in iter_type1(sigma, a_max=L, b_max=L, ab_max=L):
+            r, s, t = color_counts(parts)
+            cell = acc.setdefault((r + t, s + t), {})
+            cell[sigma] = cell.get(sigma, 0) + 1
+    return MarkerSeries(2, {k: LaurentPoly(v) for k, v in acc.items()})
 
 
 def s_profile(parts, l, L, M) -> bool:

@@ -230,6 +230,18 @@ class TestGfCommand:
         series = MarkerSeries.from_json_text(out)
         assert series.to_json_text() == out.rstrip("\n")
 
+    @pytest.mark.parametrize("flag, kept", [("--amax", "B"), ("--bmax", "A")])
+    def test_a_lone_marker_cap_is_applied(self, flag, kept, capsys):
+        assert main(["gf", "GL", "--L", "2", flag, "0"]) == 0
+        assert capsys.readouterr().out.strip() == \
+            f"1 + {kept}*q + {kept}*q^2 + {kept}^2*q^3"
+
+    def test_GL_20_json(self, capsys):
+        assert main(["gf", "GL", "--L", "20", "--format", "json"]) == 0
+        series = MarkerSeries.from_json_text(capsys.readouterr().out)
+        # at q = A = B = 1 the multinomial side R_L sums to 3^L
+        assert sum(c for _, poly in series.terms() for _, c in poly.terms()) == 3 ** 20
+
     def test_usage_errors(self):
         assert run_cli("gf", "GL")[0] == 2
         assert run_cli("gf", "nope", "--L", "2")[0] == 2

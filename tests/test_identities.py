@@ -5,8 +5,10 @@ import itertools
 import pytest
 
 from qschur.coefficients import qbinom, qmultinomial3, triangular
+from qschur import identities
 from qschur.identities import (
     IDENTITIES,
+    InternalMismatch,
     build_GL,
     build_PL,
     build_RL,
@@ -33,6 +35,8 @@ from qschur.identities import (
     verify_rec59,
 )
 from qschur.qseries import LaurentPoly, MarkerSeries, ONE, ZERO, qpow
+
+from oracles import gl_by_enumeration
 
 
 class TestKeyIdentity:
@@ -178,6 +182,47 @@ class TestGeneratingFunctions:
             series = build_RL(L)
             for (i, j), poly in series.terms():
                 assert series.coeff((j, i)) == poly
+
+
+class TestTransferMatrixRoute:
+    """The transfer-matrix count behind build_GL against the exhaustive
+    enumeration and the k-sum formula."""
+
+    @pytest.mark.parametrize("L", range(0, 9))
+    def test_equals_the_enumeration(self, L):
+        def coefficients(series):
+            return [(exps, list(poly.terms())) for exps, poly in series.terms()]
+        assert coefficients(identities._series_from_transfer(L)) == \
+            coefficients(gl_by_enumeration(L))
+
+    def test_equals_the_k_sum(self):
+        for L in range(0, 25):
+            assert identities._series_from_transfer(L) == \
+                identities._series_from_sum(L), L
+
+    def test_negative_L_is_rejected(self):
+        with pytest.raises(ValueError):
+            build_GL(-1)
+
+    def test_a_disagreement_raises(self, monkeypatch):
+        L = 5
+        broken = identities._series_from_transfer(L) + MarkerSeries.term((1, 1), qpow(40))
+        monkeypatch.setattr(identities, "_series_from_transfer", lambda _L: broken)
+        build_GL.cache_clear()
+        try:
+            with pytest.raises(InternalMismatch):
+                build_GL(L)
+        finally:
+            build_GL.cache_clear()
+
+
+class TestBeyondTheAcceptanceGrid:
+    """G_L identities past the acceptance grid's L <= 12."""
+
+    @pytest.mark.parametrize("verify", [verify_53, verify_rec55, verify_rec512, verify_516])
+    def test_holds_for_L_13_to_20(self, verify):
+        for L in range(13, 21):
+            assert verify(L).holds, L
 
 
 class TestRecurrences:
