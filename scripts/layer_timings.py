@@ -1,0 +1,115 @@
+"""In-process timings of the partition layer: both enumerators, the gap
+test and the T1/T2/T3 census builds.
+
+Run from a checkout, importing that checkout's sources:
+
+    PYTHONPATH=src python scripts/layer_timings.py [--repeat 7]
+
+Prints one JSON object: for each layer the median, minimum and maximum
+over ``--repeat`` runs, in seconds.  Census tables are cleared before
+each run, so every build is cold.  Only names the library has exposed
+since the exact-weight enumerators are used, so two checkouts can be
+timed with the same script.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import platform
+import statistics
+import time
+
+from qschur import theorems
+from qschur.partitions import ColoredPartition, is_type1, iter_schur_gap, iter_type1
+
+CENSUSES = ("_type1_census", "_s_census", "_s_census_mirrored", "_g3_census")
+
+
+def _iter_type1():
+    for n in range(0, 27):
+        for _ in iter_type1(n):
+            pass
+    for L, M in ((2, 6), (4, 8), (6, 6)):
+        for n in range(0, 25):
+            for _ in iter_type1(n, a_max=M, b_max=L, ab_max=M):
+                pass
+
+
+def _iter_schur_gap():
+    for n in range(0, 60):
+        for _ in iter_schur_gap(n, n):
+            pass
+
+
+# parsed from text, so that neither side reuses symbols its enumerator interned
+PARTITIONS = [ColoredPartition.from_text(str(ColoredPartition(parts, sort=False)))
+              for n in range(0, 21) for parts in iter_type1(n)]
+
+
+def _is_type1():
+    for _ in range(5):
+        for p in PARTITIONS:
+            is_type1(p)
+
+
+def _census_T1():
+    for n in range(0, 21):
+        theorems._type1_census(n)
+
+
+def _census_T2():
+    # the bound pairs and weights of perfbench's partition-census T2 ops
+    for L in range(0, 9):
+        for M in range(0, 9):
+            for n in range(0, 17):
+                if M >= L:
+                    theorems._s_census(L, M, n)
+                if L >= M:
+                    theorems._s_census_mirrored(L, M, n)
+
+
+def _census_T3():
+    # the bound pairs and dilated weights of the partition-census T3 ops
+    for L in range(0, 6):
+        for M in range(L, 6):
+            for n in range(0, 46):
+                theorems._g3_census(L, M, n)
+
+
+LAYERS = {
+    "iter_type1_s": (_iter_type1, "every gap partition of n for n <= 26, plus the caps "
+                                  "(a, b, ab) = (M, L, M) for (L, M) in (2, 6), (4, 8), "
+                                  "(6, 6) and n <= 24, drained"),
+    "iter_schur_gap_s": (_iter_schur_gap, "iter_schur_gap(n, n) for n < 60, drained"),
+    "is_type1_s": (_is_type1, "is_type1 on each gap partition of weight <= 20, "
+                              "parsed from text beforehand, five passes"),
+    "census_T1_build_s": (_census_T1, "_type1_census(n), n <= 20, cold"),
+    "census_T2_build_s": (_census_T2, "_s_census / _s_census_mirrored for L, M <= 8 and "
+                                      "n <= 16 (the regime each bound pair admits), cold"),
+    "census_T3_build_s": (_census_T3, "_g3_census for 0 <= L <= M <= 5 and n <= 45, cold"),
+}
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--repeat", type=int, default=7)
+    args = parser.parse_args()
+    out = {"python": platform.python_version(), "repeat": args.repeat, "layers": {}}
+    for name, (fn, what) in LAYERS.items():
+        times = []
+        for _ in range(args.repeat):
+            for census in CENSUSES:
+                getattr(theorems, census).cache_clear()
+            t0 = time.perf_counter()
+            fn()
+            times.append(time.perf_counter() - t0)
+        out["layers"][name] = {"what": what,
+                               "median_s": round(statistics.median(times), 5),
+                               "min_s": round(min(times), 5),
+                               "max_s": round(max(times), 5)}
+    print(json.dumps(out, indent=2))
+
+
+if __name__ == "__main__":
+    main()

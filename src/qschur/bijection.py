@@ -211,7 +211,7 @@ def forward_bounded(pi1: ColoredPartition, pi2: ColoredPartition,
 
     trace = forward(pi1, pi2)
     nu_l, nu_m = nu_statistics(trace.pi3, L, M)
-    a_count, b_count, k = color_counts(trace.pi3.parts)
+    a_count, b_count, k = color_counts(trace.pi3.dilated())
     cert = BoundCertificate(
         L=L, M=M, nu_l=nu_l, nu_m=nu_m,
         a_count=a_count, b_count=b_count, ab_count=k,

@@ -1,25 +1,29 @@
 """Colored integers, gap-condition partitions, counters and Durfee splits.
 
 Integers occur in two primary colors a, b and one secondary color ab
-(the integer 1 only in primary colors).  Symbols are totally ordered by
+(the integer 1 only in primary colors).  Each symbol is encoded by its
+dilated value, a_n -> 3n-2, b_n -> 3n-1, ab_n -> 3n-3: a bijection onto
+the positive integers whose natural order is the symbol order
 
     a1 < b1 < ab2 < a2 < b2 < ab3 < a3 < b3 < ...
 
-which is realized by the rank a_n -> 3n+1, b_n -> 3n+2, ab_n -> 3n.  A
+The value d has color ("ab", "a", "b")[d % 3] and weight d // 3 + 1.  A
 gap partition ("Type 1") is a decreasing sequence of symbols whose
 consecutive weights differ by at least 1, and by at least 2 whenever the
 larger part is colored ab, or the larger is colored a and the smaller b.
-Dilating a_n -> 3n-2, b_n -> 3n-1, ab_n -> 3n-3 turns the symbol order
-into the natural order on positive integers and the gap condition into
-the classical Schur gap condition (difference >= 3, strict if the larger
-part is a multiple of 3).
+On dilated values this is Schur's gap condition, the one test used here
+(``_schur_next_bound``): parts differ by at least 3, strictly when the
+larger is a multiple of 3.  Gap partitions and Schur-gap partitions are
+thus the same value sequences, graded by weight and by value; one
+recursion enumerates both, and symbols are built only at the API, text
+and JSON boundary.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache, total_ordering
 from typing import Iterable, Iterator, Optional, Sequence
 
 __all__ = [
@@ -36,11 +40,13 @@ __all__ = [
     "goellnitz_counts",
     "is_type1",
     "iter_type1",
+    "iter_type1_dilated",
     "nu_statistics",
     "schur_counts",
 ]
 
 COLORS = ("a", "b", "ab")
+_COLOR_OF_RESIDUE = ("ab", "a", "b")  # the color of a dilated value d, by d % 3
 
 
 class NoValidStatistic(ValueError):
@@ -51,12 +57,19 @@ class NoRectangle(ValueError):
     """No Durfee rectangle with the required row/column offset exists."""
 
 
+@total_ordering
 @dataclass(frozen=True, slots=True)
 class ColoredSymbol:
-    """The integer ``weight`` carrying one of the colors a, b, ab."""
+    """The integer ``weight`` carrying one of the colors a, b, ab.
+
+    ``dilated`` is the symbol's image as an ordinary integer, a_n -> 3n-2,
+    b_n -> 3n-1, ab_n -> 3n-3, and symbols compare by ``rank``, the same
+    value plus 3.
+    """
 
     color: str
     weight: int
+    dilated: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.color not in COLORS:
@@ -65,30 +78,22 @@ class ColoredSymbol:
             raise ValueError("weight must be a positive integer")
         if self.color == "ab" and self.weight < 2:
             raise ValueError("the integer 1 occurs only in primary colors")
+        residue = _COLOR_OF_RESIDUE.index(self.color)
+        object.__setattr__(self, "dilated", 3 * self.weight - 3 + residue)
+
+    @classmethod
+    @lru_cache(maxsize=None)
+    def from_dilated(cls, value: int) -> "ColoredSymbol":
+        """The symbol whose dilated value is the positive integer ``value``."""
+        return cls(_COLOR_OF_RESIDUE[value % 3], value // 3 + 1)
 
     @property
     def rank(self) -> int:
-        """Position in the total symbol order (strictly increasing along it)."""
-        n = self.weight
-        return 3 * n + {"ab": 0, "a": 1, "b": 2}[self.color]
-
-    @property
-    def dilated(self) -> int:
-        """Image as an ordinary integer: a_n -> 3n-2, b_n -> 3n-1, ab_n -> 3n-3."""
-        n = self.weight
-        return {"a": 3 * n - 2, "b": 3 * n - 1, "ab": 3 * n - 3}[self.color]
+        """Position in the total symbol order: the dilated value plus 3."""
+        return self.dilated + 3
 
     def __lt__(self, other: "ColoredSymbol") -> bool:
         return self.rank < other.rank
-
-    def __le__(self, other: "ColoredSymbol") -> bool:
-        return self.rank <= other.rank
-
-    def __gt__(self, other: "ColoredSymbol") -> bool:
-        return self.rank > other.rank
-
-    def __ge__(self, other: "ColoredSymbol") -> bool:
-        return self.rank >= other.rank
 
     def __str__(self) -> str:
         return f"{self.color}{self.weight}"
@@ -101,24 +106,6 @@ class ColoredSymbol:
         if m is None:
             raise ValueError(f"cannot parse colored symbol {text!r}")
         return cls(m.group(1), int(m.group(2)))
-
-
-_SYMBOL_CACHE: dict[tuple[str, int], ColoredSymbol] = {}
-
-
-def _sym(color: str, weight: int) -> ColoredSymbol:
-    # interned instances; the enumerators create symbols in the millions
-    key = (color, weight)
-    cached = _SYMBOL_CACHE.get(key)
-    if cached is None:
-        cached = _SYMBOL_CACHE[key] = ColoredSymbol(color, weight)
-    return cached
-
-
-@lru_cache(maxsize=None)
-def undilate(value: int) -> ColoredSymbol:
-    """The symbol whose dilated image is the positive integer ``value``."""
-    return ColoredSymbol(("ab", "a", "b")[value % 3], value // 3 + 1)
 
 
 def symbol(text: str) -> ColoredSymbol:
@@ -140,9 +127,9 @@ class ColoredPartition:
     def __init__(self, parts: Iterable[ColoredSymbol] = (), *, sort: bool = True):
         seq = list(parts)
         if sort:
-            seq.sort(key=lambda s: s.rank, reverse=True)
+            seq.sort(key=lambda s: s.dilated, reverse=True)
         for prev, cur in zip(seq, seq[1:]):
-            if prev.rank <= cur.rank:
+            if prev.dilated <= cur.dilated:
                 raise ValueError("parts must be strictly decreasing in the symbol order")
         self.parts = tuple(seq)
 
@@ -196,18 +183,54 @@ class ColoredPartition:
         return [{"color": p.color, "weight": p.weight} for p in self.parts]
 
 
-def _gap_needed(upper: ColoredSymbol, lower_color: str) -> int:
-    if upper.color == "ab" or (upper.color == "a" and lower_color == "b"):
-        return 2
-    return 1
+def _schur_next_bound(d: int) -> int:
+    """The largest dilated value allowed below the part d: Schur's gap of 3,
+    strict when d is a multiple of 3."""
+    return d - 3 - (1 if d % 3 == 0 else 0)
 
 
 def is_type1(partition: ColoredPartition) -> bool:
     """Check the gap condition on every consecutive pair of parts."""
     for upper, lower in zip(partition.parts, partition.parts[1:]):
-        if upper.weight - lower.weight < _gap_needed(upper, lower.color):
+        if lower.dilated > _schur_next_bound(upper.dilated):
             return False
     return True
+
+
+def _gap_walk(n: int, caps: tuple[int, int, int],
+              by_weight: bool) -> Iterator[tuple[int, ...]]:
+    """Every decreasing sequence of dilated values with Schur's gaps whose
+    grades sum to exactly n.  A value d is graded by its weight d // 3 + 1
+    when ``by_weight``, else by d itself; values of residue r mod 3 are at
+    most caps[r].  The stream is lexicographically decreasing."""
+    def extend(budget: int, bound: int, prefix: tuple[int, ...]):
+        if budget == 0:
+            yield prefix
+            return
+        top = 3 * budget - 1 if by_weight else budget  # largest d of grade <= budget
+        for d in range(min(bound, top), 0, -1):
+            g = d // 3 + 1 if by_weight else d
+            if g * (g + 1) // 2 < budget:
+                return  # distinct grades <= g cannot fill the budget
+            if d <= caps[d % 3]:
+                yield from extend(budget - g, _schur_next_bound(d), prefix + (d,))
+
+    yield from extend(n, max(caps), ())
+
+
+def iter_type1_dilated(n: int,
+                       a_max: Optional[int] = None,
+                       b_max: Optional[int] = None,
+                       ab_max: Optional[int] = None) -> Iterator[tuple[int, ...]]:
+    """Yield every gap partition of exactly n as its decreasing tuple of
+    dilated values, in decreasing lexicographic order.
+
+    The per-color arguments cap the weight of parts of that color.
+    """
+    # a weight cap w is the dilated cap 3(w-1) + r on the color's residue r
+    caps = tuple(3 * (n if cap is None else cap) - 3 + r
+                 for r, cap in enumerate((ab_max, a_max, b_max)))
+    return _gap_walk(n, caps, by_weight=True)
 
 
 def iter_type1(n: int,
@@ -220,58 +243,39 @@ def iter_type1(n: int,
     come out in decreasing order and the stream is duplicate-free, ordered
     lexicographically by the rank sequence (largest first).
     """
-    caps = {"a": a_max, "b": b_max, "ab": ab_max}
-
-    def extend(prev: Optional[ColoredSymbol], budget: int):
-        if budget == 0:
-            yield ()
-            return
-        top = budget if prev is None else min(budget, prev.weight - 1)
-        for w in range(top, 0, -1):
-            if w * (w + 1) // 2 < budget:
-                return  # distinct weights <= w cannot fill the budget
-            for color in ("b", "a", "ab"):  # descending rank within a weight
-                if color == "ab" and w < 2:
-                    continue
-                cap = caps[color]
-                if cap is not None and w > cap:
-                    continue
-                if prev is not None and prev.weight - w < _gap_needed(prev, color):
-                    continue
-                s = _sym(color, w)
-                for rest in extend(s, budget - w):
-                    yield (s,) + rest
-
-    yield from extend(None, n)
+    symbol_of = ColoredSymbol.from_dilated
+    for values in iter_type1_dilated(n, a_max, b_max, ab_max):
+        yield tuple(map(symbol_of, values))
 
 
-def color_counts(parts: Iterable[ColoredSymbol]) -> tuple[int, int, int]:
-    """(r, s, t): the numbers of a-, b- and ab-parts."""
-    colors = [p.color for p in parts]
-    return colors.count("a"), colors.count("b"), colors.count("ab")
+def color_counts(parts: Iterable[int]) -> tuple[int, int, int]:
+    """(r, s, t): the numbers of a-, b- and ab-parts among dilated values."""
+    residues = [d % 3 for d in parts]
+    return residues.count(1), residues.count(2), residues.count(0)
 
 
 # --------------------------------------------------------------------------
 # boundary statistics
 
 
-def scan_statistic(parts: Sequence[ColoredSymbol], X: int, Y: int,
+def scan_statistic(parts: Sequence[int], X: int, Y: int,
                    bounded_colors: tuple[str, ...]) -> Optional[int]:
-    """The boundary statistic: the ell >= 0 such that exactly ell parts
-    have weights in [X-ell+2, Y], no part has weight X-ell+1 and every
-    part colored in ``bounded_colors`` has weight <= X-ell.
+    """The boundary statistic of a partition given by its dilated values:
+    the ell >= 0 such that exactly ell parts have weights in [X-ell+2, Y],
+    no part has weight X-ell+1 and every part colored in
+    ``bounded_colors`` has weight <= X-ell.
 
     Returns None when no ell fits and raises NoValidStatistic when more
     than one does.  nu_statistics and every bucketed census in
     ``qschur.theorems`` go through this one scan.
     """
-    weights = [p.weight for p in parts]
+    weights = [d // 3 + 1 for d in parts]
     top = len(weights)
     # the bounded colors cap ell at X minus their largest weight; with no
     # part of a bounded color there is no cap at all (in particular not X)
-    for p in parts:
-        if p.color in bounded_colors and X - p.weight < top:
-            top = X - p.weight
+    for d, w in zip(parts, weights):
+        if _COLOR_OF_RESIDUE[d % 3] in bounded_colors and X - w < top:
+            top = X - w
     found = []
     inside = len([w for w in weights if X + 2 <= w <= Y])  # parts in [X-ell+2, Y]
     for ell in range(0, top + 1):
@@ -295,9 +299,10 @@ def nu_statistics(partition: ColoredPartition, L: int, M: int) -> tuple[int, int
     no unique) ell fits, which flags an input outside the theorem's
     partition class.
     """
+    values = partition.dilated()
     nu = []
     for X, Y, bounded_colors in ((L, M, ("b",)), (M, L, ("a", "ab"))):
-        ell = 0 if X >= Y else scan_statistic(partition.parts, X, Y, bounded_colors)
+        ell = 0 if X >= Y else scan_statistic(values, X, Y, bounded_colors)
         if ell is None:
             raise NoValidStatistic(
                 f"no boundary statistic fits (bounds {X}, {Y}; partition {partition})")
@@ -334,21 +339,12 @@ def count_V(n: int, i: int, j: int, L: int, M: int) -> int:
 # -- ordinary-integer (dilated) enumerations --------------------------------
 
 
-def _schur_next_bound(p: int) -> int:
-    return p - 3 - (1 if p % 3 == 0 else 0)
-
-
 def iter_schur_gap(n: int, largest_cap: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of exactly n, parts differing by >= 3 with strict
-    inequality when the larger part is a multiple of 3."""
-    def rec(budget: int, bound: int):
-        if budget == 0:
-            yield ()
-            return
-        for p in range(min(budget, bound), 0, -1):
-            for rest in rec(budget - p, min(budget - p, _schur_next_bound(p))):
-                yield (p,) + rest
-    yield from rec(n, largest_cap)
+    """Partitions of exactly n, parts <= largest_cap differing by >= 3 with
+    strict inequality when the larger part is a multiple of 3, in
+    decreasing lexicographic order: the gap partitions graded by their
+    dilated values."""
+    return _gap_walk(n, (largest_cap,) * 3, by_weight=False)
 
 
 @lru_cache(maxsize=None)

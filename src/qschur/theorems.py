@@ -23,17 +23,15 @@ from functools import lru_cache
 from typing import Iterable
 
 from .partitions import (
-    ColoredSymbol,
     NoValidStatistic,
     color_counts,
     count_V,
     count_distinct_parts,
     goellnitz_counts,
     iter_schur_gap,
-    iter_type1,
+    iter_type1_dilated,
     scan_statistic,
     schur_counts,
-    undilate,
 )
 
 __all__ = [
@@ -114,14 +112,14 @@ def _vector_census(n: int) -> dict:
 @lru_cache(maxsize=None)
 def _type1_census(n: int) -> Counter:
     """(r, s, t) -> number of gap partitions of n by color counts."""
-    return Counter(map(color_counts, iter_type1(n)))
+    return Counter(map(color_counts, iter_type1_dilated(n)))
 
 
-def _bucket_census(stream: Iterable[tuple[ColoredSymbol, ...]],
+def _bucket_census(stream: Iterable[tuple[int, ...]],
                    X: int, Y: int, bounded_colors: tuple[str, ...]) -> Counter:
-    """(r, s, t, l) -> number of the partitions in ``stream`` whose
-    boundary statistic at (X, Y, bounded_colors) is l; partitions where no
-    l fits are outside every bucket."""
+    """(r, s, t, l) -> number of the partitions in ``stream`` (tuples of
+    dilated values) whose boundary statistic at (X, Y, bounded_colors) is
+    l; partitions where no l fits are outside every bucket."""
     out: Counter = Counter()
     for parts in stream:
         l = scan_statistic(parts, X, Y, bounded_colors)
@@ -134,7 +132,7 @@ def _bucket_census(stream: Iterable[tuple[ColoredSymbol, ...]],
 def _s_census(L: int, M: int, n: int) -> Counter:
     """Bounded gap-partition counts of n for the regime M >= L: a,ab-parts
     <= M, b-parts <= L-l, bucket l the boundary statistic at the bound L."""
-    stream = iter_type1(n, a_max=M, b_max=min(L, M), ab_max=M)
+    stream = iter_type1_dilated(n, a_max=M, b_max=min(L, M), ab_max=M)
     return _bucket_census(stream, L, M, ("b",))
 
 
@@ -142,23 +140,21 @@ def _s_census(L: int, M: int, n: int) -> Counter:
 def _s_census_mirrored(L: int, M: int, n: int) -> Counter:
     """The regime L >= M with the bounds' roles swapped: b-parts <= L,
     a,ab-parts <= M-m, bucket m the boundary statistic at the bound M."""
-    stream = iter_type1(n, a_max=min(L, M), b_max=L, ab_max=min(L, M))
+    stream = iter_type1_dilated(n, a_max=min(L, M), b_max=L, ab_max=min(L, M))
     return _bucket_census(stream, M, L, ("a", "ab"))
 
 
 @lru_cache(maxsize=None)
 def _g3_census(L: int, M: int, n: int) -> Counter:
-    """Bounded Schur-gap counts of the dilated weight n (M >= L): each
-    partition is undilated (class 1 -> a, class 2 -> b, class 0 -> ab)
-    and bucketed as in _s_census."""
+    """Bounded Schur-gap counts of the dilated weight n (M >= L): the
+    _s_census bucketing of the same value sequences, graded by value."""
     if L > M:
         # the Schur-gap cap then admits a-parts above M, which the scan
         # at the bound L does not reject
         raise ValueError("the dilated census needs M >= L")
     # the loosest per-class caps are 3M-2 (class 1) and 3L-1 (class 2, l = 0)
     cap = max(3 * M - 2, 3 * L - 1, 0)
-    stream = (tuple(map(undilate, parts)) for parts in iter_schur_gap(n, min(n, cap)))
-    return _bucket_census(stream, L, M, ("b",))
+    return _bucket_census(iter_schur_gap(n, min(n, cap)), L, M, ("b",))
 
 
 def _count_P3(n: int, i: int, j: int, L: int, M: int) -> int:

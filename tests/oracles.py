@@ -1,21 +1,25 @@
 """Reference enumerations and brute-force bound profiles.
 
-``type1_upto`` is the at-most-``max_weight`` walk the library's exact-weight
-``iter_type1`` replaced; the enumerator tests compare the two weight by
-weight.  ``gl_by_enumeration`` builds G_L by walking every gap partition
-with parts <= b_L, the reference for the library's transfer-matrix
-count.  Each profile filter states one bucket's defining conditions
-literally, for one partition and one candidate bucket at a time; the
-census tests compare the library's scan-bucketed censuses against counts
-built from these.
+``type1_upto`` walks symbols by weight and color under the colored gap
+rule ``_gap_needed``; ``schur_gap_literal`` filters the distinct-part
+partitions by Schur's difference rule.  Neither shares code with the
+library's one recursion over dilated values, so the enumerator and census
+tests read these in its place.  ``gl_by_enumeration`` builds G_L by
+walking every gap partition with parts <= b_L, the reference for the
+library's transfer-matrix count.  Each profile filter states one bucket's
+defining conditions literally, for one partition and one candidate bucket
+at a time; the census tests compare the library's scan-bucketed censuses
+against counts built from these.
 """
 
 from qschur.coefficients import triangular
-from qschur.partitions import ColoredSymbol, color_counts, iter_type1
+from qschur.partitions import ColoredSymbol, color_counts, iter_type1_dilated
 from qschur.qseries import LaurentPoly, MarkerSeries
 
 
 def _gap_needed(upper, lower_color) -> int:
+    """The colored gap rule: the least weight difference between the part
+    ``upper`` and a part of color ``lower_color`` below it."""
     if upper.color == "ab" or (upper.color == "a" and lower_color == "b"):
         return 2
     return 1
@@ -49,12 +53,33 @@ def type1_upto(max_weight, largest=None, a_max=None, b_max=None, ab_max=None):
     yield from extend(None, max_weight, top_rank)
 
 
+def _distinct_parts(n, cap):
+    """Every set of distinct parts <= cap summing to n, largest first."""
+    if n == 0:
+        yield ()
+        return
+    for p in range(min(n, cap), 0, -1):
+        for rest in _distinct_parts(n - p, p - 1):
+            yield (p,) + rest
+
+
+def schur_gap_literal(n, cap):
+    """The partitions of n into distinct parts <= cap whose consecutive
+    parts differ by at least 3, and by more than 3 when the larger part is
+    a multiple of 3, sorted in decreasing lexicographic order."""
+    def schur_ok(parts):
+        return all(x - y >= 3 and not (x % 3 == 0 and x - y == 3)
+                   for x, y in zip(parts, parts[1:]))
+    return sorted((parts for parts in _distinct_parts(n, cap) if schur_ok(parts)),
+                  reverse=True)
+
+
 def gl_by_enumeration(L) -> MarkerSeries:
     """G_L by direct enumeration of the gap partitions with parts <= b_L:
     A counts a- and ab-parts, B counts b- and ab-parts, q the weight."""
     acc = {}
     for sigma in range(0, triangular(L) + 1):
-        for parts in iter_type1(sigma, a_max=L, b_max=L, ab_max=L):
+        for parts in iter_type1_dilated(sigma, a_max=L, b_max=L, ab_max=L):
             r, s, t = color_counts(parts)
             cell = acc.setdefault((r + t, s + t), {})
             cell[sigma] = cell.get(sigma, 0) + 1

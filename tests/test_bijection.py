@@ -54,7 +54,7 @@ class TestWorkedExample:
 
     def test_statistics_map(self, trace):
         # i = 5 a-parts and j = 6 b-parts map to (i-k, j-k, k) with k = 3
-        assert color_counts(trace.pi3.parts) == (2, 3, 3)
+        assert color_counts(trace.pi3.dilated()) == (2, 3, 3)
 
 
 class TestSmallCases:

@@ -21,19 +21,22 @@ from qschur.partitions import (
     nu_statistics,
     schur_counts,
     symbol,
-    undilate,
 )
 from qschur.coefficients import qbinom
 from qschur.qseries import LaurentPoly
 from qschur.theorems import _s_census, check_theorem3
 
-from oracles import fitting_buckets, s_profile, type1_upto
+from oracles import _gap_needed, fitting_buckets, s_profile, schur_gap_literal, type1_upto
 
 P = ColoredPartition.from_text
 
 
 def type1(n, **caps):
     return [ColoredPartition(parts, sort=False) for parts in iter_type1(n, **caps)]
+
+
+SYMBOLS_TO_100 = [ColoredSymbol(c, w) for w in range(1, 101) for c in COLORS
+                  if not (c == "ab" and w < 2)]
 
 
 class TestSymbols:
@@ -68,8 +71,27 @@ class TestSymbols:
                    for s in symbols)
 
     def test_undilate_inverts_the_dilation(self):
-        for value in range(1, 40):
-            assert undilate(value).dilated == value
+        for value in range(1, 301):
+            assert ColoredSymbol.from_dilated(value).dilated == value
+
+    def test_every_symbol_round_trips_through_its_value(self):
+        for s in SYMBOLS_TO_100:
+            assert ColoredSymbol.from_dilated(s.dilated) == s
+            assert s.rank == s.dilated + 3
+
+    def test_the_value_order_is_the_symbol_order(self):
+        by_value = sorted(SYMBOLS_TO_100, key=lambda s: s.dilated)
+        assert [s.dilated for s in by_value] == list(range(1, 300))  # b100 -> 299
+        for smaller, larger in zip(by_value, by_value[1:]):
+            assert smaller < larger and smaller <= larger
+            assert larger > smaller and larger >= smaller
+            assert not larger < smaller
+        assert sorted(reversed(SYMBOLS_TO_100)) == by_value
+
+    @pytest.mark.parametrize("value", [0, -1, -2, -3])
+    def test_only_positive_values_are_symbols(self, value):
+        with pytest.raises(ValueError):
+            ColoredSymbol.from_dilated(value)
 
     def test_text_round_trip(self):
         p = P("ab12+ab10+b7+b6+a5+ab4+b2+a1")
@@ -95,6 +117,16 @@ class TestGapCondition:
     ])
     def test_examples(self, text, expected):
         assert is_type1(P(text)) is expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sets(st.tuples(st.sampled_from(COLORS), st.integers(1, 12))
+                   .filter(lambda cw: cw != ("ab", 1)), max_size=5))
+    def test_agrees_with_the_colored_rule(self, pairs):
+        # any strictly decreasing symbol sequence, gap partition or not
+        parts = sorted((ColoredSymbol(c, w) for c, w in pairs), key=lambda s: -s.rank)
+        literal = all(upper.weight - lower.weight >= _gap_needed(upper, lower.color)
+                      for upper, lower in zip(parts, parts[1:]))
+        assert is_type1(ColoredPartition(parts, sort=False)) is literal
 
     def test_enumerate_weight_1(self):
         # parts <= b1 in the symbol order: a- and b-parts <= 1, no ab-part
@@ -246,6 +278,11 @@ class TestCounts:
                 if sum(combo) == n)
             gap = sum(1 for _ in iter_schur_gap(n, n))
             assert schur_counts(n) == (distinct, gap)
+
+    @pytest.mark.parametrize("n", range(0, 31))
+    def test_schur_gap_stream_matches_the_literal_walk(self, n):
+        for cap in sorted({n, 7, 13}):
+            assert list(iter_schur_gap(n, cap)) == schur_gap_literal(n, cap)
 
     def test_goellnitz_counts(self):
         assert goellnitz_counts(10) == (2, 2)

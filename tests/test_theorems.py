@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from qschur.partitions import (
     ColoredPartition,
     NoValidStatistic,
-    iter_schur_gap,
     iter_type1,
     nu_statistics,
 )
@@ -26,7 +25,14 @@ from qschur.theorems import (
     reports_to_csv,
 )
 
-from oracles import fitting_buckets, g3_profile, s_profile, s_profile_mirrored
+from oracles import (
+    fitting_buckets,
+    g3_profile,
+    s_profile,
+    s_profile_mirrored,
+    schur_gap_literal,
+    type1_upto,
+)
 
 
 class TestTheorem1:
@@ -122,6 +128,13 @@ class TestTheorem3:
         assert check_theorem3(0, 0, 0, 1, 1).lhs_count == 1
         assert check_theorem3(12, 1, 1, 2, 3).holds
 
+    @pytest.mark.parametrize("L,M", [(1, 0), (3, 2), (5, 4)])
+    def test_dilated_census_rejects_L_above_M(self, L, M):
+        # there the Schur-gap cap admits a-parts above M, which the scan at
+        # the bound L would not reject
+        with pytest.raises(ValueError, match="M >= L"):
+            _g3_census(L, M, 6)
+
     def test_matches_theorem2_under_dilation(self):
         # the dilation consistency (P = V at the mapped weight) is checked
         # inside check_theorem3; sweep it over a mixed grid
@@ -142,9 +155,12 @@ class TestTheorem3:
 
 N_MAX = 14
 # weight -> every gap partition and every Schur-gap partition (weight =
-# dilated weight) of that weight, up to N_MAX, with no bound applied
-GAP = {n: list(iter_type1(n)) for n in range(0, N_MAX + 1)}
-SCHUR = {n: list(iter_schur_gap(n, n)) for n in range(0, N_MAX + 1)}
+# dilated weight) of that weight, up to N_MAX, with no bound applied; both
+# come from the reference walks, not from the recursion the censuses use
+GAP = {n: [] for n in range(0, N_MAX + 1)}
+for _parts in type1_upto(N_MAX):
+    GAP[sum(p.weight for p in _parts)].append(_parts)
+SCHUR = {n: schur_gap_literal(n, n) for n in range(0, N_MAX + 1)}
 
 
 def _colors(parts):
