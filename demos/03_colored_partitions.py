@@ -22,7 +22,7 @@ print("ab2+a1 ok?", is_type1(P("ab2+a1")))   # ab on top needs gap 2
 # every color capped at weight 2); iter_type1 takes an exact weight n.
 for n in range(0, 4):
     for parts in iter_type1(n, a_max=2, b_max=2, ab_max=2):
-        p = ColoredPartition(parts, sort=False)
+        p = ColoredPartition(parts)
         print(" ", p, "-> dilated", p.dilated())
 
 # The dilation a_n -> 3n-2, b_n -> 3n-1, ab_n -> 3n-3 maps the colored

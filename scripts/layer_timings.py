@@ -1,5 +1,6 @@
-"""In-process timings of the partition layer: both enumerators, the gap
-test and the T1/T2/T3 census builds.
+"""In-process timings of the partition and bijection layers: both
+enumerators, the gap test, the T1/T2/T3 census builds, the one-color
+components and the bounded bijection round trips.
 
 Run from a checkout, importing that checkout's sources:
 
@@ -21,6 +22,7 @@ import statistics
 import time
 
 from qschur import theorems
+from qschur.bijection import forward_bounded, inverse
 from qschur.partitions import ColoredPartition, is_type1, iter_schur_gap, iter_type1
 
 CENSUSES = ("_type1_census", "_s_census", "_s_census_mirrored", "_g3_census")
@@ -43,7 +45,7 @@ def _iter_schur_gap():
 
 
 # parsed from text, so that neither side reuses symbols its enumerator interned
-PARTITIONS = [ColoredPartition.from_text(str(ColoredPartition(parts, sort=False)))
+PARTITIONS = [ColoredPartition.from_text(str(ColoredPartition(parts)))
               for n in range(0, 21) for parts in iter_type1(n)]
 
 
@@ -77,6 +79,38 @@ def _census_T3():
                 theorems._g3_census(L, M, n)
 
 
+def _distinct_parts(n, cap):
+    if n == 0:
+        yield ()
+        return
+    for p in range(min(n, cap), 0, -1):
+        for rest in _distinct_parts(n - p, p - 1):
+            yield (p,) + rest
+
+
+# the bounded grid of the bijection round trips: distinct a-parts <= M-j and
+# distinct b-parts <= L with i+j <= L, for 0 <= L <= M <= 8 and weight <= 16
+GRID = [(L, M, w1, w2) for L in range(0, 9) for M in range(L, 9)
+        for n in range(0, 17) for m in range(0, n + 1)
+        for w2 in _distinct_parts(n - m, min(L, n - m))
+        for w1 in _distinct_parts(m, min(max(M - len(w2), 0), m))
+        if len(w1) + len(w2) <= L]
+COMPONENTS = [(ColoredPartition.colored("a", w1), ColoredPartition.colored("b", w2), L, M)
+              for L, M, w1, w2 in GRID]
+
+
+def _colored():
+    for _, _, w1, w2 in GRID:
+        ColoredPartition.colored("a", w1)
+        ColoredPartition.colored("b", w2)
+
+
+def _bijection():
+    for pi1, pi2, L, M in COMPONENTS:
+        trace, _ = forward_bounded(pi1, pi2, L, M)
+        assert inverse(trace.pi3) == (pi1, pi2)
+
+
 LAYERS = {
     "iter_type1_s": (_iter_type1, "every gap partition of n for n <= 26, plus the caps "
                                   "(a, b, ab) = (M, L, M) for (L, M) in (2, 6), (4, 8), "
@@ -88,6 +122,11 @@ LAYERS = {
     "census_T2_build_s": (_census_T2, "_s_census / _s_census_mirrored for L, M <= 8 and "
                                       "n <= 16 (the regime each bound pair admits), cold"),
     "census_T3_build_s": (_census_T3, "_g3_census for 0 <= L <= M <= 5 and n <= 45, cold"),
+    "colored_s": (_colored, f"ColoredPartition.colored for both components of each "
+                            f"of the {len(GRID)} grid pairs"),
+    "bijection_s": (_bijection, f"forward_bounded then inverse, compared with the input, "
+                                f"on the {len(GRID)} pairs of the bounded grid "
+                                f"L <= M <= 8, weight <= 16"),
 }
 
 

@@ -15,7 +15,9 @@ b-parts with i = |pi1|:
   6. add C1R and C2 elementwise; the result pi3 satisfies the gap
      condition and weights are conserved at every step.
 
-Each step is invertible; ``inverse`` reverses them exactly.
+Each step is invertible; ``inverse`` reverses them exactly.  Both run on
+dilated values, where the staircase entry k is 3k (the color stays) and
+step 5 is a descending sort; symbols are built once, interned, at the end.
 """
 
 from __future__ import annotations
@@ -91,14 +93,6 @@ class BoundCertificate:
     ab_bound: int
 
 
-def _check_component(partition: ColoredPartition, color: str, name: str):
-    weights = [p.weight for p in partition.parts]
-    if any(p.color != color for p in partition.parts):
-        raise InvalidInput(f"{name} must have only {color}-parts")
-    if len(set(weights)) != len(weights):
-        raise InvalidInput(f"{name} must have distinct parts")
-
-
 def _conjugate_with_circles(weights: tuple[int, ...]) -> tuple[tuple[int, bool], ...]:
     """Conjugate Ferrers graph of a distinct-part partition; a row is
     flagged when its last node is the bottom of its column, i.e. when the
@@ -113,40 +107,42 @@ def _conjugate_with_circles(weights: tuple[int, ...]) -> tuple[tuple[int, bool],
 
 
 def forward(pi1: ColoredPartition, pi2: ColoredPartition) -> BijectionTrace:
-    """Run steps 1-6 on (pi1, pi2); raises InvalidInput on repeated
-    weights or wrong colors."""
-    _check_component(pi1, "a", "pi1")
-    _check_component(pi2, "b", "pi2")
-    i = len(pi1)
+    """Run steps 1-6 on (pi1, pi2); raises InvalidInput on wrong colors
+    (same-colored parts of a partition are distinct by construction)."""
+    ones, twos = pi1.dilated(), pi2.dilated()
+    if any(d % 3 != 1 for d in ones):
+        raise InvalidInput("pi1 must have only a-parts")
+    if any(d % 3 != 2 for d in twos):
+        raise InvalidInput("pi2 must have only b-parts")
 
-    # step 1: split pi2 at threshold i
-    pi4 = ColoredPartition(p for p in pi2 if p.weight <= i)
-    pi5 = ColoredPartition(p for p in pi2 if p.weight > i)
+    # step 1: split pi2 at threshold i = |pi1| (weight <= i is value < 3i)
+    pi4 = tuple(d for d in twos if d < 3 * len(ones))
+    pi5 = twos[:len(twos) - len(pi4)]
 
-    # step 2: conjugate pi4 with circled column bottoms, add row-wise to pi1
-    star = _conjugate_with_circles(tuple(p.weight for p in pi4))
-    pi6_parts = []
-    for r, a_part in enumerate(pi1.parts):
-        extra, circled = star[r] if r < len(star) else (0, False)
-        pi6_parts.append(ColoredSymbol("ab" if circled else "a", a_part.weight + extra))
-    pi6 = ColoredPartition(pi6_parts, sort=False)
+    # step 2: conjugate pi4 with circled column bottoms, add row-wise to pi1;
+    # a circled row turns a_w into ab_w, one value lower
+    star = _conjugate_with_circles(tuple(d // 3 + 1 for d in pi4))
+    pi6 = list(ones)
+    for r, (extra, circled) in enumerate(star):
+        pi6[r] += 3 * extra - circled
 
     # steps 3-4: stack pi5 over pi6, subtract the staircase
-    column = list(pi5.parts) + list(pi6.parts)
-    m = len(column)
-    c2 = tuple(range(m - 1, -1, -1))
-    c1 = tuple(ColoredSymbol(s.color, s.weight - d) for s, d in zip(column, c2))
+    column = pi5 + tuple(pi6)
+    c2 = tuple(range(len(column) - 1, -1, -1))
+    c1 = tuple(d - 3 * k for d, k in zip(column, c2))
 
-    # step 5: stable decreasing reorder of C1
-    c1r = tuple(sorted(c1, key=lambda s: -s.rank))
+    # step 5: stable decreasing reorder of C1 (equal values are equal symbols)
+    c1r = tuple(sorted(c1, reverse=True))
 
     # step 6: add back
-    pi3 = ColoredPartition(
-        (ColoredSymbol(s.color, s.weight + d) for s, d in zip(c1r, c2)), sort=False)
+    pi3 = tuple(d + 3 * k for d, k in zip(c1r, c2))
 
-    trace = BijectionTrace(pi1, pi2, pi4, pi5, star, pi6, c1, c2, c1r, pi3)
-    assert pi3.sigma == pi1.sigma + pi2.sigma
-    assert is_type1(pi3)
+    symbol_of, of_values = ColoredSymbol.from_dilated, ColoredPartition._of_values
+    trace = BijectionTrace(pi1, pi2, of_values(pi4), of_values(pi5), star, of_values(pi6),
+                           tuple(map(symbol_of, c1)), c2, tuple(map(symbol_of, c1r)),
+                           of_values(pi3))
+    assert trace.pi3.sigma == pi1.sigma + pi2.sigma
+    assert is_type1(trace.pi3)
     return trace
 
 
@@ -154,42 +150,38 @@ def inverse(pi3: ColoredPartition) -> tuple[ColoredPartition, ColoredPartition]:
     """Recover the unique (pi1, pi2) with forward(pi1, pi2).pi3 == pi3."""
     if not is_type1(pi3):
         raise InvalidInput("input violates the gap condition")
-    m = len(pi3)
+    values = pi3.dilated()
+    m = len(values)
 
     # undo step 6: subtract the staircase
-    c1r = [ColoredSymbol(s.color, s.weight - (m - 1 - r))
-           for r, s in enumerate(pi3.parts)]
+    c1r = [d - 3 * (m - 1 - r) for r, d in enumerate(values)]
 
     # undo step 5: b-block first, then the a/ab block, each decreasing
-    b_block = sorted((s for s in c1r if s.color == "b"), key=lambda s: -s.rank)
-    rest = sorted((s for s in c1r if s.color != "b"), key=lambda s: -s.rank)
+    b_block = sorted((d for d in c1r if d % 3 == 2), reverse=True)
+    rest = sorted((d for d in c1r if d % 3 != 2), reverse=True)
     c1 = b_block + rest
 
     # undo steps 4+3: add the staircase back and split the column
-    column = [ColoredSymbol(s.color, s.weight + (m - 1 - r))
-              for r, s in enumerate(c1)]
-    pi5_parts, pi6_parts = column[:len(b_block)], column[len(b_block):]
-    i = len(pi6_parts)
-    if any(s.weight <= i for s in pi5_parts):
+    column = [d + 3 * (m - 1 - r) for r, d in enumerate(c1)]
+    pi5, pi6 = column[:len(b_block)], column[len(b_block):]
+    i = len(pi6)
+    if any(d < 3 * i for d in pi5):
         raise InvalidInput("outside the image of the correspondence")
 
-    # undo step 2: circled rows of pi6 are the parts of pi4
-    circled_rows = [r + 1 for r, s in enumerate(pi6_parts) if s.color == "ab"]
-    pi4_weights = sorted(circled_rows, reverse=True)
-    pi1_parts = []
-    for r, s in enumerate(pi6_parts, start=1):
-        conj_r = sum(1 for w in pi4_weights if w >= r)
-        w = s.weight - conj_r
-        if w < 1:
-            raise InvalidInput("outside the image of the correspondence")
-        pi1_parts.append(ColoredSymbol("a", w))
-
-    pi1 = ColoredPartition(pi1_parts, sort=False)
-    pi2 = ColoredPartition([ColoredSymbol("b", w) for w in pi4_weights]
-                           + list(pi5_parts))
-    _check_component(pi1, "a", "recovered pi1")
-    _check_component(pi2, "b", "recovered pi2")
-    return pi1, pi2
+    # undo step 2: circled (ab) rows of pi6 are the parts of pi4; with c circled
+    # rows at or below it, a row's a_w or ab_w came from a_{w-c}: 3c lower, +1 for ab
+    pi4 = [3 * r - 1 for r in range(i, 0, -1) if pi6[r - 1] % 3 == 0]
+    ones, remaining = [], len(pi4)
+    for d in pi6:
+        circled = d % 3 == 0
+        ones.append(d - 3 * remaining + circled)
+        remaining -= circled
+    if any(d < 1 for d in ones):
+        raise InvalidInput("outside the image of the correspondence")
+    if any(upper <= lower for upper, lower in zip(ones, ones[1:])):
+        raise InvalidInput("recovered pi1 must have distinct parts")
+    # pi5 parts exceed i >= pi4 parts and both decrease, so pi2's parts are distinct
+    return ColoredPartition._of_values(ones), ColoredPartition._of_values(pi5 + pi4)
 
 
 def forward_bounded(pi1: ColoredPartition, pi2: ColoredPartition,
@@ -201,6 +193,7 @@ def forward_bounded(pi1: ColoredPartition, pi2: ColoredPartition,
     <= L-nu(L) and k ab-parts <= M-nu(M); any failure raises
     BoundViolation naming the first failed bound.
     """
+    trace = forward(pi1, pi2)  # checks the colors before the bounds
     i, j = len(pi1), len(pi2)
     if max(L, M) < i + j:
         raise InvalidInput(f"need max(L, M) >= i+j = {i + j}")
@@ -209,7 +202,6 @@ def forward_bounded(pi1: ColoredPartition, pi2: ColoredPartition,
     if any(p.weight > L for p in pi2):
         raise InvalidInput(f"pi2 parts must be <= L = {L}")
 
-    trace = forward(pi1, pi2)
     nu_l, nu_m = nu_statistics(trace.pi3, L, M)
     a_count, b_count, k = color_counts(trace.pi3.dilated())
     cert = BoundCertificate(
@@ -221,8 +213,9 @@ def forward_bounded(pi1: ColoredPartition, pi2: ColoredPartition,
         raise BoundViolation(
             f"statistic map failed: expected ({i - k}, {j - k}, {k}) parts, "
             f"got ({a_count}, {b_count}, {k})")
-    for color, bound in (("a", cert.a_bound), ("b", cert.b_bound), ("ab", cert.ab_bound)):
-        for p in trace.pi3.parts:
-            if p.color == color and p.weight > bound:
-                raise BoundViolation(f"{color}-part {p} exceeds certified bound {bound}")
+    for residue, bound in ((1, cert.a_bound), (2, cert.b_bound), (0, cert.ab_bound)):
+        for d in trace.pi3.dilated():
+            if d % 3 == residue and d // 3 + 1 > bound:
+                p = ColoredSymbol.from_dilated(d)
+                raise BoundViolation(f"{p.color}-part {p} exceeds certified bound {bound}")
     return trace, cert

@@ -122,16 +122,14 @@ class ColoredPartition:
     the empty partition renders as a lone '∅'.
     """
 
-    __slots__ = ("parts",)
+    __slots__ = ("parts", "_values")
 
-    def __init__(self, parts: Iterable[ColoredSymbol] = (), *, sort: bool = True):
-        seq = list(parts)
-        if sort:
-            seq.sort(key=lambda s: s.dilated, reverse=True)
-        for prev, cur in zip(seq, seq[1:]):
-            if prev.dilated <= cur.dilated:
-                raise ValueError("parts must be strictly decreasing in the symbol order")
-        self.parts = tuple(seq)
+    def __init__(self, parts: Iterable[ColoredSymbol] = ()):
+        seq = sorted(parts, key=lambda s: s.dilated, reverse=True)
+        values = tuple([s.dilated for s in seq])
+        if len(set(values)) < len(values):
+            raise ValueError("parts must be strictly decreasing in the symbol order")
+        self.parts, self._values = tuple(seq), values
 
     # -- construction -------------------------------------------------------
 
@@ -146,7 +144,15 @@ class ColoredPartition:
     @classmethod
     def colored(cls, color: str, weights: Iterable[int]) -> "ColoredPartition":
         """All parts in one color; used for the vector-partition components."""
-        return cls(ColoredSymbol(color, w) for w in weights)
+        residue = ColoredSymbol(color, 2).dilated % 3  # checks the color
+        return cls(map(ColoredSymbol.from_dilated, (3 * w - 3 + residue for w in weights)))
+
+    @classmethod
+    def _of_values(cls, values: Sequence[int]) -> "ColoredPartition":
+        """Trusted: ``values`` strictly decrease.  Parts are interned symbols."""
+        self = cls.__new__(cls)
+        self.parts, self._values = tuple(map(ColoredSymbol.from_dilated, values)), tuple(values)
+        return self
 
     # -- statistics ----------------------------------------------------------
 
@@ -157,7 +163,7 @@ class ColoredPartition:
 
     def dilated(self) -> tuple[int, ...]:
         """The ordinary-integer image of each part (decreasing)."""
-        return tuple(p.dilated for p in self.parts)
+        return self._values
 
     # -- plumbing -------------------------------------------------------------
 
@@ -168,10 +174,10 @@ class ColoredPartition:
         return len(self.parts)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, ColoredPartition) and self.parts == other.parts
+        return isinstance(other, ColoredPartition) and self._values == other._values
 
     def __hash__(self) -> int:
-        return hash(self.parts)
+        return hash(self._values)
 
     def __str__(self) -> str:
         return "+".join(str(p) for p in self.parts) if self.parts else "∅"
@@ -191,8 +197,9 @@ def _schur_next_bound(d: int) -> int:
 
 def is_type1(partition: ColoredPartition) -> bool:
     """Check the gap condition on every consecutive pair of parts."""
-    for upper, lower in zip(partition.parts, partition.parts[1:]):
-        if lower.dilated > _schur_next_bound(upper.dilated):
+    values = partition.dilated()
+    for upper, lower in zip(values, values[1:]):
+        if lower > _schur_next_bound(upper):
             return False
     return True
 

@@ -6,14 +6,18 @@ partitions by Schur's difference rule.  Neither shares code with the
 library's one recursion over dilated values, so the enumerator and census
 tests read these in its place.  ``gl_by_enumeration`` builds G_L by
 walking every gap partition with parts <= b_L, the reference for the
-library's transfer-matrix count.  Each profile filter states one bucket's
+library's transfer-matrix count.  ``bijection_literal`` and
+``bijection_literal_inverse`` walk the column-subtraction correspondence
+on colored symbols, step by step, the reference for the library's walk on
+dilated values.  Each profile filter states one bucket's
 defining conditions literally, for one partition and one candidate bucket
 at a time; the census tests compare the library's scan-bucketed censuses
 against counts built from these.
 """
 
+from qschur.bijection import BijectionTrace, InvalidInput
 from qschur.coefficients import triangular
-from qschur.partitions import ColoredSymbol, color_counts, iter_type1_dilated
+from qschur.partitions import ColoredPartition, ColoredSymbol, color_counts, iter_type1_dilated
 from qschur.qseries import LaurentPoly, MarkerSeries
 
 
@@ -72,6 +76,91 @@ def schur_gap_literal(n, cap):
                    for x, y in zip(parts, parts[1:]))
     return sorted((parts for parts in _distinct_parts(n, cap) if schur_ok(parts)),
                   reverse=True)
+
+
+def _in_order(parts):
+    """The partition of ``parts``, which must already be strictly decreasing."""
+    partition = ColoredPartition(parts)
+    if partition.parts != tuple(parts):
+        raise ValueError("parts must be strictly decreasing in the symbol order")
+    return partition
+
+
+def _check_component(partition, color, name):
+    weights = [p.weight for p in partition.parts]
+    if any(p.color != color for p in partition.parts):
+        raise InvalidInput(f"{name} must have only {color}-parts")
+    if len(set(weights)) != len(weights):
+        raise InvalidInput(f"{name} must have distinct parts")
+
+
+def _conjugate_with_circles(weights):
+    """Conjugate of a distinct-part partition; a row is flagged when its
+    last node is the bottom of its column."""
+    if not weights:
+        return ()
+    rows = []
+    for r in range(1, weights[0] + 1):
+        length = sum(1 for w in weights if w >= r)
+        rows.append((length, weights[length - 1] == r))
+    return tuple(rows)
+
+
+def bijection_literal(pi1, pi2) -> BijectionTrace:
+    """Steps 1-6 of the correspondence on colored symbols: split pi2 at
+    i = |pi1|, add the circled conjugate of pi4 to pi1, stack pi5 over pi6,
+    subtract the staircase weight by weight, stably reorder by rank and
+    add the staircase back."""
+    _check_component(pi1, "a", "pi1")
+    _check_component(pi2, "b", "pi2")
+    i = len(pi1)
+    pi4 = ColoredPartition(p for p in pi2 if p.weight <= i)
+    pi5 = ColoredPartition(p for p in pi2 if p.weight > i)
+    star = _conjugate_with_circles(tuple(p.weight for p in pi4))
+    pi6_parts = []
+    for r, a_part in enumerate(pi1.parts):
+        extra, circled = star[r] if r < len(star) else (0, False)
+        pi6_parts.append(ColoredSymbol("ab" if circled else "a", a_part.weight + extra))
+    pi6 = _in_order(pi6_parts)
+    column = list(pi5.parts) + list(pi6.parts)
+    m = len(column)
+    c2 = tuple(range(m - 1, -1, -1))
+    c1 = tuple(ColoredSymbol(s.color, s.weight - d) for s, d in zip(column, c2))
+    c1r = tuple(sorted(c1, key=lambda s: -s.rank))
+    pi3 = _in_order([ColoredSymbol(s.color, s.weight + d) for s, d in zip(c1r, c2)])
+    return BijectionTrace(pi1, pi2, pi4, pi5, star, pi6, c1, c2, c1r, pi3)
+
+
+def bijection_literal_inverse(pi3):
+    """The inverse walk on colored symbols: subtract the staircase, put the
+    b-parts first, add the staircase back, split off pi5 and read pi4 off
+    the ab-rows of pi6."""
+    if not all(lower.weight <= upper.weight - _gap_needed(upper, lower.color)
+               for upper, lower in zip(pi3.parts, pi3.parts[1:])):
+        raise InvalidInput("input violates the gap condition")
+    m = len(pi3)
+    c1r = [ColoredSymbol(s.color, s.weight - (m - 1 - r)) for r, s in enumerate(pi3.parts)]
+    b_block = sorted((s for s in c1r if s.color == "b"), key=lambda s: -s.rank)
+    rest = sorted((s for s in c1r if s.color != "b"), key=lambda s: -s.rank)
+    column = [ColoredSymbol(s.color, s.weight + (m - 1 - r))
+              for r, s in enumerate(b_block + rest)]
+    pi5_parts, pi6_parts = column[:len(b_block)], column[len(b_block):]
+    i = len(pi6_parts)
+    if any(s.weight <= i for s in pi5_parts):
+        raise InvalidInput("outside the image of the correspondence")
+    pi4_weights = sorted((r + 1 for r, s in enumerate(pi6_parts) if s.color == "ab"),
+                         reverse=True)
+    pi1_parts = []
+    for r, s in enumerate(pi6_parts, start=1):
+        w = s.weight - sum(1 for x in pi4_weights if x >= r)
+        if w < 1:
+            raise InvalidInput("outside the image of the correspondence")
+        pi1_parts.append(ColoredSymbol("a", w))
+    pi1 = _in_order(pi1_parts)
+    pi2 = ColoredPartition([ColoredSymbol("b", w) for w in pi4_weights] + list(pi5_parts))
+    _check_component(pi1, "a", "recovered pi1")
+    _check_component(pi2, "b", "recovered pi2")
+    return pi1, pi2
 
 
 def gl_by_enumeration(L) -> MarkerSeries:

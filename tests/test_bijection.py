@@ -1,19 +1,25 @@
 """The column-subtraction correspondence: worked example, round trips,
-weight conservation, bound certification."""
+weight conservation, bound certification, and the walk on dilated values
+against the literal walk on symbols."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qschur.bijection as bijection
 from qschur.bijection import (
+    BoundViolation,
     InvalidInput,
     forward,
     forward_bounded,
     inverse,
 )
-from qschur.partitions import ColoredPartition, color_counts, is_type1
+from qschur.partitions import ColoredPartition, ColoredSymbol, color_counts, is_type1
+
+from oracles import _distinct_parts, bijection_literal, bijection_literal_inverse, type1_upto
 
 P = ColoredPartition.from_text
+TRACE_FIELDS = ("pi1", "pi2", "pi4", "pi5", "pi4_star", "pi6", "c1", "c2", "c1r", "pi3")
 
 
 def distinct_weight_sets(max_total):
@@ -98,19 +104,11 @@ class TestInvariants:
             assert t.pi3.sigma == total
 
     def test_round_trip_exhaustive_weight_10(self):
-        def distinct_parts(n, cap):
-            if n == 0:
-                yield ()
-                return
-            for p in range(min(n, cap), 0, -1):
-                for rest in distinct_parts(n - p, p - 1):
-                    yield (p,) + rest
-
         seen_pi3 = set()
         for total in range(0, 11):
             for n1 in range(0, total + 1):
-                for w1 in distinct_parts(n1, n1):
-                    for w2 in distinct_parts(total - n1, total - n1):
+                for w1 in _distinct_parts(n1, n1):
+                    for w2 in _distinct_parts(total - n1, total - n1):
                         pi1 = ColoredPartition.colored("a", w1)
                         pi2 = ColoredPartition.colored("b", w2)
                         t = forward(pi1, pi2)
@@ -155,24 +153,114 @@ class TestBounded:
             forward_bounded(P("a1"), P("b2"), L=1, M=1)  # max(L, M) < i + j
 
     def test_bound_profile_on_a_grid(self):
-        def distinct_parts(n, cap):
-            if n == 0:
-                yield ()
-                return
-            for p in range(min(n, cap), 0, -1):
-                for rest in distinct_parts(n - p, p - 1):
-                    yield (p,) + rest
-
         for L in range(0, 5):
             for M in range(L, 6):
                 for n in range(0, 9):
                     for m in range(0, n + 1):
-                        for w2 in distinct_parts(n - m, min(L, n - m)):
+                        for w2 in _distinct_parts(n - m, min(L, n - m)):
                             j = len(w2)
-                            for w1 in distinct_parts(m, min(max(M - j, 0), m)):
+                            for w1 in _distinct_parts(m, min(max(M - j, 0), m)):
                                 if len(w1) + j > L:
                                     continue
                                 pi1 = ColoredPartition.colored("a", w1)
                                 pi2 = ColoredPartition.colored("b", w2)
                                 # must certify without BoundViolation
                                 forward_bounded(pi1, pi2, L, M)
+
+    @pytest.mark.parametrize("left, right, L, M, message", [
+        ("a1", "a9", 3, 3, "pi2 must have only b-parts"),   # was: pi2 parts must be <= L
+        ("b9", "b1", 3, 3, "pi1 must have only a-parts"),   # was: pi1 parts must be <= M-j
+        ("ab5+a1", "b1", 1, 1, "pi1 must have only a-parts"),  # was: need max(L, M) >= i+j
+    ])
+    def test_colors_are_checked_before_the_bounds(self, left, right, L, M, message):
+        with pytest.raises(InvalidInput, match=message):
+            forward_bounded(P(left), P(right), L=L, M=M)
+
+    # (pi1, pi2, L, M, added to (nu_l, nu_m), first failed bound named); the
+    # messages are those of the symbol-level certification loop
+    @pytest.mark.parametrize("left, right, L, M, bump, message", [
+        ("a3", "∅", 1, 3, (0, 1), "a-part a3 exceeds certified bound 2"),
+        ("a2", "b1", 1, 3, (0, 1), "ab-part ab3 exceeds certified bound 2"),
+        ("a6+a5+a3+a2+a1", "b9+b8+b6+b4+b2+b1", 9, 17, (1, 0),
+         "b-part b7 exceeds certified bound 6"),
+        ("a3", "b5", 5, 4, (1, 1), "a-part a3 exceeds certified bound 2"),  # a before b
+        ("a4+a1", "b5+b1", 5, 6, (1, 1), "b-part b4 exceeds certified bound 3"),  # b before ab
+        ("a2+a1", "b3+b2", 4, 4, (1, 1), "a-part a4 exceeds certified bound 3"),
+    ])
+    def test_a_statistic_one_too_large_violates_a_bound(self, monkeypatch, left, right,
+                                                         L, M, bump, message):
+        true_nu = bijection.nu_statistics
+        monkeypatch.setattr(bijection, "nu_statistics", lambda p, L, M: tuple(
+            nu + extra for nu, extra in zip(true_nu(p, L, M), bump)))
+        with pytest.raises(BoundViolation) as excinfo:
+            forward_bounded(P(left), P(right), L=L, M=M)
+        assert str(excinfo.value) == message
+
+    def test_a_wrong_color_tally_fails_the_statistic_map(self, monkeypatch):
+        monkeypatch.setattr(bijection, "color_counts", lambda values: (2, 0, 0))
+        with pytest.raises(BoundViolation) as excinfo:
+            forward_bounded(P("a1"), P("b2"), L=2, M=3)
+        assert str(excinfo.value) == ("statistic map failed: expected (1, 1, 0) parts, "
+                                      "got (2, 0, 0)")
+
+
+class TestColoredComponents:
+    @pytest.mark.parametrize("color, weights, message", [
+        ("c", [1], "unknown color 'c'"),
+        ("a", [3, 0], "weight must be a positive integer"),
+        ("ab", [1], "the integer 1 occurs only in primary colors"),
+        ("b", [2, 5, 2], "parts must be strictly decreasing in the symbol order"),
+    ])
+    def test_rejects_what_a_symbol_rejects(self, color, weights, message):
+        with pytest.raises(ValueError) as excinfo:
+            ColoredPartition.colored(color, weights)
+        assert str(excinfo.value) == message
+
+    def test_sorted_and_interned(self):
+        pi1 = ColoredPartition.colored("a", [1, 4, 2])
+        assert pi1 == P("a4+a2+a1")
+        assert all(s is ColoredSymbol.from_dilated(s.dilated) for s in pi1)
+        recovered = inverse(forward(pi1, ColoredPartition.colored("b", [3])).pi3)
+        assert all(s is ColoredSymbol.from_dilated(s.dilated)
+                   for part in recovered for s in part)
+
+
+def _assert_matches_the_literal_walk(pi1, pi2):
+    trace, literal = forward(pi1, pi2), bijection_literal(pi1, pi2)
+    for name in TRACE_FIELDS:
+        fast, slow = getattr(trace, name), getattr(literal, name)
+        assert fast == slow, name
+        if isinstance(fast, ColoredPartition):
+            assert fast.parts == slow.parts and fast.dilated() == slow.dilated(), name
+    recovered = inverse(trace.pi3)
+    assert recovered == bijection_literal_inverse(literal.pi3) == (pi1, pi2)
+
+
+class TestAgainstTheLiteralWalk:
+    """forward and inverse on dilated values against the step-by-step walk
+    on colored symbols (``oracles.bijection_literal``)."""
+
+    def test_every_pair_of_weight_at_most_12(self):
+        pairs = 0
+        for total in range(0, 13):
+            for n1 in range(0, total + 1):
+                for w1 in _distinct_parts(n1, n1):
+                    for w2 in _distinct_parts(total - n1, total - n1):
+                        _assert_matches_the_literal_walk(
+                            ColoredPartition.colored("a", w1),
+                            ColoredPartition.colored("b", w2))
+                        pairs += 1
+        assert pairs == 598  # the coefficients of (-q; q)_oo^2 up to q^12
+
+    def test_inverse_on_every_gap_partition_of_weight_at_most_12(self):
+        gap_partitions = list(type1_upto(12))
+        assert len(gap_partitions) == 598  # as many as the pairs above
+        for parts in gap_partitions:
+            pi3 = ColoredPartition(parts)
+            assert inverse(pi3) == bijection_literal_inverse(pi3)
+
+    @given(distinct_weight_sets(40), distinct_weight_sets(40))
+    @settings(max_examples=200)
+    def test_random_pairs(self, w1, w2):
+        _assert_matches_the_literal_walk(ColoredPartition.colored("a", w1),
+                                         ColoredPartition.colored("b", w2))

@@ -32,7 +32,7 @@ P = ColoredPartition.from_text
 
 
 def type1(n, **caps):
-    return [ColoredPartition(parts, sort=False) for parts in iter_type1(n, **caps)]
+    return [ColoredPartition(parts) for parts in iter_type1(n, **caps)]
 
 
 SYMBOLS_TO_100 = [ColoredSymbol(c, w) for w in range(1, 101) for c in COLORS
@@ -126,7 +126,7 @@ class TestGapCondition:
         parts = sorted((ColoredSymbol(c, w) for c, w in pairs), key=lambda s: -s.rank)
         literal = all(upper.weight - lower.weight >= _gap_needed(upper, lower.color)
                       for upper, lower in zip(parts, parts[1:]))
-        assert is_type1(ColoredPartition(parts, sort=False)) is literal
+        assert is_type1(ColoredPartition(parts)) is literal
 
     def test_enumerate_weight_1(self):
         # parts <= b1 in the symbol order: a- and b-parts <= 1, no ab-part
@@ -151,7 +151,7 @@ class TestGapCondition:
                 assert parts not in seen
                 seen.add(parts)
                 assert sum(p.weight for p in parts) == n
-                assert is_type1(ColoredPartition(parts, sort=False))
+                assert is_type1(ColoredPartition(parts))
 
     def test_per_color_caps(self):
         for n in range(0, 9):

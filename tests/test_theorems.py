@@ -202,7 +202,7 @@ class TestCensusOracle:
                 continue
             nu_l = fitting_buckets(s_profile, parts, L, M) if L < M else [0]
             nu_m = fitting_buckets(s_profile_mirrored, parts, L, M) if M < L else [0]
-            partition = ColoredPartition(parts, sort=False)
+            partition = ColoredPartition(parts)
             if nu_l and nu_m:
                 assert nu_statistics(partition, L, M) == (nu_l[0], nu_m[0])
             else:
