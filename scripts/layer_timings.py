@@ -1,31 +1,53 @@
-"""In-process timings of the partition and bijection layers: both
-enumerators, the gap test, the T1/T2/T3 census builds, the one-color
-components and the bounded bijection round trips.
+"""In-process timings of the partition, bijection and identity layers:
+both enumerators, the gap test, the T1/T2/T3 census builds, the one-color
+components, the bounded bijection round trips and the truncated and
+Durfee-rectangle identity checks.
 
 Run from a checkout, importing that checkout's sources:
 
     PYTHONPATH=src python scripts/layer_timings.py [--repeat 7]
 
 Prints one JSON object: for each layer the median, minimum and maximum
-over ``--repeat`` runs, in seconds.  Census tables are cleared before
-each run, so every build is cold.  Only names the library has exposed
-since the exact-weight enumerators are used, so two checkouts can be
-timed with the same script.
+over ``--repeat`` runs, in seconds, and the median scaled to the
+benchmark's reference core speed.  The scaling is the benchmark's own: a
+fixed probe (``_probe`` in perfbench/child.py, loaded from there) runs
+before the first run and after every run, and each run's time is
+multiplied by ``PROBE_REF_S`` over the median of the probes on either
+side of it, so two checkouts timed minutes apart on a shared host can be
+compared.  Census and coefficient tables are cleared before each run, so
+every build is cold.  Only names the library has exposed since the
+exact-weight enumerators are used, so two checkouts can be timed with the
+same script.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import platform
 import statistics
 import time
+from pathlib import Path
 
-from qschur import theorems
+from qschur import coefficients, identities, theorems
 from qschur.bijection import forward_bounded, inverse
 from qschur.partitions import ColoredPartition, is_type1, iter_schur_gap, iter_type1
 
-CENSUSES = ("_type1_census", "_s_census", "_s_census_mirrored", "_g3_census")
+# the tables cleared before every run
+CACHES = [getattr(theorems, name) for name in
+          ("_type1_census", "_s_census", "_s_census_mirrored", "_g3_census")] + \
+    [coefficients.poch_qpow, coefficients.qbinom, identities.inv_poch_trunc]
+
+
+def _load_probe():
+    """The benchmark's speed probe and its reference time, from
+    perfbench/child.py."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+    spec = importlib.util.spec_from_file_location("perfbench_child", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module._probe, module.PROBE_REF_S
 
 
 def _iter_type1():
@@ -111,6 +133,15 @@ def _bijection():
         assert inverse(trace.pi3) == (pi1, pi2)
 
 
+def _identities():
+    identities.verify_11(4, 4, 30)
+    identities.verify_61(3, 3, 3, 30)
+    for L in range(0, 13):
+        for i in range(0, L + 1):
+            for j in range(0, L - i + 1):
+                identities.verify_32(L, i, j)
+
+
 LAYERS = {
     "iter_type1_s": (_iter_type1, "every gap partition of n for n <= 26, plus the caps "
                                   "(a, b, ab) = (M, L, M) for (L, M) in (2, 6), (4, 8), "
@@ -127,6 +158,8 @@ LAYERS = {
     "bijection_s": (_bijection, f"forward_bounded then inverse, compared with the input, "
                                 f"on the {len(GRID)} pairs of the bounded grid "
                                 f"L <= M <= 8, weight <= 16"),
+    "identities_s": (_identities, "verify_11(4, 4, 30), verify_61(3, 3, 3, 30) and "
+                                  "verify_32 on every 0 <= i, j with i + j <= L <= 12, cold"),
 }
 
 
@@ -134,19 +167,25 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeat", type=int, default=7)
     args = parser.parse_args()
-    out = {"python": platform.python_version(), "repeat": args.repeat, "layers": {}}
+    probe, probe_ref_s = _load_probe()
+    out = {"python": platform.python_version(), "repeat": args.repeat,
+           "probe_ref_s": probe_ref_s, "layers": {}}
     for name, (fn, what) in LAYERS.items():
-        times = []
+        times, probes = [], [probe()]
         for _ in range(args.repeat):
-            for census in CENSUSES:
-                getattr(theorems, census).cache_clear()
+            for cache in CACHES:
+                cache.cache_clear()
             t0 = time.perf_counter()
             fn()
             times.append(time.perf_counter() - t0)
+            probes.append(probe())
+        scaled = [t * probe_ref_s / statistics.median(pre + post)
+                  for t, pre, post in zip(times, probes, probes[1:])]
         out["layers"][name] = {"what": what,
                                "median_s": round(statistics.median(times), 5),
                                "min_s": round(min(times), 5),
-                               "max_s": round(max(times), 5)}
+                               "max_s": round(max(times), 5),
+                               "scaled_median_s": round(statistics.median(scaled), 5)}
     print(json.dumps(out, indent=2))
 
 

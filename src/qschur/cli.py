@@ -40,6 +40,9 @@ _RANGE_RE = re.compile(r"^(-?\d+)(?:\.\.(-?\d+))?$")
 
 THEOREMS = ("S", "T1", "T2", "T3", "G")
 GF_KINDS = ("GL", "RL", "PL", "trinomialRHS")
+# the parameter flags of 'verify'; each identity takes a subset
+_RANGE_NAMES = ("L", "M", "i", "j", "k", "n")
+_CAP_NAMES = ("qmax", "amax", "bmax", "cmax")
 
 
 class UsageError(Exception):
@@ -88,6 +91,10 @@ def cmd_verify(args) -> int:
         raise UsageError(f"unknown identity {args.identity!r}; "
                          f"choose from {', '.join(sorted(IDENTITIES))}")
     spec = IDENTITIES[args.identity]
+    for name in _RANGE_NAMES + _CAP_NAMES:
+        if getattr(args, name) is not None \
+                and name not in spec.range_params + spec.cap_params:
+            raise UsageError(f"identity {args.identity} does not take --{name}")
     ranges = {}
     for name in spec.range_params:
         value = getattr(args, name)
@@ -123,8 +130,9 @@ def _count_reports(args) -> list[CountReport]:
             raise UsageError(f"count {theorem} needs --n")
         if min(n_range) < 0:
             raise UsageError("--n must be nonnegative")
-        return check_schur(max(n_range)) if theorem == "S" \
+        reports = check_schur(max(n_range)) if theorem == "S" \
             else check_goellnitz(max(n_range))
+        return [r for r in reports if r.params["n"] >= n_range[0]]
     if n_range is None or min(n_range) < 0:
         raise UsageError(f"count {theorem} needs a nonnegative --n range")
 
@@ -296,9 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="sweep one identity over a parameter grid")
     p_verify.add_argument("identity")
-    for name in ("L", "M", "i", "j", "k", "n"):
+    for name in _RANGE_NAMES:
         p_verify.add_argument(f"--{name}", help="integer or inclusive range a..b")
-    for name in ("qmax", "amax", "bmax", "cmax"):
+    for name in _CAP_NAMES:
         p_verify.add_argument(f"--{name}", type=int, help="truncation cap")
     p_verify.add_argument("--perturb", action="store_true",
                           help="self-test: perturb the right side by +1")
@@ -328,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_RANGE_FLAGS = {"--L", "--M", "--i", "--j", "--k", "--n"}
+_RANGE_FLAGS = {f"--{name}" for name in _RANGE_NAMES}
 
 
 def _join_negative_ranges(argv: Sequence[str]) -> list[str]:

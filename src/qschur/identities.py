@@ -1,10 +1,15 @@
 """Exact verifiers for the bounded key identities and their consequences.
 
 Every verifier computes both sides of one identity as exact LaurentPoly
-or MarkerSeries values and returns a Verdict with the difference and,
+or MarkerSeries values and returns a Verdict carrying both sides and,
 when it fails, a witness locating the first differing q-coefficient.
 Identity tags (eq21, eq32, ...) are the stable vocabulary shared with
 the command line; see IDENTITIES for the registry.
+
+Each shape of computation has one route: every triple-q-binomial k-sum
+(eq21, eq32, eq44, G_L) is _ksum, both truncated marker identities (eq11,
+eq61) are _cellwise, and the G_L recurrence step shared by P_L and rec55
+is _convergent_step.
 
 The generating function G_L of gap partitions with parts bounded by b_L
 is always built twice, by a transfer-matrix count of the partitions and
@@ -33,7 +38,6 @@ __all__ = [
     "build_PL",
     "build_RL",
     "goellnitz_compositions",
-    "lhs_21",
     "rhs_21",
     "sweep",
     "trinomial_rhs",
@@ -88,7 +92,6 @@ class Verdict:
     holds: bool
     lhs: Value
     rhs: Value
-    difference: Value
     witness: Optional[Witness] = None
 
     def to_json_dict(self) -> dict:
@@ -117,9 +120,8 @@ def _first_witness(lhs: Value, rhs: Value, diff: Value) -> Optional[Witness]:
 
 
 def _verdict(identity: str, params: dict, lhs: Value, rhs: Value) -> Verdict:
-    difference = lhs - rhs
-    witness = _first_witness(lhs, rhs, difference)
-    return Verdict(identity, params, witness is None, lhs, rhs, difference, witness)
+    witness = _first_witness(lhs, rhs, lhs - rhs)
+    return Verdict(identity, params, witness is None, lhs, rhs, witness)
 
 
 # --------------------------------------------------------------------------
@@ -138,30 +140,22 @@ def _ksum(L: int, M: int, i: int, j: int,
     return total
 
 
-def lhs_21(L: int, M: int, i: int, j: int) -> LaurentPoly:
-    """Sum over k of q^{(i-k)(j-k)} [M-i-j+k; k] [M-j; i-k] [L-i; j-k]."""
-    return _ksum(L, M, i, j)
-
-
 def rhs_21(L: int, M: int, i: int, j: int) -> LaurentPoly:
     return qbinom(L, j) * qbinom(M - j, i)
 
 
 def verify_21(L: int, M: int, i: int, j: int) -> Verdict:
     """The double-bounded key identity; valid for arbitrary integers."""
-    # _ksum is lhs_21 without its wrapper call, which costs about 2% of a
-    # signed-grid sweep
     return _verdict("eq21", dict(L=L, M=M, i=i, j=j),
                     _ksum(L, M, i, j), rhs_21(L, M, i, j))
 
 
 def verify_32(L: int, i: int, j: int) -> Verdict:
-    """The M-free Durfee-rectangle identity (i, j >= 0, L >= i+j)."""
-    lhs = ZERO
-    for k in range(0, min(i, j) + 1):
-        term = qbinom(i, k) * qbinom(L - i, j - k)
-        lhs = lhs + term.shifted((i - k) * (j - k))
-    return _verdict("eq32", dict(L=L, i=i, j=j), lhs, qbinom(L, j))
+    """The M-free Durfee-rectangle identity (i, j >= 0, L >= i+j): eq21 at
+    M = i + j, where [k; k] = 1 and [i; i-k] = [i; k] leave
+    sum_k q^{(i-k)(j-k)} [i; k] [L-i; j-k] = [L; j]
+    (q-Chu-Vandermonde; Gasper-Rahman, Basic Hypergeometric Series, 1.5)."""
+    return _verdict("eq32", dict(L=L, i=i, j=j), _ksum(L, i + j, i, j), qbinom(L, j))
 
 
 def verify_44(L: int, M: int, i: int, j: int) -> Verdict:
@@ -172,8 +166,8 @@ def verify_44(L: int, M: int, i: int, j: int) -> Verdict:
     """
     lhs = _ksum(L, M, i, j, triangular_exponents=True)
     shift = triangular(i) + triangular(j)
-    rhs = (qbinom(L, j) * qbinom(M - j, i)).shifted(shift)
-    if lhs != lhs_21(L, M, i, j).shifted(shift):
+    rhs = rhs_21(L, M, i, j).shifted(shift)
+    if lhs != _ksum(L, M, i, j).shifted(shift):
         raise InternalMismatch("triangular-exponent form disagrees with eq21 scaling")
     return _verdict("eq44", dict(L=L, M=M, i=i, j=j), lhs, rhs)
 
@@ -249,13 +243,8 @@ def _series_from_sum(L: int) -> MarkerSeries:
     sum_k q^{T_{i+j-k}+T_k} [L-i-j+k; k] [L-j; i-k] [L-i; j-k].
     This is the series build_GL returns once the transfer-matrix count
     agrees with it."""
-    coeffs = {}
-    for i in range(0, L + 1):
-        for j in range(0, L - i + 1):
-            cell = _ksum(L, L, i, j, triangular_exponents=True)
-            if cell:
-                coeffs[(i, j)] = cell
-    return MarkerSeries(2, coeffs)
+    return MarkerSeries(2, {(i, j): _ksum(L, L, i, j, triangular_exponents=True)
+                            for i in range(0, L + 1) for j in range(0, L - i + 1)})
 
 
 @lru_cache(maxsize=None)
@@ -281,30 +270,29 @@ def build_RL(L: int) -> MarkerSeries:
     """The multinomial side: sum of A^i B^j q^{T_i+T_j} [L; i, j, L-i-j]."""
     if L < 0:
         raise ValueError("L must be nonnegative")
-    coeffs = {}
-    for i in range(0, L + 1):
-        for j in range(0, L - i + 1):
-            m = qmultinomial3(L, i, j)
-            if m:
-                coeffs[(i, j)] = m.shifted(triangular(i) + triangular(j))
-    return MarkerSeries(2, coeffs)
+    return MarkerSeries(2, {(i, j): qmultinomial3(L, i, j).shifted(triangular(i) + triangular(j))
+                            for i in range(0, L + 1) for j in range(0, L - i + 1)})
+
+
+def _convergent_step(L: int, prev1: MarkerSeries, prev2: MarkerSeries) -> MarkerSeries:
+    """(1 + (A+B)q^L) prev1 + AB(q^L - q^{2L-1}) prev2: the three-term
+    step shared by the convergents P_L and the G_L recurrence."""
+    lead = MarkerSeries(2, {(0, 0): ONE, (1, 0): qpow(L), (0, 1): qpow(L)})
+    tail = MarkerSeries(2, {(1, 1): qpow(L) - qpow(2 * L - 1)})
+    return lead * prev1 + tail * prev2
 
 
 @lru_cache(maxsize=None)
 def build_PL(L: int) -> MarkerSeries:
     """Numerator convergent of the continued fraction
     1 + (A+B)q + ABq^2(1-q) / (1 + (A+B)q^2 + ABq^3(1-q^2) / (...)),
-    by its three-term recurrence from P_0 = 1, P_1 = 1 + (A+B)q."""
+    by its three-term recurrence from P_0 = 1 (the AB term of the step
+    vanishes at L = 1, so P_1 = 1 + (A+B)q whatever stands for P_{-1})."""
     if L < 0:
         raise ValueError("L must be nonnegative")
     if L == 0:
         return MarkerSeries.one(2)
-    if L == 1:
-        return MarkerSeries(2, {(0, 0): ONE, (1, 0): qpow(1), (0, 1): qpow(1)})
-    prev2, prev1 = build_PL(L - 2), build_PL(L - 1)
-    lead = MarkerSeries(2, {(0, 0): ONE, (1, 0): qpow(L), (0, 1): qpow(L)})
-    tail = MarkerSeries(2, {(1, 1): qpow(L) - qpow(2 * L - 1)})
-    return lead * prev1 + tail * prev2
+    return _convergent_step(L, build_PL(L - 1), build_PL(max(L - 2, 0)))
 
 
 def verify_53(L: int) -> Verdict:
@@ -314,10 +302,8 @@ def verify_53(L: int) -> Verdict:
 
 def verify_rec55(L: int) -> Verdict:
     """Three-term recurrence for G_L (L >= 2)."""
-    lead = MarkerSeries(2, {(0, 0): ONE, (1, 0): qpow(L), (0, 1): qpow(L)})
-    tail = MarkerSeries(2, {(1, 1): qpow(L) - qpow(2 * L - 1)})
-    rhs = lead * build_GL(L - 1) + tail * build_GL(L - 2)
-    return _verdict("rec55", dict(L=L), build_GL(L), rhs)
+    return _verdict("rec55", dict(L=L), build_GL(L),
+                    _convergent_step(L, build_GL(L - 1), build_GL(L - 2)))
 
 
 def verify_rec512(L: int) -> Verdict:
@@ -505,33 +491,37 @@ def _marker_product(caps: Sequence[int], q_cap: int) -> MarkerSeries:
     return series
 
 
+def _cellwise(tag: str, params: dict, caps: Sequence[int], qmax: int,
+              cell: Callable[..., tuple[LaurentPoly, LaurentPoly]]) -> Verdict:
+    """A truncated marker identity checked cell by cell: ``cell(*marker)``
+    gives both sides of the coefficient of one marker tuple within
+    ``caps``.  The first cell whose sides differ is the verdict, as
+    one-term series at its marker; when every cell holds, the sum of the
+    left sides is compared with the product of (1 + X q^m) over the
+    markers X."""
+    trunc = Truncation(tuple(caps), qmax)
+    arity = len(caps)
+    cells: dict[tuple[int, ...], LaurentPoly] = {}
+    for marker in itertools.product(*(range(0, cap + 1) for cap in caps)):
+        lhs, rhs = cell(*marker)
+        if lhs != rhs:
+            return _verdict(tag, params, MarkerSeries(arity, {marker: lhs}, trunc),
+                            MarkerSeries(arity, {marker: rhs}, trunc))
+        cells[marker] = lhs
+    return _verdict(tag, params, MarkerSeries(arity, cells, trunc),
+                    _marker_product(caps, qmax))
+
+
 def verify_11(amax: int, bmax: int, qmax: int) -> Verdict:
-    """Truncated two-marker key identity: the k-sum double series, the
-    Pochhammer double series and the double product all agree within the
-    caps.  The verdict compares the k-sum form against the product; the
-    middle form is checked against both en route; a failing eq26 cell is
+    """Truncated two-marker key identity: each (i, j) cell is eq26 (the
+    k-sum against the Pochhammer form), and the k-sum double series must
+    equal the double product within the caps.  A failing eq26 cell is
     reported at its marker (i, j)."""
-    params = dict(amax=amax, bmax=bmax, qmax=qmax)
-    trunc = Truncation((amax, bmax), qmax)
-    ksum: dict[tuple[int, int], LaurentPoly] = {}
-    middle: dict[tuple[int, int], LaurentPoly] = {}
-    for i in range(0, amax + 1):
-        for j in range(0, bmax + 1):
-            cell = verify_26_cell(i, j, qmax)
-            if not cell.holds:
-                lhs = MarkerSeries(2, {(i, j): cell.lhs}, trunc)
-                rhs = MarkerSeries(2, {(i, j): cell.rhs}, trunc)
-                return _verdict("eq11", params, lhs, rhs)
-            if cell.lhs:
-                ksum[(i, j)] = cell.lhs
-            if cell.rhs:
-                middle[(i, j)] = cell.rhs
-    lhs = MarkerSeries(2, ksum, trunc)
-    mid = MarkerSeries(2, middle, trunc)
-    product = _marker_product((amax, bmax), qmax)
-    if mid != product:
-        return _verdict("eq11", params, mid, product)
-    return _verdict("eq11", params, lhs, product)
+    def cell(i: int, j: int) -> tuple[LaurentPoly, LaurentPoly]:
+        verdict = verify_26_cell(i, j, qmax)
+        return verdict.lhs, verdict.rhs
+    return _cellwise("eq11", dict(amax=amax, bmax=bmax, qmax=qmax), (amax, bmax),
+                     qmax, cell)
 
 
 def _cell_61(i: int, j: int, k: int, q_cap: int) -> LaurentPoly:
@@ -555,26 +545,12 @@ def verify_61(amax: int, bmax: int, cmax: int, qmax: int) -> Verdict:
     caps the composition sum must reduce to q^{T_i+T_j+T_k} / ((q)_i (q)_j
     (q)_k), and summed against the markers it must equal the triple
     product."""
-    trunc = Truncation((amax, bmax, cmax), qmax)
-    cells: dict[tuple[int, int, int], LaurentPoly] = {}
-    for i in range(0, amax + 1):
-        for j in range(0, bmax + 1):
-            for k in range(0, cmax + 1):
-                cell = _cell_61(i, j, k, qmax)
-                reduced = _capped_product(
-                    [inv_poch_trunc(n, qmax) for n in (i, j, k)], qmax,
-                    triangular(i) + triangular(j) + triangular(k))
-                if cell != reduced:
-                    lhs = MarkerSeries(3, {(i, j, k): cell}, trunc)
-                    rhs = MarkerSeries(3, {(i, j, k): reduced}, trunc)
-                    return _verdict("eq61", dict(amax=amax, bmax=bmax,
-                                                 cmax=cmax, qmax=qmax), lhs, rhs)
-                if cell:
-                    cells[(i, j, k)] = cell
-    lhs = MarkerSeries(3, cells, trunc)
-    product = _marker_product((amax, bmax, cmax), qmax)
-    return _verdict("eq61", dict(amax=amax, bmax=bmax, cmax=cmax, qmax=qmax),
-                    lhs, product)
+    def cell(i: int, j: int, k: int) -> tuple[LaurentPoly, LaurentPoly]:
+        return _cell_61(i, j, k, qmax), _capped_product(
+            [inv_poch_trunc(n, qmax) for n in (i, j, k)], qmax,
+            triangular(i) + triangular(j) + triangular(k))
+    return _cellwise("eq61", dict(amax=amax, bmax=bmax, cmax=cmax, qmax=qmax),
+                     (amax, bmax, cmax), qmax, cell)
 
 
 # --------------------------------------------------------------------------
@@ -589,51 +565,31 @@ class IdentitySpec:
     range_params: tuple[str, ...]
     cap_params: tuple[str, ...] = ()
     valid: Optional[Callable[..., bool]] = None
-    description: str = ""
 
 
 IDENTITIES: dict[str, IdentitySpec] = {
-    "eq21": IdentitySpec(verify_21, ("L", "M", "i", "j"),
-                         description="double-bounded key identity (all integers)"),
+    "eq21": IdentitySpec(verify_21, ("L", "M", "i", "j")),
     "eq32": IdentitySpec(verify_32, ("L", "i", "j"),
-                         valid=lambda L, i, j: 0 <= i and 0 <= j and i + j <= L,
-                         description="M-free Durfee-rectangle identity"),
+                         valid=lambda L, i, j: 0 <= i and 0 <= j and i + j <= L),
     "eq44": IdentitySpec(verify_44, ("L", "M", "i", "j"),
-                         valid=lambda L, M, i, j: 0 <= i + j <= min(L, M) and i >= 0 and j >= 0,
-                         description="triangular-exponent key identity"),
-    "eq46": IdentitySpec(verify_46, ("L", "M"),
-                         valid=lambda L, M: L >= 0 and M >= 0,
-                         description="finite double-product expansion"),
+                         valid=lambda L, M, i, j: 0 <= i + j <= min(L, M) and i >= 0 and j >= 0),
+    "eq46": IdentitySpec(verify_46, ("L", "M"), valid=lambda L, M: L >= 0 and M >= 0),
     "eq48": IdentitySpec(verify_48, ("L", "M", "i", "j"),
-                         valid=lambda L, M, i, j: 0 <= i <= M and 0 <= j <= L,
-                         description="multinomial-kernel bounded identity"),
-    "eq53": IdentitySpec(verify_53, ("L",), valid=lambda L: L >= 0,
-                         description="gap-partition series equals multinomial series"),
-    "eq516": IdentitySpec(verify_516, ("L",), valid=lambda L: L >= 1,
-                          description="two-parameter trinomial representation"),
+                         valid=lambda L, M, i, j: 0 <= i <= M and 0 <= j <= L),
+    "eq53": IdentitySpec(verify_53, ("L",), valid=lambda L: L >= 0),
+    "eq516": IdentitySpec(verify_516, ("L",), valid=lambda L: L >= 1),
     "eq63": IdentitySpec(verify_63, ("L", "M", "i", "j", "k"),
-                         valid=lambda L, M, i, j, k: min(i, j, k) >= 0,
-                         description="double-bounded three-color key identity"),
+                         valid=lambda L, M, i, j, k: min(i, j, k) >= 0),
     "eq63lm": IdentitySpec(verify_63_closed_LM, ("L", "i", "j", "k"),
-                           valid=lambda L, i, j, k: min(L, i, j, k) >= 0,
-                           description="equal-bound closed form of eq63"),
-    "rec55": IdentitySpec(verify_rec55, ("L",), valid=lambda L: L >= 2,
-                          description="three-term recurrence for G_L"),
-    "rec58": IdentitySpec(verify_rec58, ("L", "i", "j"),
-                          valid=lambda L, i, j: L >= 2,
-                          description="symmetric multinomial recurrence"),
-    "rec59": IdentitySpec(verify_rec59, ("L", "i", "j"),
-                          valid=lambda L, i, j: L >= 1,
-                          description="standard multinomial recurrence"),
-    "rec512": IdentitySpec(verify_rec512, ("L",), valid=lambda L: L >= 0,
-                           description="continued-fraction convergents equal G_L"),
+                           valid=lambda L, i, j, k: min(L, i, j, k) >= 0),
+    "rec55": IdentitySpec(verify_rec55, ("L",), valid=lambda L: L >= 2),
+    "rec58": IdentitySpec(verify_rec58, ("L", "i", "j"), valid=lambda L, i, j: L >= 2),
+    "rec59": IdentitySpec(verify_rec59, ("L", "i", "j"), valid=lambda L, i, j: L >= 1),
+    "rec512": IdentitySpec(verify_rec512, ("L",), valid=lambda L: L >= 0),
     "eq26": IdentitySpec(verify_26_cell, ("i", "j"), cap_params=("qmax",),
-                         valid=lambda i, j: i >= 0 and j >= 0,
-                         description="termwise truncated limit identity"),
-    "eq11": IdentitySpec(verify_11, (), cap_params=("amax", "bmax", "qmax"),
-                         description="truncated two-marker key identity"),
-    "eq61": IdentitySpec(verify_61, (), cap_params=("amax", "bmax", "cmax", "qmax"),
-                         description="truncated three-color key identity"),
+                         valid=lambda i, j: i >= 0 and j >= 0),
+    "eq11": IdentitySpec(verify_11, (), cap_params=("amax", "bmax", "qmax")),
+    "eq61": IdentitySpec(verify_61, (), cap_params=("amax", "bmax", "cmax", "qmax")),
 }
 
 DEFAULT_CAPS = {"amax": 8, "bmax": 8, "cmax": 8, "qmax": 60}
@@ -676,24 +632,20 @@ def sweep(identity: str, ranges: dict[str, Sequence[int]],
     missing = [p for p in spec.range_params if p not in ranges]
     if missing:
         raise ValueError(f"{identity} needs ranges for {', '.join(missing)}")
-    cap_values = {}
-    for cap in spec.cap_params:
-        cap_values[cap] = (caps or {}).get(cap, DEFAULT_CAPS[cap])
+    cap_values = {cap: (caps or {}).get(cap, DEFAULT_CAPS[cap]) for cap in spec.cap_params}
 
     grids = [list(ranges[p]) for p in spec.range_params]
     cells = skipped = 0
-    jobs = []
+    failures = []
     for combo in itertools.product(*grids):
         params = dict(zip(spec.range_params, combo))
         if spec.valid is not None and not spec.valid(**params):
             skipped += 1
             continue
         cells += 1
-        jobs.append(params)
-
-    def run(params: dict) -> Verdict:
         verdict = spec.fn(**params, **cap_values)
-        return _perturbed(verdict) if perturb else verdict
-
-    failures = [v for v in map(run, jobs) if not v.holds]
+        if perturb:
+            verdict = _perturbed(verdict)
+        if not verdict.holds:
+            failures.append(verdict)
     return SweepResult(identity, cells, skipped, failures)

@@ -144,7 +144,9 @@ class ColoredPartition:
     @classmethod
     def colored(cls, color: str, weights: Iterable[int]) -> "ColoredPartition":
         """All parts in one color; used for the vector-partition components."""
-        residue = ColoredSymbol(color, 2).dilated % 3  # checks the color
+        if color not in COLORS:
+            raise ValueError(f"unknown color {color!r}")
+        residue = _COLOR_OF_RESIDUE.index(color)
         return cls(map(ColoredSymbol.from_dilated, (3 * w - 3 + residue for w in weights)))
 
     @classmethod

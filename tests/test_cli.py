@@ -87,6 +87,9 @@ class TestBadInput:
         ["count", "T2", "--n", "3", "--L", "2", "--M", "-1"],
         ["count", "T3", "--n", "3", "--L", "-1", "--M", "2"],
         ["count", "T3", "--n", "3", "--L", "1", "--M", "-1..2"],
+        # a range or cap flag the identity does not take
+        ["verify", "eq53", "--L", "2", "--M", "5"],
+        ["verify", "eq26", "--i", "0..1", "--j", "0", "--amax", "3"],
     ], ids=" ".join)
     def test_exits_2_with_one_error_line(self, argv, capsys):
         assert main(argv) == 2
@@ -140,6 +143,14 @@ class TestCountCommand:
         assert len(lines) == 42  # 41 rows plus the summary line
         assert lines[-1] == "41 checks, 0 failed"
 
+    @pytest.mark.parametrize("theorem", ["S", "G"])
+    @pytest.mark.parametrize("n, kept", [("18..20", [18, 19, 20]), ("20", [20])])
+    def test_the_lower_bound_of_n_is_honoured(self, theorem, n, kept, capsys):
+        assert main(["count", theorem, "--n", n]) == 0
+        *rows, summary = capsys.readouterr().out.strip().split("\n")
+        assert [row.split(":")[0] for row in rows] == [f"{theorem} n={m}" for m in kept]
+        assert summary == f"{len(kept)} checks, 0 failed"
+
     def test_t2_sweep(self):
         code, out, _ = run_cli("count", "T2", "--n", "0..8", "--L", "2..3",
                                "--M", "2..4")
@@ -166,6 +177,21 @@ class TestCountCommand:
     def test_json_matches_the_recorded_bytes(self, golden, argv, capsys):
         # pins the JSON contract, breakdown key order included
         assert main(argv) == 0
+        out, _ = capsys.readouterr()
+        assert out.encode() == (GOLDEN / golden).read_bytes()
+
+    @pytest.mark.parametrize("golden,argv", [
+        ("verify_eq11_a2_b2_q8_perturb.json",
+         ["verify", "eq11", "--amax", "2", "--bmax", "2", "--qmax", "8"]),
+        ("verify_eq61_a1_b1_c1_q6_perturb.json",
+         ["verify", "eq61", "--amax", "1", "--bmax", "1", "--cmax", "1", "--qmax", "6"]),
+        ("verify_eq32_L0-4_i0-2_j0-2_perturb.json",
+         ["verify", "eq32", "--L", "0..4", "--i", "0..2", "--j", "0..2"]),
+        ("verify_rec55_L2-4_perturb.json", ["verify", "rec55", "--L", "2..4"]),
+    ])
+    def test_perturbed_verify_json_matches_the_recorded_bytes(self, golden, argv, capsys):
+        # both sides, witness and summary of a failing sweep, byte for byte
+        assert main([*argv, "--perturb", "--format", "json"]) == 1
         out, _ = capsys.readouterr()
         assert out.encode() == (GOLDEN / golden).read_bytes()
 

@@ -13,7 +13,6 @@ from qschur.identities import (
     build_PL,
     build_RL,
     goellnitz_compositions,
-    lhs_21,
     rhs_21,
     sweep,
     trinomial_rhs,
@@ -62,7 +61,7 @@ class TestKeyIdentity:
 
     def test_mixed_sign_grid(self):
         for L, M, i, j in itertools.product(range(-3, 4), repeat=4):
-            assert lhs_21(L, M, i, j) == rhs_21(L, M, i, j)
+            assert verify_21(L, M, i, j).lhs == rhs_21(L, M, i, j)
 
     def test_M_independence_of_the_reduced_identity(self):
         # for L, M >= i+j the left side divided by [M-j; i] does not
@@ -74,7 +73,7 @@ class TestKeyIdentity:
                         continue
                     reduced = None
                     for M in range(i + j, i + j + 4):
-                        quotient = lhs_21(L, M, i, j).divide_exact(qbinom(M - j, i))
+                        quotient = verify_21(L, M, i, j).lhs.divide_exact(qbinom(M - j, i))
                         if reduced is None:
                             reduced = quotient
                         assert quotient == reduced
@@ -93,6 +92,16 @@ class TestDurfeeIdentity:
             for i in range(0, L + 1):
                 for j in range(0, L - i + 1):
                     assert verify_32(L, i, j).holds
+
+    def test_lhs_is_the_two_binomial_sum(self):
+        # eq21 at M = i + j: [k; k] = 1 and [i; i-k] = [i; k] leave the
+        # q-Chu-Vandermonde sum, on every cell of a signed window
+        for L, i, j in itertools.product(range(-3, 14), range(-2, 8), range(-2, 8)):
+            direct = ZERO
+            for k in range(0, min(i, j) + 1):
+                direct = direct + (qbinom(i, k) * qbinom(L - i, j - k)).shifted((i - k) * (j - k))
+            lhs = verify_32(L, i, j).lhs
+            assert lhs == direct and str(lhs) == str(direct), (L, i, j)
 
 
 class TestTriangularForm:
@@ -113,7 +122,7 @@ class TestTriangularForm:
             if min(L, M) < i + j:
                 continue
             shift = triangular(i) + triangular(j)
-            assert verify_44(L, M, i, j).lhs == lhs_21(L, M, i, j).shifted(shift)
+            assert verify_44(L, M, i, j).lhs == verify_21(L, M, i, j).lhs.shifted(shift)
 
 
 class TestMultinomialKernel:
@@ -402,6 +411,40 @@ class TestTruncated:
 
     def test_eq61_small_caps(self):
         assert verify_61(2, 2, 2, 16).holds
+
+    def test_eq61_reports_a_failing_cell_at_its_marker(self, monkeypatch):
+        real = identities._cell_61
+
+        def broken(i, j, k, q_cap):
+            cell = real(i, j, k, q_cap)
+            return cell + qpow(5) if (i, j, k) == (1, 0, 1) else cell
+
+        monkeypatch.setattr(identities, "_cell_61", broken)
+        v = verify_61(1, 1, 1, 10)
+        assert not v.holds
+        assert v.identity == "eq61"
+        assert v.witness.marker == (1, 0, 1)
+        assert v.witness.q_exp == 5
+        assert v.witness.lhs_coeff - v.witness.rhs_coeff == 1
+        assert v.witness.rhs_coeff == real(1, 0, 1, 10).coeff(5)
+
+    @pytest.mark.parametrize("check, marker", [
+        (lambda: verify_11(2, 2, 10), (1, 0)),
+        (lambda: verify_61(1, 1, 1, 10), (1, 0, 0)),
+    ], ids=["eq11", "eq61"])
+    def test_a_wrong_marker_product_fails_at_its_marker(self, check, marker, monkeypatch):
+        # every cell holds, so only the comparison with the product can fail
+        real = identities._marker_product
+
+        def broken(caps, q_cap):
+            return real(caps, q_cap) + MarkerSeries.term(marker, qpow(7))
+
+        monkeypatch.setattr(identities, "_marker_product", broken)
+        v = check()
+        assert not v.holds
+        assert v.witness.marker == marker
+        assert v.witness.q_exp == 7
+        assert v.witness.rhs_coeff - v.witness.lhs_coeff == 1
 
     def test_dispatcher(self):
         assert IDENTITIES["eq26"].fn(i=1, j=2, qmax=12).holds
