@@ -1,7 +1,7 @@
-"""In-process timings of the partition, bijection and identity layers:
-both enumerators, the gap test, the T1/T2/T3 census builds, the one-color
-components, the bounded bijection round trips and the truncated and
-Durfee-rectangle identity checks.
+"""In-process timings of the partition, bijection, identity and ring
+layers: both enumerators, the gap test, the T1/T2/T3 census builds, the
+one-color components, the bounded bijection round trips, the truncated
+and Durfee-rectangle identity checks and warm eq21 cells.
 
 Run from a checkout, importing that checkout's sources:
 
@@ -15,9 +15,10 @@ before the first run and after every run, and each run's time is
 multiplied by ``PROBE_REF_S`` over the median of the probes on either
 side of it, so two checkouts timed minutes apart on a shared host can be
 compared.  Census and coefficient tables are cleared before each run, so
-every build is cold.  Only names the library has exposed since the
-exact-weight enumerators are used, so two checkouts can be timed with the
-same script.
+every build is cold; a layer listed in ``WARM`` then runs its warm-up
+untimed, so that only its ring arithmetic is timed.  Only names the
+library has exposed since the exact-weight enumerators are used, so two
+checkouts can be timed with the same script.
 """
 
 from __future__ import annotations
@@ -142,6 +143,17 @@ def _identities():
                 identities.verify_32(L, i, j)
 
 
+# one L-slice of the signed grid [-5..10]^4, the one with the largest L
+SIGNED = range(-5, 11)
+
+
+def _ring():
+    for M in SIGNED:
+        for i in SIGNED:
+            for j in SIGNED:
+                identities.verify_21(10, M, i, j)
+
+
 LAYERS = {
     "iter_type1_s": (_iter_type1, "every gap partition of n for n <= 26, plus the caps "
                                   "(a, b, ab) = (M, L, M) for (L, M) in (2, 6), (4, 8), "
@@ -160,7 +172,11 @@ LAYERS = {
                                 f"L <= M <= 8, weight <= 16"),
     "identities_s": (_identities, "verify_11(4, 4, 30), verify_61(3, 3, 3, 30) and "
                                   "verify_32 on every 0 <= i, j with i + j <= L <= 12, cold"),
+    "ring_s": (_ring, "verify_21(10, M, i, j) for M, i, j in -5..10, q-binomial "
+                      "tables warmed by one untimed pass"),
 }
+
+WARM = {"ring_s": _ring}
 
 
 def main() -> None:
@@ -175,6 +191,8 @@ def main() -> None:
         for _ in range(args.repeat):
             for cache in CACHES:
                 cache.cache_clear()
+            if name in WARM:
+                WARM[name]()
             t0 = time.perf_counter()
             fn()
             times.append(time.perf_counter() - t0)

@@ -40,8 +40,10 @@ _RANGE_RE = re.compile(r"^(-?\d+)(?:\.\.(-?\d+))?$")
 
 THEOREMS = ("S", "T1", "T2", "T3", "G")
 GF_KINDS = ("GL", "RL", "PL", "trinomialRHS")
-# the parameter flags of 'verify'; each identity takes a subset
-_RANGE_NAMES = ("L", "M", "i", "j", "k", "n")
+# the parameter flags of 'verify': every range parameter of the registry,
+# of which each identity takes a subset
+_RANGE_NAMES = tuple(dict.fromkeys(
+    name for spec in IDENTITIES.values() for name in spec.range_params))
 _CAP_NAMES = ("qmax", "amax", "bmax", "cmax")
 
 
@@ -336,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_RANGE_FLAGS = {f"--{name}" for name in _RANGE_NAMES}
+_RANGE_FLAGS = {f"--{name}" for name in _RANGE_NAMES + ("n",)}  # 'count' takes --n
 
 
 def _join_negative_ranges(argv: Sequence[str]) -> list[str]:

@@ -120,7 +120,8 @@ def _first_witness(lhs: Value, rhs: Value, diff: Value) -> Optional[Witness]:
 
 
 def _verdict(identity: str, params: dict, lhs: Value, rhs: Value) -> Verdict:
-    witness = _first_witness(lhs, rhs, lhs - rhs)
+    # equal sides have a zero difference, so only unequal ones subtract
+    witness = None if lhs == rhs else _first_witness(lhs, rhs, lhs - rhs)
     return Verdict(identity, params, witness is None, lhs, rhs, witness)
 
 
@@ -134,9 +135,12 @@ def _ksum(L: int, M: int, i: int, j: int,
     e_k = (i-k)(j-k), or T_{i+j-k} + T_k with ``triangular_exponents``."""
     total = ZERO
     for k in range(0, min(i, j) + 1):
-        term = qbinom(M - i - j + k, k) * qbinom(M - j, i - k) * qbinom(L - i, j - k)
-        total = total + term.shifted(triangular(i + j - k) + triangular(k)
-                                     if triangular_exponents else (i - k) * (j - k))
+        a, b, c = qbinom(M - i - j + k, k), qbinom(M - j, i - k), qbinom(L - i, j - k)
+        if not (a and b and c):
+            continue
+        shift = (triangular(i + j - k) + triangular(k) if triangular_exponents
+                 else (i - k) * (j - k))
+        total = total + (a * b * c).shifted(shift)
     return total
 
 

@@ -8,7 +8,7 @@ no floating point and no rational rounding anywhere in the package.
 A LaurentPoly is stored packed, by Kronecker substitution: the polynomial
 q^lo * sum_k c_k q^k is kept as lo and the one integer
 V = sum_k c_k 2^(B*k), whose balanced base-2^B digits are the
-coefficients.  The digit width B is a multiple of 64 and every value
+coefficients.  The digit width B is a multiple of 32 and every value
 carries a bound with |c_k| <= bound < 2^(B-1), under which (lo, V)
 determines the polynomial.  Each operation derives the bound of its
 result before forming it (a sum adds the bounds, a product multiplies
@@ -47,11 +47,11 @@ class NotDivisible(ArithmeticError):
 # Adding the offset sum_k 2^(B-1) 2^(B*k) to V turns its balanced digits
 # c_k into the unsigned digits c_k + 2^(B-1), which one to_bytes exposes.
 
-_WORD = 64
+_WORD = 32
 
 
 def _width(bound: int) -> int:
-    """The narrowest digit width, a multiple of 64, with bound < 2^(width-1)."""
+    """The narrowest digit width, a multiple of 32, with bound < 2^(width-1)."""
     return (bound.bit_length() // _WORD + 1) * _WORD
 
 
@@ -108,9 +108,9 @@ class LaurentPoly:
     size.  Instances are immutable: every operation returns a new value,
     so polynomials can be shared freely and used as cache values.
 
-    Storage is dense: a value takes width/8 bytes (8 or more) for every
+    Storage is dense: a value takes B/8 bytes (4 or more) for every
     exponent between its lowest and highest term, zero or not, so a
-    sparse value such as 1 + q^(10^10) needs about 80 GB.
+    sparse value such as 1 + q^(10^10) needs 40 GB or more.
     """
 
     __slots__ = ("_lo", "_v", "_width", "_bound")

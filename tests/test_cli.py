@@ -45,6 +45,13 @@ class TestExitCodes:
         assert code == 1
         assert "first differing coefficient at q^0" in out
 
+    def test_verify_has_no_n_flag(self):
+        # no identity takes n, so 'verify' does not offer it
+        code, _, err = run_cli("verify", "eq21", "--L", "0", "--M", "0",
+                               "--i", "0", "--j", "0", "--n", "3")
+        assert code == 2
+        assert "unrecognized arguments: --n 3" in err
+
     def test_count_negative_n_is_usage_error(self):
         code, _, err = run_cli("count", "S", "--n", "-1")
         assert code == 2
@@ -90,6 +97,8 @@ class TestBadInput:
         # a range or cap flag the identity does not take
         ["verify", "eq53", "--L", "2", "--M", "5"],
         ["verify", "eq26", "--i", "0..1", "--j", "0", "--amax", "3"],
+        # a negative --n is folded into one token and reaches count's check
+        ["count", "S", "--n", "-1"],
     ], ids=" ".join)
     def test_exits_2_with_one_error_line(self, argv, capsys):
         assert main(argv) == 2

@@ -33,7 +33,7 @@ from qschur.identities import (
     verify_rec58,
     verify_rec59,
 )
-from qschur.qseries import LaurentPoly, MarkerSeries, ONE, ZERO, qpow
+from qschur.qseries import LaurentPoly, MarkerSeries, ONE, Truncation, ZERO, qpow
 
 from oracles import gl_by_enumeration
 
@@ -539,3 +539,55 @@ class TestSweep:
             sweep("eq21", {"L": [1]})
         with pytest.raises(KeyError):
             sweep("bogus", {})
+
+
+def _side_pairs():
+    """Both sides of eq21 cells on [-2..3]^4, of eq11, eq61 and eq516
+    cells, each also perturbed at its constant and at a higher term."""
+    signed = range(-2, 4)
+    verdicts = [verify_21(L, M, i, j)
+                for L, M, i, j in itertools.product(signed, repeat=4)]
+    verdicts += [verify_11(3, 3, 20), verify_11(2, 4, 12), verify_61(2, 2, 1, 12)]
+    verdicts += [verify_516(L) for L in range(1, 5)]
+    for v in verdicts:
+        yield v.lhs, v.rhs
+        yield v.lhs, v.rhs + 1
+        yield v.lhs + qpow(3, -2), v.rhs
+
+
+# two marker series whose coefficients differ only beyond the other's
+# caps: they are unequal, yet their difference, taken at the smaller caps,
+# is zero
+_CAPPED = [
+    (MarkerSeries(2, {(0, 0): 1, (2, 0): qpow(1)}, Truncation((3, 3), 10)),
+     MarkerSeries(2, {(0, 0): 1}, Truncation((1, 3), 10))),
+    (MarkerSeries(2, {(0, 1): ONE + qpow(12)}, Truncation((2, 2), 20)),
+     MarkerSeries(2, {(0, 1): ONE}, Truncation((2, 2), 8))),
+    (MarkerSeries(2, {(1, 1): qpow(2, 5)}, Truncation((2, 2), 20)),
+     MarkerSeries(2, {(1, 1): qpow(2, 5)}, Truncation((1, 1), 4))),
+    (MarkerSeries(2, {(1, 0): qpow(2, 5)}, Truncation((2, 2), 20)),
+     MarkerSeries(2, {(1, 0): qpow(2, 4), (2, 2): ONE}, Truncation((2, 1), 9))),
+]
+
+
+class TestEqualityFirstVerdict:
+    """_verdict subtracts the sides only when they are unequal; it must
+    give the holds and witness of the difference on every pair."""
+
+    @staticmethod
+    def _agrees(lhs, rhs):
+        v = identities._verdict("probe", {}, lhs, rhs)
+        witness = identities._first_witness(lhs, rhs, lhs - rhs)
+        assert v.witness == witness
+        assert v.holds is (witness is None)
+        return v
+
+    def test_identity_cells_plain_and_perturbed(self):
+        verdicts = [self._agrees(lhs, rhs) for lhs, rhs in _side_pairs()]
+        assert sum(v.holds for v in verdicts) == len(verdicts) // 3
+
+    def test_series_with_different_truncations(self):
+        verdicts = [self._agrees(lhs, rhs) for lhs, rhs in _CAPPED]
+        assert [lhs == rhs for lhs, rhs in _CAPPED] == [False, False, True, False]
+        assert [v.holds for v in verdicts] == [True, True, True, False]
+        assert verdicts[-1].witness.marker == (1, 0)

@@ -52,9 +52,12 @@ big_polys = st.builds(
     LaurentPoly,
     st.dictionaries(st.integers(-60, 60), st.integers(-10**24, 10**24), max_size=80))
 
-# coefficients just under the digit limits 2^63 and 2^127, many of them
+# coefficients just under the digit limits 2^31, 2^63, 2^95 and 2^127,
+# many of them
 edge_coefficients = st.sampled_from(
-    [s * (2**63 - d) for s in (1, -1) for d in (1, 2**40)]
+    [s * (2**31 - d) for s in (1, -1) for d in (1, 2**20)]
+    + [s * (2**63 - d) for s in (1, -1) for d in (1, 2**40)]
+    + [s * (2**95 - 1) for s in (1, -1)]
     + [s * (2**127 - 1) for s in (1, -1)] + [1, -1])
 edge_polys = st.builds(
     LaurentPoly,
@@ -187,10 +190,40 @@ class TestPackedRing:
         # the dividend c - c q^2 fits 64-bit digits, but the packed quotient
         # cannot be proven at that width; the quotient is still exact
         c = 2**62
-        quotient = (qpow(0, c) - qpow(2, c)).divide_exact(ONE + qpow(1))
+        dividend = lp((0, c), (2, -c))  # a difference would bound it by 2c
+        assert dividend._width == 64
+        quotient = dividend.divide_exact(ONE + qpow(1))
         assert quotient == qpow(0, c) - qpow(1, c)
         with pytest.raises(NotDivisible):
-            (qpow(0, c) - qpow(2, c) + 1).divide_exact(ONE + qpow(1))
+            (dividend + 1).divide_exact(ONE + qpow(1))
+
+    def test_division_with_cancelling_dividend_at_32_bits(self):
+        # the same at the narrowest width: c - c q^2 fits 32-bit digits, the
+        # packed quotient c - c q cannot be proven there (2c = 2^31)
+        c = 2**30
+        dividend = lp((0, c), (2, -c))
+        assert dividend._width == 32
+        quotient = dividend.divide_exact(ONE + qpow(1))
+        assert _terms(quotient) == {0: c, 1: -c}
+        with pytest.raises(NotDivisible):
+            (dividend + 1).divide_exact(ONE + qpow(1))
+        # 2 + q packs to 2 + 2^32, whose half 1 + 2^31 has the digits
+        # (1 - 2^31) + q: an exact packed quotient the proof must reject
+        with pytest.raises(NotDivisible):
+            lp((0, 2), (1, 1)).divide_exact(LaurentPoly.const(2))
+
+    def test_products_widen_through_32_64_and_96_bits(self):
+        # each product's bound passes the next digit limit, so the chain
+        # steps through every width from the narrowest
+        a = lp((0, 2**20), (1, -(2**20 - 1)), (3, 7))
+        b = lp((-1, 2**31 - 1), (2, -(2**31 - 2**20)))
+        chain, expected = [a], [_terms(a)]
+        for factor in (a, a, b):
+            chain.append(chain[-1] * factor)
+            expected.append(_mul_dicts(expected[-1], _terms(factor)))
+        assert [p._width for p in chain] == [32, 64, 96, 128]
+        assert [_terms(p) for p in chain] == expected
+        assert _terms(b * b) == _mul_dicts(_terms(b), _terms(b))
 
     @given(small_polys, small_polys, small_polys)
     def test_not_divisible_matches_oracle(self, a, b, r):
