@@ -1,7 +1,8 @@
-"""In-process timings of the partition, bijection, identity and ring
-layers: both enumerators, the gap test, the T1/T2/T3 census builds, the
-one-color components, the bounded bijection round trips, the truncated
-and Durfee-rectangle identity checks and warm eq21 cells.
+"""In-process timings of the partition, bijection, identity, ring and
+marker-series layers: both enumerators, the gap test, the T1/T2/T3
+census builds, the one-color components, the bounded bijection round
+trips, the truncated and Durfee-rectangle identity checks, warm eq21
+cells and the G_L / P_L series with the checks built on them.
 
 Run from a checkout, importing that checkout's sources:
 
@@ -38,7 +39,8 @@ from qschur.partitions import ColoredPartition, is_type1, iter_schur_gap, iter_t
 # the tables cleared before every run
 CACHES = [getattr(theorems, name) for name in
           ("_type1_census", "_s_census", "_s_census_mirrored", "_g3_census")] + \
-    [coefficients.poch_qpow, coefficients.qbinom, identities.inv_poch_trunc]
+    [coefficients.poch_qpow, coefficients.qbinom, identities.inv_poch_trunc,
+     identities.build_GL, identities.build_PL, identities.build_RL]
 
 
 def _load_probe():
@@ -154,6 +156,17 @@ def _ring():
                 identities.verify_21(10, M, i, j)
 
 
+def _series():
+    for L in range(0, 13):
+        identities.build_GL(L)
+        identities.build_PL(L)
+    for L in range(1, 13):
+        identities.verify_516(L)
+    for L in range(0, 9):
+        for M in range(0, 9):
+            identities.verify_46(L, M)
+
+
 LAYERS = {
     "iter_type1_s": (_iter_type1, "every gap partition of n for n <= 26, plus the caps "
                                   "(a, b, ab) = (M, L, M) for (L, M) in (2, 6), (4, 8), "
@@ -174,6 +187,9 @@ LAYERS = {
                                   "verify_32 on every 0 <= i, j with i + j <= L <= 12, cold"),
     "ring_s": (_ring, "verify_21(10, M, i, j) for M, i, j in -5..10, q-binomial "
                       "tables warmed by one untimed pass"),
+    "series_s": (_series, "build_GL(L) and build_PL(L) for L <= 12, cold, then "
+                          "verify_516(L) for 1 <= L <= 12 and verify_46(L, M) for "
+                          "L, M <= 8"),
 }
 
 WARM = {"ring_s": _ring}

@@ -38,7 +38,10 @@ from .theorems import (
 
 _RANGE_RE = re.compile(r"^(-?\d+)(?:\.\.(-?\d+))?$")
 
-THEOREMS = ("S", "T1", "T2", "T3", "G")
+# the flags of 'count', and the ones each theorem takes
+_COUNT_FLAGS = ("n", "i", "j", "L", "M")
+THEOREMS = {"S": ("n",), "T1": ("n", "i", "j"), "T2": _COUNT_FLAGS, "T3": _COUNT_FLAGS,
+            "G": ("n",)}
 GF_KINDS = ("GL", "RL", "PL", "trinomialRHS")
 # the parameter flags of 'verify': every range parameter of the registry,
 # of which each identity takes a subset
@@ -185,6 +188,9 @@ def cmd_count(args) -> int:
     if args.theorem not in THEOREMS:
         raise UsageError(f"unknown theorem {args.theorem!r}; "
                          f"choose from {', '.join(THEOREMS)}")
+    for name in _COUNT_FLAGS:
+        if getattr(args, name) is not None and name not in THEOREMS[args.theorem]:
+            raise UsageError(f"count {args.theorem} does not take --{name}")
     reports = _count_reports(args)
     failures = [r for r in reports if not r.holds]
     if args.format == "json":
@@ -316,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_count = sub.add_parser("count", help="check a theorem's count equality")
     p_count.add_argument("theorem")
-    for name in ("n", "i", "j", "L", "M"):
+    for name in _COUNT_FLAGS:
         p_count.add_argument(f"--{name}", help="integer or inclusive range a..b")
     p_count.set_defaults(fn=cmd_count)
 

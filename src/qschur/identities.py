@@ -8,8 +8,9 @@ the command line; see IDENTITIES for the registry.
 
 Each shape of computation has one route: every triple-q-binomial k-sum
 (eq21, eq32, eq44, G_L) is _ksum, both truncated marker identities (eq11,
-eq61) are _cellwise, and the G_L recurrence step shared by P_L and rec55
-is _convergent_step.
+eq61) are _cellwise, every product of (1 + X q^m) factors (eq46, eq11,
+eq61) is _marker_product, and the G_L recurrence step shared by P_L and
+rec55 is _convergent_step.
 
 The generating function G_L of gap partitions with parts bounded by b_L
 is always built twice, by a transfer-matrix count of the partitions and
@@ -187,6 +188,20 @@ def verify_48(L: int, M: int, i: int, j: int) -> Verdict:
     return _verdict("eq48", dict(L=L, M=M, i=i, j=j), lhs, rhs)
 
 
+def _marker_product(tops: Sequence[int],
+                    trunc: Optional[Truncation] = None) -> MarkerSeries:
+    """The product over the markers X of prod_{m=1..top}(1 + X q^m), one
+    top per marker, with every factor capped at ``trunc``."""
+    arity = len(tops)
+    product = MarkerSeries.one(arity, trunc)
+    for pos, top in enumerate(tops):
+        unit = tuple(int(p == pos) for p in range(arity))
+        for m in range(1, top + 1):
+            factor = MarkerSeries(arity, {(0,) * arity: ONE, unit: qpow(m)}, trunc)
+            product = product * factor
+    return product
+
+
 def verify_46(L: int, M: int) -> Verdict:
     """Finite two-marker product expansion.
 
@@ -194,11 +209,7 @@ def verify_46(L: int, M: int) -> Verdict:
     double sum of A^i B^j q^{T_i+T_j} [M; i] [L; j]; both sides are exact
     polynomials, compared coefficientwise over all (i, j).
     """
-    product = MarkerSeries.one(2)
-    for m in range(1, M + 1):
-        product = product * MarkerSeries(2, {(0, 0): ONE, (1, 0): qpow(m)})
-    for m in range(1, L + 1):
-        product = product * MarkerSeries(2, {(0, 0): ONE, (0, 1): qpow(m)})
+    product = _marker_product((M, L))
     expansion = MarkerSeries(2, {
         (i, j): (qbinom(M, i) * qbinom(L, j)).shifted(triangular(i) + triangular(j))
         for i in range(0, max(M, 0) + 1) for j in range(0, max(L, 0) + 1)})
@@ -207,12 +218,6 @@ def verify_46(L: int, M: int) -> Verdict:
 
 # --------------------------------------------------------------------------
 # the L = M world: G_L, R_L, P_L, recurrences, trinomials
-
-
-def _times_monomial(series: MarkerSeries, i: int, j: int, w: int) -> MarkerSeries:
-    """A^i B^j q^w times a two-marker series."""
-    return MarkerSeries(2, {(a + i, b + j): poly.shifted(w)
-                            for (a, b), poly in series.terms()})
 
 
 def _series_from_transfer(L: int) -> MarkerSeries:
@@ -235,9 +240,9 @@ def _series_from_transfer(L: int) -> MarkerSeries:
     below2 = below1 = MarkerSeries.one(2)  # S[w-2], S[w-1]
     f_a = f_ab = MarkerSeries.zero(2)      # F(a_{w-1}), F(ab_{w-1})
     for w in range(1, L + 1):
-        f_a = _times_monomial(below2 + f_a + f_ab, 1, 0, w)
-        f_ab = _times_monomial(below2, 1, 1, w) if w >= 2 else f_ab
-        f_b = _times_monomial(below1, 0, 1, w)
+        f_a = (below2 + f_a + f_ab) * MarkerSeries.term((1, 0), qpow(w))
+        f_ab = below2 * MarkerSeries.term((1, 1), qpow(w)) if w >= 2 else f_ab
+        f_b = below1 * MarkerSeries.term((0, 1), qpow(w))
         below2, below1 = below1, below1 + f_ab + f_a + f_b
     return below1
 
@@ -337,14 +342,9 @@ def verify_rec59(L: int, i: int, j: int) -> Verdict:
 def trinomial_rhs(L: int) -> MarkerSeries:
     """The trinomial representation: sum over tau in [-L, L] of
     A^tau q^{tau(3tau-1)/2} times the base-q^3 trinomial at c = AB."""
-    acc: dict[tuple[int, int], LaurentPoly] = {}
-    for tau in range(-L, L + 1):
-        prefix = tau * (3 * tau - 1) // 2
-        for j, entry in qtrinomial(L, tau).entries.items():
-            exps = (j + tau, j)
-            value = entry.dilated(3).shifted(prefix)
-            acc[exps] = acc.get(exps, ZERO) + value
-    return MarkerSeries(2, acc)
+    return MarkerSeries(2, [
+        ((j + tau, j), entry.dilated(3).shifted(tau * (3 * tau - 1) // 2))
+        for tau in range(-L, L + 1) for j, entry in qtrinomial(L, tau).entries.items()])
 
 
 def verify_516(L: int) -> Verdict:
@@ -481,20 +481,6 @@ def verify_26_cell(i: int, j: int, qmax: int) -> Verdict:
     return _verdict("eq26", dict(i=i, j=j, qmax=qmax), lhs, rhs)
 
 
-def _marker_product(caps: Sequence[int], q_cap: int) -> MarkerSeries:
-    """prod_{m=1..q_cap} of (1 + X q^m) over each marker X, truncated."""
-    arity = len(caps)
-    trunc = Truncation(tuple(caps), q_cap)
-    series = MarkerSeries.one(arity, trunc)
-    for pos in range(arity):
-        unit = [0] * arity
-        unit[pos] = 1
-        for m in range(1, q_cap + 1):
-            factor = MarkerSeries(arity, {(0,) * arity: ONE, tuple(unit): qpow(m)}, trunc)
-            series = series * factor
-    return series
-
-
 def _cellwise(tag: str, params: dict, caps: Sequence[int], qmax: int,
               cell: Callable[..., tuple[LaurentPoly, LaurentPoly]]) -> Verdict:
     """A truncated marker identity checked cell by cell: ``cell(*marker)``
@@ -513,7 +499,7 @@ def _cellwise(tag: str, params: dict, caps: Sequence[int], qmax: int,
                             MarkerSeries(arity, {marker: rhs}, trunc))
         cells[marker] = lhs
     return _verdict(tag, params, MarkerSeries(arity, cells, trunc),
-                    _marker_product(caps, qmax))
+                    _marker_product((qmax,) * arity, trunc))
 
 
 def verify_11(amax: int, bmax: int, qmax: int) -> Verdict:

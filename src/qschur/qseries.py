@@ -16,6 +16,12 @@ them by the shorter operand's length) and widens B when the bound would
 not fit, so no digit can carry into the next: sums, products, shifts,
 truncations and equality are single big-integer operations, and terms
 are decoded only where they are read.
+
+A MarkerSeries keeps its terms through one normalising step, _kept: a
+pair past a marker cap is dropped, each coefficient is cut at q_cap, and
+the rest are summed per marker tuple with zero sums dropped.  The
+constructor, +, * and with_truncation all build their result through it;
+a scalar factor becomes a constant series and takes the one product.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, le
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 __all__ = [
@@ -492,6 +499,25 @@ class Truncation:
 _MARKER_NAMES = ("A", "B", "C")
 
 
+def _kept(pairs: Iterable[tuple[tuple[int, ...], LaurentPoly]],
+          trunc: Optional[Truncation]) -> dict[tuple[int, ...], LaurentPoly]:
+    """The coefficients a series keeps of (marker tuple, LaurentPoly)
+    pairs: a pair past a marker cap is dropped, each polynomial is cut at
+    q_cap, and the rest are summed per tuple, zero sums dropped.  Every
+    MarkerSeries result is built through this one step."""
+    caps = trunc.marker_caps if trunc is not None else None
+    q_cap = trunc.q_cap if trunc is not None else None
+    acc: dict[tuple[int, ...], LaurentPoly] = {}
+    for exps, poly in pairs:
+        if caps is not None and not all(map(le, exps, caps)):
+            continue
+        if q_cap is not None:
+            poly = poly.truncated(q_cap)
+        prev = acc.get(exps)
+        acc[exps] = poly if prev is None else prev + poly
+    return {exps: poly for exps, poly in acc.items() if poly}
+
+
 def _tuple_key(exps: tuple[int, ...]) -> tuple:
     # total marker degree first, then alphabetically by marker (A before B)
     return (sum(exps), tuple(-e for e in exps))
@@ -510,15 +536,16 @@ class MarkerSeries:
     __slots__ = ("_arity", "_coeffs", "_trunc")
 
     def __init__(self, arity: int,
-                 coeffs: Mapping[tuple[int, ...], Union[LaurentPoly, int]] = (),
+                 coeffs: Union[Mapping[tuple[int, ...], Union[LaurentPoly, int]],
+                               Iterable[tuple[tuple[int, ...], Union[LaurentPoly, int]]]] = (),
                  truncation: Optional[Truncation] = None):
         if arity not in (2, 3):
             raise ValueError("arity must be 2 or 3")
         if truncation is not None and truncation.marker_caps is not None \
                 and len(truncation.marker_caps) != arity:
             raise ValueError("marker_caps length must equal the arity")
-        acc: dict[tuple[int, ...], LaurentPoly] = {}
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
+        pairs = []
         for exps, poly in items:
             exps = tuple(exps)
             if len(exps) != arity or any(e < 0 for e in exps):
@@ -526,19 +553,9 @@ class MarkerSeries:
             poly = _coerce(poly)
             if poly is NotImplemented:
                 raise TypeError("coefficients must be LaurentPoly or int")
-            if _beyond(exps, truncation):
-                continue
-            if truncation is not None and truncation.q_cap is not None:
-                poly = poly.truncated(truncation.q_cap)
-            if poly:
-                prev = acc.get(exps)
-                poly = poly if prev is None else prev + poly
-                if poly:
-                    acc[exps] = poly
-                else:
-                    acc.pop(exps, None)
+            pairs.append((exps, poly))
         self._arity = arity
-        self._coeffs = acc
+        self._coeffs = _kept(pairs, truncation)
         self._trunc = truncation
 
     @classmethod
@@ -599,15 +616,8 @@ class MarkerSeries:
             return NotImplemented
         self._check_arity(other)
         trunc = Truncation.merge(self._trunc, other._trunc)
-        out = dict(self._coeffs)
-        for exps, poly in other._coeffs.items():
-            prev = out.get(exps)
-            v = poly if prev is None else prev + poly
-            if v:
-                out[exps] = v
-            else:
-                out.pop(exps, None)
-        return MarkerSeries._raw(self._arity, out, trunc)._retruncated()
+        return MarkerSeries._raw(
+            self._arity, _kept([*self._coeffs.items(), *other._coeffs.items()], trunc), trunc)
 
     __radd__ = __add__
 
@@ -628,42 +638,19 @@ class MarkerSeries:
         return other + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, LaurentPoly)):
-            scalar = _coerce(other)
-            if not scalar:
-                return MarkerSeries.zero(self._arity, self._trunc)
-            out = {}
-            qc = self._trunc.q_cap if self._trunc else None
-            for exps, poly in self._coeffs.items():
-                v = poly * scalar
-                if qc is not None:
-                    v = v.truncated(qc)
-                if v:
-                    out[exps] = v
-            return MarkerSeries._raw(self._arity, out, self._trunc)
-        if not isinstance(other, MarkerSeries):
+        other = self._coerce(other)
+        if other is NotImplemented:
             return NotImplemented
         self._check_arity(other)
         trunc = Truncation.merge(self._trunc, other._trunc)
-        qc = trunc.q_cap if trunc else None
-        out: dict[tuple[int, ...], LaurentPoly] = {}
-        for e1, p1 in self._coeffs.items():
-            for e2, p2 in other._coeffs.items():
-                exps = tuple(x + y for x, y in zip(e1, e2))
-                if _beyond(exps, trunc):
-                    continue
-                v = p1 * p2
-                if qc is not None:
-                    v = v.truncated(qc)
-                if not v:
-                    continue
-                prev = out.get(exps)
-                v = v if prev is None else prev + v
-                if v:
-                    out[exps] = v
-                else:
-                    out.pop(exps, None)
-        return MarkerSeries._raw(self._arity, out, trunc)
+        caps = trunc.marker_caps if trunc is not None else None
+        # a pair past the marker caps is skipped before it is multiplied;
+        # _kept would drop its product anyway
+        pairs = ((exps, p1 * p2)
+                 for e1, p1 in self._coeffs.items() for e2, p2 in other._coeffs.items()
+                 for exps in [tuple(map(add, e1, e2))]
+                 if caps is None or all(map(le, exps, caps)))
+        return MarkerSeries._raw(self._arity, _kept(pairs, trunc), trunc)
 
     __rmul__ = __mul__
 
@@ -675,23 +662,9 @@ class MarkerSeries:
             return MarkerSeries(self._arity, {(0,) * self._arity: poly})
         return NotImplemented
 
-    def _retruncated(self) -> "MarkerSeries":
-        t = self._trunc
-        if t is None:
-            return self
-        out = {}
-        for exps, poly in self._coeffs.items():
-            if _beyond(exps, t):
-                continue
-            if t.q_cap is not None:
-                poly = poly.truncated(t.q_cap)
-            if poly:
-                out[exps] = poly
-        return MarkerSeries._raw(self._arity, out, t)
-
     def with_truncation(self, truncation: Optional[Truncation]) -> "MarkerSeries":
         """Re-cap the series (terms beyond the new caps are dropped)."""
-        return MarkerSeries._raw(self._arity, dict(self._coeffs), truncation)._retruncated()
+        return MarkerSeries(self._arity, self._coeffs, truncation)
 
     def dilate(self, q_power: int, shifts: Sequence[int]) -> "MarkerSeries":
         """Apply q -> q^q_power together with a per-marker q-shift.
@@ -788,7 +761,3 @@ class MarkerSeries:
     def from_json_text(cls, text: str) -> "MarkerSeries":
         return cls.from_json_dict(json.loads(text))
 
-
-def _beyond(exps: tuple[int, ...], trunc: Optional[Truncation]) -> bool:
-    return (trunc is not None and trunc.marker_caps is not None
-            and any(e > cap for e, cap in zip(exps, trunc.marker_caps)))

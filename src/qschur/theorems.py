@@ -26,7 +26,6 @@ from .partitions import (
     NoValidStatistic,
     color_counts,
     count_V,
-    count_distinct_parts,
     goellnitz_counts,
     iter_schur_gap,
     iter_type1_dilated,
@@ -93,7 +92,7 @@ def reports_to_csv(reports: list[CountReport]) -> str:
 @lru_cache(maxsize=None)
 def _vector_census(n: int) -> dict:
     """(i, j) -> number of pairs of i distinct a-parts and j distinct
-    b-parts of total weight n."""
+    b-parts of total weight n: count_V with bounds no part can reach."""
     out: dict[tuple[int, int], int] = {}
     for i in range(0, n + 1):
         if i * (i + 1) // 2 > n:
@@ -101,9 +100,7 @@ def _vector_census(n: int) -> dict:
         for j in range(0, n + 1):
             if i * (i + 1) // 2 + j * (j + 1) // 2 > n:
                 break
-            total = sum(count_distinct_parts(m, i, m) *
-                        count_distinct_parts(n - m, j, n - m)
-                        for m in range(0, n + 1))
+            total = count_V(n, i, j, n, n + j)
             if total:
                 out[(i, j)] = total
     return out

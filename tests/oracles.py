@@ -6,19 +6,22 @@ partitions by Schur's difference rule.  Neither shares code with the
 library's one recursion over dilated values, so the enumerator and census
 tests read these in its place.  ``gl_by_enumeration`` builds G_L by
 walking every gap partition with parts <= b_L, the reference for the
-library's transfer-matrix count.  ``bijection_literal`` and
-``bijection_literal_inverse`` walk the column-subtraction correspondence
-on colored symbols, step by step, the reference for the library's walk on
-dilated values.  Each profile filter states one bucket's
-defining conditions literally, for one partition and one candidate bucket
-at a time; the census tests compare the library's scan-bucketed censuses
-against counts built from these.
+library's transfer-matrix count.  ``series_model`` and its helpers keep
+a marker series as a dict of dicts, {marker tuple: {q exponent:
+coefficient}}, and state the keep-or-drop rule of ``MarkerSeries``
+term by term, the reference for its constructor and arithmetic.
+``bijection_literal`` and ``bijection_literal_inverse`` walk the
+column-subtraction correspondence on colored symbols, step by step, the
+reference for the library's walk on dilated values.  Each profile filter
+states one bucket's defining conditions literally, for one partition and
+one candidate bucket at a time; the census tests compare the library's
+scan-bucketed censuses against counts built from these.
 """
 
 from qschur.bijection import BijectionTrace, InvalidInput
 from qschur.coefficients import triangular
 from qschur.partitions import ColoredPartition, ColoredSymbol, color_counts, iter_type1_dilated
-from qschur.qseries import LaurentPoly, MarkerSeries
+from qschur.qseries import LaurentPoly, MarkerSeries, Truncation
 
 
 def _gap_needed(upper, lower_color) -> int:
@@ -235,3 +238,59 @@ def g3_profile(parts, l, L, M) -> bool:
 def fitting_buckets(profile, parts, L, M) -> list[int]:
     """Every bucket whose profile the partition satisfies."""
     return [l for l in range(0, len(parts) + 1) if profile(parts, l, L, M)]
+
+
+def merged_truncation(a, b):
+    """The caps of a series built from two series capped at ``a`` and
+    ``b``: each cap is the smaller of the two, and an absent one (None)
+    leaves the other."""
+    if a is None or b is None:
+        return a if b is None else b
+    caps = [c for c in (a.marker_caps, b.marker_caps) if c is not None]
+    q_caps = [c for c in (a.q_cap, b.q_cap) if c is not None]
+    return Truncation(tuple(min(x) for x in zip(*caps)) if caps else None,
+                      min(q_caps) if q_caps else None)
+
+
+def series_model(pairs, trunc) -> dict:
+    """The dict-of-dicts series of (marker tuple, {q exponent: coefficient})
+    ``pairs`` under ``trunc``: a pair past a marker cap is dropped, and so
+    is a term past q_cap; the rest are summed per tuple and exponent, and
+    zero coefficients and tuples left empty are dropped."""
+    caps = trunc.marker_caps if trunc is not None else None
+    q_cap = trunc.q_cap if trunc is not None else None
+    acc = {}
+    for exps, terms in pairs:
+        if caps is not None and any(e > cap for e, cap in zip(exps, caps)):
+            continue
+        cell = acc.setdefault(tuple(exps), {})
+        for e, c in terms.items():
+            if q_cap is None or e <= q_cap:
+                cell[e] = cell.get(e, 0) + c
+    out = {}
+    for exps, cell in acc.items():
+        kept = {e: c for e, c in cell.items() if c}
+        if kept:
+            out[exps] = kept
+    return out
+
+
+def model_of(series) -> dict:
+    """The dict-of-dicts form of a MarkerSeries."""
+    return {exps: dict(poly.terms()) for exps, poly in series.terms()}
+
+
+def model_sum(x: dict, y: dict, trunc) -> dict:
+    return series_model(list(x.items()) + list(y.items()), trunc)
+
+
+def model_negated(x: dict) -> dict:
+    return {exps: {e: -c for e, c in terms.items()} for exps, terms in x.items()}
+
+
+def model_product(x: dict, y: dict, trunc) -> dict:
+    """Term by term: every pair of terms gives one product term."""
+    pairs = [(tuple(a + b for a, b in zip(ex, ey)), {ea + eb: ca * cb})
+             for ex, tx in x.items() for ey, ty in y.items()
+             for ea, ca in tx.items() for eb, cb in ty.items()]
+    return series_model(pairs, trunc)

@@ -97,6 +97,12 @@ class TestBadInput:
         # a range or cap flag the identity does not take
         ["verify", "eq53", "--L", "2", "--M", "5"],
         ["verify", "eq26", "--i", "0..1", "--j", "0", "--amax", "3"],
+        # a flag the theorem does not take
+        ["count", "T1", "--n", "3", "--L", "5", "--M", "2"],
+        ["count", "T1", "--n", "3", "--M", "2"],
+        ["count", "S", "--n", "3", "--i", "2"],
+        ["count", "G", "--n", "3", "--j", "0"],
+        ["count", "G", "--n", "3", "--L", "1"],
         # a negative --n is folded into one token and reaches count's check
         ["count", "S", "--n", "-1"],
     ], ids=" ".join)

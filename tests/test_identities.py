@@ -436,8 +436,8 @@ class TestTruncated:
         # every cell holds, so only the comparison with the product can fail
         real = identities._marker_product
 
-        def broken(caps, q_cap):
-            return real(caps, q_cap) + MarkerSeries.term(marker, qpow(7))
+        def broken(tops, trunc=None):
+            return real(tops, trunc) + MarkerSeries.term(marker, qpow(7))
 
         monkeypatch.setattr(identities, "_marker_product", broken)
         v = check()

@@ -16,6 +16,15 @@ from qschur.qseries import (
     qpow,
 )
 
+from oracles import (
+    merged_truncation,
+    model_negated,
+    model_of,
+    model_product,
+    model_sum,
+    series_model,
+)
+
 
 def lp(*pairs):
     return LaurentPoly(pairs)
@@ -327,6 +336,12 @@ class TestMarkerSeries:
         assert s.coeff((1, 0)) == ZERO
         assert s.coeff((0, 1)) == qpow(3)
 
+    def test_with_truncation_rejects_caps_of_another_arity(self):
+        s = MarkerSeries(2, {(0, 0): ONE, (3, 0): qpow(1), (0, 3): qpow(2)})
+        for caps in ((1,), (1, 1, 1)):
+            with pytest.raises(ValueError):
+                s.with_truncation(Truncation(caps, None))
+
     def test_truncation_merge_takes_minimum(self):
         a = MarkerSeries(2, {(1, 1): qpow(6)}, Truncation((2, 2), 10))
         b = MarkerSeries(2, {(0, 0): ONE}, Truncation((3, 1), 8))
@@ -381,3 +396,76 @@ class TestMarkerSeries:
     def test_str_matches_cli_examples(self):
         g1 = MarkerSeries(2, {(0, 0): ONE, (1, 0): qpow(1), (0, 1): qpow(1)})
         assert str(g1) == "1 + A*q + B*q"
+
+
+# --------------------------------------------------------------------------
+# marker series against the dict-of-dicts model in tests/oracles.py
+
+
+def _truncations(arity):
+    return st.none() | st.builds(
+        Truncation,
+        st.none() | st.tuples(*[st.integers(0, 3)] * arity),
+        st.none() | st.integers(-2, 8))
+
+
+def _term_dicts():
+    return st.dictionaries(st.integers(-2, 6), st.integers(-3, 3), max_size=3)
+
+
+def _draw_series(data, arity):
+    """(pairs, truncation, series): the pairs may repeat a marker tuple,
+    and some are followed by their negation, so that sums cancel."""
+    pairs = data.draw(st.lists(
+        st.tuples(st.tuples(*[st.integers(0, 3)] * arity), _term_dicts()), max_size=5))
+    cancel = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    pairs += [(exps, {e: -c for e, c in terms.items()})
+              for (exps, terms), flag in zip(pairs, cancel) if flag]
+    trunc = data.draw(_truncations(arity))
+    series = MarkerSeries(arity, [(exps, LaurentPoly(terms)) for exps, terms in pairs],
+                          trunc)
+    return pairs, trunc, series
+
+
+class TestMarkerSeriesModel:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.sampled_from((2, 3)))
+    def test_constructor_keeps_what_the_model_keeps(self, data, arity):
+        pairs, trunc, series = _draw_series(data, arity)
+        assert model_of(series) == series_model(pairs, trunc)
+        assert series.truncation == trunc
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.sampled_from((2, 3)))
+    def test_series_arithmetic(self, data, arity):
+        _, tx, x = _draw_series(data, arity)
+        _, ty, y = _draw_series(data, arity)
+        mx, my, t = model_of(x), model_of(y), merged_truncation(tx, ty)
+        for result, expected in ((x + y, model_sum(mx, my, t)),
+                                 (x - y, model_sum(mx, model_negated(my), t)),
+                                 (x * y, model_product(mx, my, t))):
+            assert model_of(result) == expected
+            assert result.truncation == t
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.sampled_from((2, 3)), st.integers(-3, 3), _term_dicts())
+    def test_scalar_arithmetic(self, data, arity, k, terms):
+        _, t, x = _draw_series(data, arity)
+        mx, origin = model_of(x), (0,) * arity
+        for scalar, coeffs in ((k, {0: k}), (LaurentPoly(terms), terms)):
+            ms = series_model([(origin, coeffs)], None)
+            for result, expected in ((x * scalar, model_product(mx, ms, t)),
+                                     (scalar * x, model_product(mx, ms, t)),
+                                     (x + scalar, model_sum(mx, ms, t)),
+                                     (scalar - x, model_sum(ms, model_negated(mx), t))):
+                assert model_of(result) == expected
+                assert result.truncation == t
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.sampled_from((2, 3)))
+    def test_with_truncation(self, data, arity):
+        _, _, x = _draw_series(data, arity)
+        t = data.draw(_truncations(arity))
+        result = x.with_truncation(t)
+        assert model_of(result) == series_model(list(model_of(x).items()), t)
+        assert result.truncation == t
