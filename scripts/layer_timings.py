@@ -41,6 +41,10 @@ CACHES = [getattr(theorems, name) for name in
           ("_type1_census", "_s_census", "_s_census_mirrored", "_g3_census")] + \
     [coefficients.poch_qpow, coefficients.qbinom, identities.inv_poch_trunc,
      identities.build_GL, identities.build_PL, identities.build_RL]
+# the k-sum head table, skipped in a checkout that has none
+_KSUM_HEAD = getattr(identities, "_ksum_head", None)
+if _KSUM_HEAD is not None:
+    CACHES.append(_KSUM_HEAD)
 
 
 def _load_probe():
@@ -186,7 +190,8 @@ LAYERS = {
     "identities_s": (_identities, "verify_11(4, 4, 30), verify_61(3, 3, 3, 30) and "
                                   "verify_32 on every 0 <= i, j with i + j <= L <= 12, cold"),
     "ring_s": (_ring, "verify_21(10, M, i, j) for M, i, j in -5..10, q-binomial "
-                      "tables warmed by one untimed pass"),
+                      "tables, and the k-sum head table where there is one, warmed by one "
+                      "untimed pass"),
     "series_s": (_series, "build_GL(L) and build_PL(L) for L <= 12, cold, then "
                           "verify_516(L) for 1 <= L <= 12 and verify_46(L, M) for "
                           "L, M <= 8"),

@@ -7,10 +7,13 @@ Identity tags (eq21, eq32, ...) are the stable vocabulary shared with
 the command line; see IDENTITIES for the registry.
 
 Each shape of computation has one route: every triple-q-binomial k-sum
-(eq21, eq32, eq44, G_L) is _ksum, both truncated marker identities (eq11,
-eq61) are _cellwise, every product of (1 + X q^m) factors (eq46, eq11,
-eq61) is _marker_product, and the G_L recurrence step shared by P_L and
-rec55 is _convergent_step.
+(eq21, eq32, eq44, G_L) is _ksum, both truncated marker identities
+(eq11, eq61) are _cellwise, every product of (1 + X q^m) factors (eq46,
+eq11, eq61) is _marker_product, and the G_L recurrence step shared by
+P_L and rec55 is _convergent_step.  The two factors of a k-sum term that
+do not depend on L, [M-i-j+k; k] [M-j; i-k], come as one product from
+one table keyed (M-j, i, k), _ksum_head, so a term costs one ring
+product: that head times [L-i; j-k].
 
 The generating function G_L of gap partitions with parts bounded by b_L
 is always built twice, by a transfer-matrix count of the partitions and
@@ -130,18 +133,28 @@ def _verdict(identity: str, params: dict, lhs: Value, rhs: Value) -> Verdict:
 # the bounded key identity and its variants
 
 
+@lru_cache(maxsize=None)
+def _ksum_head(d: int, i: int, k: int) -> LaurentPoly:
+    """[d-i+k; k] [d; i-k]: the two L-free factors of term k of _ksum,
+    which depend on M and j only through d = M - j."""
+    a, b = qbinom(d - i + k, k), qbinom(d, i - k)
+    return a * b if a and b else ZERO
+
+
 def _ksum(L: int, M: int, i: int, j: int,
           triangular_exponents: bool = False) -> LaurentPoly:
     """Sum over k of q^{e_k} [M-i-j+k; k] [M-j; i-k] [L-i; j-k], where
-    e_k = (i-k)(j-k), or T_{i+j-k} + T_k with ``triangular_exponents``."""
+    e_k = (i-k)(j-k), or T_{i+j-k} + T_k with ``triangular_exponents``.
+    The first two factors, which do not depend on L, are read from one
+    table keyed (M-j, i, k), so each term takes one ring product."""
     total = ZERO
     for k in range(0, min(i, j) + 1):
-        a, b, c = qbinom(M - i - j + k, k), qbinom(M - j, i - k), qbinom(L - i, j - k)
-        if not (a and b and c):
+        head, c = _ksum_head(M - j, i, k), qbinom(L - i, j - k)
+        if not (head and c):
             continue
         shift = (triangular(i + j - k) + triangular(k) if triangular_exponents
                  else (i - k) * (j - k))
-        total = total + (a * b * c).shifted(shift)
+        total = total + (head * c).shifted(shift)
     return total
 
 
@@ -389,14 +402,10 @@ def goellnitz_compositions(i: int, j: int, k: int) -> Iterator[GoellnitzComposit
                     delta=delta, epsilon=epsilon, phi=phi)
 
 
-def _lhs_63(L: int, M: int, i: int, j: int, k: int, *,
-            alt_s: bool = False) -> LaurentPoly:
+def _lhs_63(L: int, M: int, i: int, j: int, k: int) -> LaurentPoly:
     total = ZERO
     for c in goellnitz_compositions(i, j, k):
-        # alt_s uses the rejected alternative statistic (delta counted
-        # twice, gamma omitted); kept so a failing sweep can report which
-        # bookkeeping actually holds
-        s = c.alpha + c.beta + 2 * c.delta + c.epsilon + c.phi if alt_s else c.s
+        s = c.s
         shift = (triangular(s) + triangular(c.delta)
                  + triangular(c.epsilon) + triangular(c.phi - 1))
         common = (qbinom(L - s + c.beta, c.beta) * qbinom(M - s + c.gamma, c.gamma)
@@ -420,16 +429,10 @@ def _rhs_63(L: int, M: int, i: int, j: int, k: int) -> LaurentPoly:
     return total
 
 
-def verify_63(L: int, M: int, i: int, j: int, k: int, *,
-              alt_s: bool = False) -> Verdict:
-    """The double-bounded three-color key identity (i, j, k >= 0).
-
-    ``alt_s`` switches the composition statistic s to the alternative
-    bookkeeping (see _lhs_63); it exists only for falsification reports.
-    """
-    tag = "eq63(alt-s)" if alt_s else "eq63"
-    return _verdict(tag, dict(L=L, M=M, i=i, j=j, k=k),
-                    _lhs_63(L, M, i, j, k, alt_s=alt_s), _rhs_63(L, M, i, j, k))
+def verify_63(L: int, M: int, i: int, j: int, k: int) -> Verdict:
+    """The double-bounded three-color key identity (i, j, k >= 0)."""
+    return _verdict("eq63", dict(L=L, M=M, i=i, j=j, k=k),
+                    _lhs_63(L, M, i, j, k), _rhs_63(L, M, i, j, k))
 
 
 def verify_63_closed_LM(L: int, i: int, j: int, k: int) -> Verdict:

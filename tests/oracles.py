@@ -10,6 +10,12 @@ library's transfer-matrix count.  ``series_model`` and its helpers keep
 a marker series as a dict of dicts, {marker tuple: {q exponent:
 coefficient}}, and state the keep-or-drop rule of ``MarkerSeries``
 term by term, the reference for its constructor and arithmetic.
+``ksum_literal`` forms each term of the eq21 k-sum from its three
+q-binomials, with no table, the reference for the library's k-sum, which
+reads the two L-free factors from a table.  ``lhs_63_literal`` sums the
+eq63 left side over the compositions under either the part-count
+statistic or the rejected alternative one, the reference for the
+library's left side and the record of the bookkeeping that fails.
 ``bijection_literal`` and ``bijection_literal_inverse`` walk the
 column-subtraction correspondence on colored symbols, step by step, the
 reference for the library's walk on dilated values.  Each profile filter
@@ -19,9 +25,10 @@ scan-bucketed censuses against counts built from these.
 """
 
 from qschur.bijection import BijectionTrace, InvalidInput
-from qschur.coefficients import triangular
+from qschur.coefficients import qbinom, triangular
+from qschur.identities import goellnitz_compositions
 from qschur.partitions import ColoredPartition, ColoredSymbol, color_counts, iter_type1_dilated
-from qschur.qseries import LaurentPoly, MarkerSeries, Truncation
+from qschur.qseries import ZERO, LaurentPoly, MarkerSeries, Truncation
 
 
 def _gap_needed(upper, lower_color) -> int:
@@ -294,3 +301,37 @@ def model_product(x: dict, y: dict, trunc) -> dict:
              for ex, tx in x.items() for ey, ty in y.items()
              for ea, ca in tx.items() for eb, cb in ty.items()]
     return series_model(pairs, trunc)
+
+
+def ksum_literal(L, M, i, j, triangular_exponents=False) -> LaurentPoly:
+    """Sum over k of q^{e_k} [M-i-j+k; k] [M-j; i-k] [L-i; j-k], each term
+    the product of its three q-binomials, skipped when one is zero;
+    e_k = (i-k)(j-k), or T_{i+j-k} + T_k with ``triangular_exponents``."""
+    total = ZERO
+    for k in range(0, min(i, j) + 1):
+        a, b, c = qbinom(M - i - j + k, k), qbinom(M - j, i - k), qbinom(L - i, j - k)
+        if not (a and b and c):
+            continue
+        shift = (triangular(i + j - k) + triangular(k) if triangular_exponents
+                 else (i - k) * (j - k))
+        total = total + (a * b * c).shifted(shift)
+    return total
+
+
+def lhs_63_literal(L, M, i, j, k, alt_s=False) -> LaurentPoly:
+    """The eq63 left side: over the compositions of (i, j, k), q^{T_s +
+    T_delta + T_epsilon + T_{phi-1}} times the composition's q-binomials,
+    where s is the number of parts, or, with ``alt_s``, the rejected
+    statistic alpha + beta + 2 delta + epsilon + phi (delta counted twice,
+    gamma omitted), under which the identity fails."""
+    total = ZERO
+    for c in goellnitz_compositions(i, j, k):
+        s = c.alpha + c.beta + 2 * c.delta + c.epsilon + c.phi if alt_s else c.s
+        shift = (triangular(s) + triangular(c.delta)
+                 + triangular(c.epsilon) + triangular(c.phi - 1))
+        first = (qbinom(L - s + c.alpha, c.alpha) * qbinom(M - s, c.phi)).shifted(c.phi)
+        second = qbinom(L - s + c.alpha - 1, c.alpha - 1) * qbinom(M - s, c.phi - 1)
+        total = total + (qbinom(L - s + c.beta, c.beta) * qbinom(M - s + c.gamma, c.gamma)
+                         * qbinom(L - s, c.delta) * qbinom(M - s, c.epsilon)
+                         * (first + second)).shifted(shift)
+    return total

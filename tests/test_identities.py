@@ -35,7 +35,7 @@ from qschur.identities import (
 )
 from qschur.qseries import LaurentPoly, MarkerSeries, ONE, Truncation, ZERO, qpow
 
-from oracles import gl_by_enumeration
+from oracles import gl_by_enumeration, ksum_literal, lhs_63_literal
 
 
 class TestKeyIdentity:
@@ -123,6 +123,48 @@ class TestTriangularForm:
                 continue
             shift = triangular(i) + triangular(j)
             assert verify_44(L, M, i, j).lhs == verify_21(L, M, i, j).lhs.shifted(shift)
+
+
+def _bits(poly):
+    """The packed state of a LaurentPoly: equal states are the same bits."""
+    return poly._lo, poly._v, poly._width, poly._bound
+
+
+class TestKsumTable:
+    """_ksum reads the L-free head of each term from one table; the plain
+    three-q-binomial term loop is the reference."""
+
+    GRID = list(itertools.product(range(-4, 9), repeat=4))
+
+    @pytest.mark.parametrize("triangular_exponents", [False, True])
+    def test_equals_the_three_binomial_terms(self, triangular_exponents):
+        for L, M, i, j in self.GRID:
+            got = identities._ksum(L, M, i, j, triangular_exponents)
+            want = ksum_literal(L, M, i, j, triangular_exponents)
+            assert _bits(got) == _bits(want), (L, M, i, j)
+
+    @pytest.mark.parametrize("triangular_exponents", [False, True])
+    def test_cold_and_warm_reads_agree(self, triangular_exponents):
+        head = identities._ksum_head
+        for L, M, i, j in self.GRID:
+            head.cache_clear()
+            cold = identities._ksum(L, M, i, j, triangular_exponents)
+            warm = identities._ksum(L, M, i, j, triangular_exponents)
+            want = ksum_literal(L, M, i, j, triangular_exponents)
+            assert _bits(cold) == _bits(warm) == _bits(want), (L, M, i, j)
+
+    def test_the_table_is_keyed_by_M_minus_j_i_and_k(self):
+        # L - i < 0 on this grid, so no [L-i; j-k] vanishes and every
+        # term reads the table.  Each (M - j) is reached by several
+        # (M, j) pairs, and there are two values of L, so a key that
+        # also holds L, or holds M and j apart, outgrows the bound.
+        Ls, Ms, Is, Js = (-3, -2), range(-2, 4), range(-1, 4), range(-1, 4)
+        triples = {(M - j, i, k) for M in Ms for i in Is for j in Js
+                   for k in range(0, min(i, j) + 1)}
+        identities._ksum_head.cache_clear()
+        result = sweep("eq21", {"L": Ls, "M": Ms, "i": Is, "j": Js})
+        assert result.holds and result.cells == 2 * 6 * 5 * 5
+        assert 0 < identities._ksum_head.cache_info().currsize <= len(triples)
 
 
 class TestMultinomialKernel:
@@ -352,10 +394,15 @@ class TestThreeColorIdentity:
             v = verify_63(3, 4, i, j, k)
             assert v.holds and v.lhs == ZERO and v.rhs == ZERO
 
+    def test_lhs_is_the_literal_composition_sum(self):
+        for L, M in ((3, 5), (5, 3), (4, 4), (0, 2), (-1, 3)):
+            for i, j, k in itertools.product(range(-1, 4), repeat=3):
+                assert verify_63(L, M, i, j, k).lhs == lhs_63_literal(L, M, i, j, k)
+
     def test_alternative_statistic_is_genuinely_different(self):
         # the rejected bookkeeping (delta twice, gamma omitted) must fail
         # somewhere, otherwise keeping it for falsification is pointless
-        outcomes = [verify_63(L, L, i, j, 0, alt_s=True).holds
+        outcomes = [lhs_63_literal(L, L, i, j, 0, alt_s=True) == verify_63(L, L, i, j, 0).rhs
                     for L in range(2, 5) for i in range(0, 3) for j in range(0, 3)]
         assert not all(outcomes)
 
