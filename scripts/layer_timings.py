@@ -181,7 +181,8 @@ LAYERS = {
     "census_T1_build_s": (_census_T1, "_type1_census(n), n <= 20, cold"),
     "census_T2_build_s": (_census_T2, "_s_census / _s_census_mirrored for L, M <= 8 and "
                                       "n <= 16 (the regime each bound pair admits), cold"),
-    "census_T3_build_s": (_census_T3, "_g3_census for 0 <= L <= M <= 5 and n <= 45, cold"),
+    "census_T3_build_s": (_census_T3, "_g3_census for 0 <= L <= M <= 5 and dilated weight "
+                                      "N <= 45, cold, with the census tables it reads"),
     "colored_s": (_colored, f"ColoredPartition.colored for both components of each "
                             f"of the {len(GRID)} grid pairs"),
     "bijection_s": (_bijection, f"forward_bounded then inverse, compared with the input, "

@@ -7,8 +7,11 @@ the right, and reports both totals plus the per-bucket breakdown.
 The bucketed counts are built through cached censuses, one per bound
 pair and exact weight n: a single enumeration of the gap partitions of n
 classifies each by its color counts and its boundary statistic, and all
-later lookups at that n are O(1).  A check at weight n builds and reads
-only the census of n.  Every census buckets through the shared scan
+later lookups at that n are O(1).  The double-bounded census is the one
+bounded census: the dilated refinement reads it through the dilation
+a_n -> 3n-2, b_n -> 3n-1, ab_n -> 3n-3, which takes a gap partition of
+weight n with color counts (r, s, t) to a Schur-gap partition of
+3n-2r-s-3t.  Every census buckets through the shared scan
 ``partitions.scan_statistic``, which asserts the statistic's uniqueness
 on each partition it classifies.
 """
@@ -22,12 +25,11 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable
 
+from .identities import InternalMismatch
 from .partitions import (
-    NoValidStatistic,
     color_counts,
     count_V,
     goellnitz_counts,
-    iter_schur_gap,
     iter_type1_dilated,
     scan_statistic,
     schur_counts,
@@ -142,16 +144,16 @@ def _s_census_mirrored(L: int, M: int, n: int) -> Counter:
 
 
 @lru_cache(maxsize=None)
-def _g3_census(L: int, M: int, n: int) -> Counter:
-    """Bounded Schur-gap counts of the dilated weight n (M >= L): the
-    _s_census bucketing of the same value sequences, graded by value."""
-    if L > M:
-        # the Schur-gap cap then admits a-parts above M, which the scan
-        # at the bound L does not reject
-        raise ValueError("the dilated census needs M >= L")
-    # the loosest per-class caps are 3M-2 (class 1) and 3L-1 (class 2, l = 0)
-    cap = max(3 * M - 2, 3 * L - 1, 0)
-    return _bucket_census(iter_schur_gap(n, min(n, cap)), L, M, ("b",))
+def _g3_census(L: int, M: int, N: int) -> Counter:
+    """Bounded Schur-gap counts of the dilated weight N: the _s_census
+    buckets of every weight n whose dilated images weigh N.  A dilated
+    value is at most three times its weight and at least the weight."""
+    out: Counter = Counter()
+    for n in range(-(-N // 3), N + 1):
+        for (r, s, t, l), c in _s_census(L, M, n).items():
+            if 3 * n - 2 * r - s - 3 * t == N:
+                out[(r, s, t, l)] += c
+    return out
 
 
 def _count_P3(n: int, i: int, j: int, L: int, M: int) -> int:
@@ -202,71 +204,56 @@ def check_theorem1(n: int, i: int, j: int) -> CountReport:
     return CountReport("T1", dict(n=n, i=i, j=j), lhs, rhs, breakdown)
 
 
-def check_theorem2(n: int, i: int, j: int, L: int, M: int, *,
-                   regime: str = "auto") -> CountReport:
-    """Double-bounded refinement.
+def _buckets(census: Counter, i: int, j: int) -> dict:
+    """The nonzero (r, s, t, l) buckets of ``census`` with r+t = i and
+    s+t = j, by t and then l.  Since l parts lie in the statistic's
+    interval, l <= r+s+t."""
+    breakdown = {}
+    for t in range(0, min(i, j) + 1):
+        for l in range(0, i + j - t + 1):
+            c = census.get((i - t, j - t, t, l), 0)
+            if c:
+                breakdown[(i - t, j - t, t, l)] = c
+    return breakdown
 
-    In the standard regime (M >= L >= i+j) the right side sums the
-    bucketed counts over r+t = i, s+t = j and the boundary statistic l at
-    the bound L; ``regime='nu_M'`` (for L >= M) swaps the roles of the
-    two bounds per the mirrored statement.
+
+def check_theorem2(n: int, i: int, j: int, L: int, M: int) -> CountReport:
+    """Double-bounded refinement, for min(L, M) >= i+j.
+
+    The right side sums the bucketed counts over r+t = i, s+t = j and the
+    boundary statistic l: at the bound L when M >= L, and otherwise at the
+    bound M, with the two bounds' roles swapped per the mirrored statement.
     """
     if min(n, i, j) < 0:
         raise ValueError("n, i, j must be nonnegative")
-    if regime == "auto":
-        regime = "nu_L" if M >= L else "nu_M"
-    if regime == "nu_L":
-        if not (M >= L >= i + j):
-            raise ValueError("standard regime needs M >= L >= i+j")
-        census = _s_census(L, M, n)
-    elif regime == "nu_M":
-        if not (L >= M >= i + j):
-            raise ValueError("mirrored regime needs L >= M >= i+j")
-        census = _s_census_mirrored(L, M, n)
-    else:
-        raise ValueError(f"unknown regime {regime!r}")
-    lhs = count_V(n, i, j, L, M)
-    rhs = 0
-    breakdown = {}
-    for t in range(0, min(i, j) + 1):
-        r, s = i - t, j - t
-        for l in range(0, n + 1):
-            c = census.get((r, s, t, l), 0)
-            if c:
-                breakdown[(r, s, t, l)] = c
-                rhs += c
-    return CountReport("T2", dict(n=n, i=i, j=j, L=L, M=M), lhs, rhs, breakdown)
+    if min(L, M) < i + j:
+        raise ValueError("needs min(L, M) >= i+j")
+    census = _s_census(L, M, n) if M >= L else _s_census_mirrored(L, M, n)
+    breakdown = _buckets(census, i, j)
+    return CountReport("T2", dict(n=n, i=i, j=j, L=L, M=M), count_V(n, i, j, L, M),
+                       sum(breakdown.values()), breakdown)
 
 
 def check_theorem3(n: int, i: int, j: int, L: int, M: int) -> CountReport:
     """Dilated double-bounded refinement, plus the consistency cross-check
     that its counts agree with the undilated ones: P(n; i, j, L, M) equals
-    V((n+2i+j)/3; i, j, L, M) when 3 divides n+2i+j and is 0 otherwise,
-    and likewise per (r, s, t, l) bucket."""
+    V((n+2i+j)/3; i, j, L, M) when 3 divides n+2i+j and is 0 otherwise."""
     if min(n, i, j) < 0:
         raise ValueError("n, i, j must be nonnegative")
     if not (M >= L >= i + j):
         raise ValueError("needs M >= L >= i+j")
     lhs = _count_P3(n, i, j, L, M)
-    census = _g3_census(L, M, n)
-    rhs = 0
-    breakdown = {}
-    for t in range(0, min(i, j) + 1):
-        r, s = i - t, j - t
-        for l in range(0, L + 1):
-            c = census.get((r, s, t, l), 0)
-            if c:
-                breakdown[(r, s, t, l)] = c
-                rhs += c
+    breakdown = _buckets(_g3_census(L, M, n), i, j)
     # cross-check against the undilated world
     undilated = 0
     if (n + 2 * i + j) % 3 == 0:
         undilated = count_V((n + 2 * i + j) // 3, i, j, L, M)
     if lhs != undilated:
-        raise NoValidStatistic(
+        raise InternalMismatch(
             f"dilation cross-check failed at {dict(n=n, i=i, j=j, L=L, M=M)}: "
             f"P = {lhs}, V = {undilated}")
-    return CountReport("T3", dict(n=n, i=i, j=j, L=L, M=M), lhs, rhs, breakdown)
+    return CountReport("T3", dict(n=n, i=i, j=j, L=L, M=M), lhs,
+                       sum(breakdown.values()), breakdown)
 
 
 def check_schur(n_max: int) -> list[CountReport]:

@@ -4,9 +4,11 @@ import json
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qschur import theorems
+from qschur.identities import InternalMismatch
 from qschur.partitions import (
     ColoredPartition,
     NoValidStatistic,
@@ -93,23 +95,23 @@ class TestTheorem2:
         assert all(len(key) == 4 for key in report.breakdown)
 
     def test_mirrored_regime(self):
+        # L > M takes the statistic at the bound M
         for M in range(0, 6):
-            for L in range(M, 7):
+            for L in range(M + 1, 7):
                 for i in range(0, 3):
                     for j in range(0, 3 - i):
                         if i + j > M:
                             continue
                         for n in range(0, 12):
-                            assert check_theorem2(n, i, j, L, M, regime="nu_M").holds
+                            assert check_theorem2(n, i, j, L, M).holds
 
     def test_regime_auto_dispatch(self):
-        assert check_theorem2(5, 1, 1, 6, 3).holds  # L > M routes to nu_M
+        assert check_theorem2(5, 1, 1, 6, 3).holds  # L > M reads the mirrored census
 
-    def test_regime_validation(self):
-        with pytest.raises(ValueError):
-            check_theorem2(3, 1, 1, 4, 2, regime="nu_L")
-        with pytest.raises(ValueError):
-            check_theorem2(3, 1, 1, 2, 4, regime="nu_M")
+    @pytest.mark.parametrize("L,M", [(1, 4), (4, 1), (1, 1)])
+    def test_rejects_bounds_below_i_plus_j(self, L, M):
+        with pytest.raises(ValueError, match="min\\(L, M\\) >= i\\+j"):
+            check_theorem2(3, 1, 1, L, M)
 
     def test_reduces_to_theorem1_when_bounds_are_inactive(self):
         for n in range(0, 12):
@@ -128,13 +130,6 @@ class TestTheorem3:
         assert check_theorem3(0, 0, 0, 1, 1).lhs_count == 1
         assert check_theorem3(12, 1, 1, 2, 3).holds
 
-    @pytest.mark.parametrize("L,M", [(1, 0), (3, 2), (5, 4)])
-    def test_dilated_census_rejects_L_above_M(self, L, M):
-        # there the Schur-gap cap admits a-parts above M, which the scan at
-        # the bound L would not reject
-        with pytest.raises(ValueError, match="M >= L"):
-            _g3_census(L, M, 6)
-
     def test_matches_theorem2_under_dilation(self):
         # the dilation consistency (P = V at the mapped weight) is checked
         # inside check_theorem3; sweep it over a mixed grid
@@ -152,15 +147,24 @@ class TestTheorem3:
         report = check_theorem3(4, 1, 1, 2, 2)  # 4 + 2 + 1 = 7, not divisible
         assert report.lhs_count == 0 and report.holds
 
+    def test_dilation_mismatch_is_internal(self, monkeypatch):
+        # P and V are two constructions of one count; a disagreement is a
+        # fault of the checker, not an input outside the theorem
+        count_P3 = theorems._count_P3
+        monkeypatch.setattr(theorems, "_count_P3", lambda *args: count_P3(*args) + 1)
+        with pytest.raises(InternalMismatch, match="dilation cross-check"):
+            check_theorem3(3, 1, 1, 2, 2)
+
 
 N_MAX = 14
-# weight -> every gap partition and every Schur-gap partition (weight =
-# dilated weight) of that weight, up to N_MAX, with no bound applied; both
-# come from the reference walks, not from the recursion the censuses use
+# weight -> every gap partition of that weight up to N_MAX, and every
+# Schur-gap partition (weight = dilated weight) up to 2 N_MAX, with no
+# bound applied; both come from the reference walks, not from the
+# recursion the censuses use
 GAP = {n: [] for n in range(0, N_MAX + 1)}
 for _parts in type1_upto(N_MAX):
     GAP[sum(p.weight for p in _parts)].append(_parts)
-SCHUR = {n: schur_gap_literal(n, n) for n in range(0, N_MAX + 1)}
+SCHUR = {n: schur_gap_literal(n, n) for n in range(0, 2 * N_MAX + 1)}
 
 
 def _colors(parts):
@@ -185,16 +189,33 @@ def _oracle_census(partitions, profile, counts, L, M):
 class TestCensusOracle:
     @settings(max_examples=200, deadline=None)
     @given(L=st.integers(0, 6), M=st.integers(0, 6), n_max=st.integers(0, N_MAX))
+    # from dilated weight 19 on, T3 breakdowns hold keys whose order by t
+    # and then l differs from the order by l and then t
+    @example(L=5, M=6, n_max=N_MAX)
     def test_censuses_and_statistic_match_the_profile_oracle(self, L, M, n_max):
         for n in range(0, n_max + 1):
             if M >= L:
-                assert _s_census(L, M, n) == _oracle_census(
-                    GAP[n], s_profile, _colors, L, M)
-                assert _g3_census(L, M, n) == _oracle_census(
-                    SCHUR[n], g3_profile, _residues, L, M)
+                census = _s_census(L, M, n)
+                assert census == _oracle_census(GAP[n], s_profile, _colors, L, M)
+                assert all(l <= r + s + t for r, s, t, l in census)
             if L >= M:
-                assert _s_census_mirrored(L, M, n) == _oracle_census(
-                    GAP[n], s_profile_mirrored, _colors, L, M)
+                census = _s_census_mirrored(L, M, n)
+                assert census == _oracle_census(GAP[n], s_profile_mirrored, _colors, L, M)
+                assert all(m <= r + s + t for r, s, t, m in census)
+        # T3 reads T2's censuses through the dilation; the by-value walk of
+        # the oracle, to dilated weight 2 n_max, is the independent reference
+        if M >= L:
+            for N in range(0, 2 * n_max + 1):
+                dilated = _oracle_census(SCHUR[N], g3_profile, _residues, L, M)
+                assert _g3_census(L, M, N) == dilated
+                for i in range(0, L + 1):
+                    for j in range(0, L - i + 1):
+                        expected = sorted(
+                            ((key, c) for key, c in dilated.items()
+                             if key[0] + key[2] == i and key[1] + key[2] == j),
+                            key=lambda item: (item[0][2], item[0][3]))
+                        report = check_theorem3(N, i, j, L, M)
+                        assert list(report.breakdown.items()) == expected
         # nu(L), nu(M) is the oracle's unique fitting bucket (0 at the
         # larger bound) on every gap partition within the caps
         for parts in (q for n in range(0, n_max + 1) for q in GAP[n]):
