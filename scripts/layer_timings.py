@@ -101,11 +101,15 @@ def _census_T2():
 
 
 def _census_T3():
-    # the bound pairs and dilated weights of the partition-census T3 ops
+    # the undilated weights (N+2i+j)/3 that the partition-census T3 ops,
+    # 0 <= L <= M <= 5 and dilated weight N <= 45, read from the T2 tables
     for L in range(0, 6):
+        weights = {(N + 2 * i + j) // 3 for N in range(0, 46)
+                   for i in range(0, L + 1) for j in range(0, L - i + 1)
+                   if (N + 2 * i + j) % 3 == 0}
         for M in range(L, 6):
-            for n in range(0, 46):
-                theorems._g3_census(L, M, n)
+            for m in sorted(weights):
+                theorems._s_census(L, M, m)
 
 
 def _distinct_parts(n, cap):
@@ -181,8 +185,9 @@ LAYERS = {
     "census_T1_build_s": (_census_T1, "_type1_census(n), n <= 20, cold"),
     "census_T2_build_s": (_census_T2, "_s_census / _s_census_mirrored for L, M <= 8 and "
                                       "n <= 16 (the regime each bound pair admits), cold"),
-    "census_T3_build_s": (_census_T3, "_g3_census for 0 <= L <= M <= 5 and dilated weight "
-                                      "N <= 45, cold, with the census tables it reads"),
+    "census_T3_build_s": (_census_T3, "_s_census at the undilated weights (N+2i+j)/3 of "
+                                      "0 <= L <= M <= 5, i+j <= L and dilated weight "
+                                      "N <= 45, cold"),
     "colored_s": (_colored, f"ColoredPartition.colored for both components of each "
                             f"of the {len(GRID)} grid pairs"),
     "bijection_s": (_bijection, f"forward_bounded then inverse, compared with the input, "

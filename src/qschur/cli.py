@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from typing import Optional, Sequence
@@ -153,9 +154,7 @@ def _count_reports(args) -> list[CountReport]:
     reports = []
     if theorem == "T1":
         top = max(n_range)
-        bound = 0
-        while (bound + 1) * (bound + 2) // 2 <= top:
-            bound += 1
+        bound = (math.isqrt(8 * top + 1) - 1) // 2  # the largest b with T_b <= top
         for n in n_range:
             for i in axis("i", range(0, bound + 1)):
                 for j in axis("j", range(0, bound + 1)):
@@ -167,20 +166,16 @@ def _count_reports(args) -> list[CountReport]:
     M_range = axis("M", None)
     if L_range is None or M_range is None:
         raise UsageError(f"count {theorem} needs --L and --M")
+    if theorem == "T2":
+        check, in_domain = check_theorem2, lambda L, M, ij: ij <= min(L, M)
+    else:
+        check, in_domain = check_theorem3, lambda L, M, ij: M >= L >= ij
     for L in L_range:
         for M in M_range:
             for i in axis("i", range(0, max(L, M) + 1)):
                 for j in axis("j", range(0, max(L, M) + 1)):
-                    if theorem == "T2":
-                        if i + j > min(L, M):
-                            continue
-                        for n in n_range:
-                            reports.append(check_theorem2(n, i, j, L, M))
-                    else:
-                        if not (M >= L >= i + j):
-                            continue
-                        for n in n_range:
-                            reports.append(check_theorem3(n, i, j, L, M))
+                    if in_domain(L, M, i + j):
+                        reports.extend(check(n, i, j, L, M) for n in n_range)
     return reports
 
 

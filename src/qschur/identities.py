@@ -7,7 +7,8 @@ Identity tags (eq21, eq32, ...) are the stable vocabulary shared with
 the command line; see IDENTITIES for the registry.
 
 Each shape of computation has one route: every triple-q-binomial k-sum
-(eq21, eq32, eq44, G_L) is _ksum, both truncated marker identities
+(eq21, eq32, eq44, G_L) is _ksum, the triangular-exponent ones (eq44,
+G_L) shifted by T_i + T_j, both truncated marker identities
 (eq11, eq61) are _cellwise, every product of (1 + X q^m) factors (eq46,
 eq11, eq61) is _marker_product, and the G_L recurrence step shared by
 P_L and rec55 is _convergent_step.  The two factors of a k-sum term that
@@ -141,20 +142,15 @@ def _ksum_head(d: int, i: int, k: int) -> LaurentPoly:
     return a * b if a and b else ZERO
 
 
-def _ksum(L: int, M: int, i: int, j: int,
-          triangular_exponents: bool = False) -> LaurentPoly:
-    """Sum over k of q^{e_k} [M-i-j+k; k] [M-j; i-k] [L-i; j-k], where
-    e_k = (i-k)(j-k), or T_{i+j-k} + T_k with ``triangular_exponents``.
+def _ksum(L: int, M: int, i: int, j: int) -> LaurentPoly:
+    """Sum over k of q^{(i-k)(j-k)} [M-i-j+k; k] [M-j; i-k] [L-i; j-k].
     The first two factors, which do not depend on L, are read from one
     table keyed (M-j, i, k), so each term takes one ring product."""
     total = ZERO
     for k in range(0, min(i, j) + 1):
         head, c = _ksum_head(M - j, i, k), qbinom(L - i, j - k)
-        if not (head and c):
-            continue
-        shift = (triangular(i + j - k) + triangular(k) if triangular_exponents
-                 else (i - k) * (j - k))
-        total = total + (head * c).shifted(shift)
+        if head and c:
+            total = total + (head * c).shifted((i - k) * (j - k))
     return total
 
 
@@ -177,17 +173,13 @@ def verify_32(L: int, i: int, j: int) -> Verdict:
 
 
 def verify_44(L: int, M: int, i: int, j: int) -> Verdict:
-    """Triangular-exponent form of the key identity.
-
-    Also cross-asserts, termwise via T_{i+j-k} + T_k = T_i + T_j +
-    (i-k)(j-k), that this is exactly q^{T_i+T_j} times the eq21 form.
-    """
-    lhs = _ksum(L, M, i, j, triangular_exponents=True)
+    """Triangular-exponent form of the key identity: the k-sum with
+    exponents T_{i+j-k} + T_k against q^{T_i+T_j} [L; j] [M-j; i].  Since
+    T_{i+j-k} + T_k = T_i + T_j + (i-k)(j-k) for every k, the left side is
+    the eq21 k-sum shifted by T_i + T_j."""
     shift = triangular(i) + triangular(j)
-    rhs = rhs_21(L, M, i, j).shifted(shift)
-    if lhs != _ksum(L, M, i, j).shifted(shift):
-        raise InternalMismatch("triangular-exponent form disagrees with eq21 scaling")
-    return _verdict("eq44", dict(L=L, M=M, i=i, j=j), lhs, rhs)
+    return _verdict("eq44", dict(L=L, M=M, i=i, j=j), _ksum(L, M, i, j).shifted(shift),
+                    rhs_21(L, M, i, j).shifted(shift))
 
 
 def verify_48(L: int, M: int, i: int, j: int) -> Verdict:
@@ -262,10 +254,10 @@ def _series_from_transfer(L: int) -> MarkerSeries:
 
 def _series_from_sum(L: int) -> MarkerSeries:
     """G_L by the k-sum formula: sum over i, j of A^i B^j times
-    sum_k q^{T_{i+j-k}+T_k} [L-i-j+k; k] [L-j; i-k] [L-i; j-k].
-    This is the series build_GL returns once the transfer-matrix count
-    agrees with it."""
-    return MarkerSeries(2, {(i, j): _ksum(L, L, i, j, triangular_exponents=True)
+    sum_k q^{T_{i+j-k}+T_k} [L-i-j+k; k] [L-j; i-k] [L-i; j-k], the eq21
+    k-sum at M = L shifted by T_i + T_j.  This is the series build_GL
+    returns once the transfer-matrix count agrees with it."""
+    return MarkerSeries(2, {(i, j): _ksum(L, L, i, j).shifted(triangular(i) + triangular(j))
                             for i in range(0, L + 1) for j in range(0, L - i + 1)})
 
 

@@ -1,19 +1,20 @@
 """End-to-end count equalities binding the enumerators to the theorems.
 
-Each check pairs an independently enumerated left side (vector partitions
-or residue-class partitions) with the bucketed gap-partition counts on
-the right, and reports both totals plus the per-bucket breakdown.
+Each check pairs an independently enumerated left side (vector partitions)
+with the bucketed gap-partition counts on the right, and reports both
+totals plus the per-bucket breakdown.
 
 The bucketed counts are built through cached censuses, one per bound
 pair and exact weight n: a single enumeration of the gap partitions of n
 classifies each by its color counts and its boundary statistic, and all
 later lookups at that n are O(1).  The double-bounded census is the one
-bounded census: the dilated refinement reads it through the dilation
-a_n -> 3n-2, b_n -> 3n-1, ab_n -> 3n-3, which takes a gap partition of
-weight n with color counts (r, s, t) to a Schur-gap partition of
-3n-2r-s-3t.  Every census buckets through the shared scan
-``partitions.scan_statistic``, which asserts the statistic's uniqueness
-on each partition it classifies.
+bounded census, and the dilated refinement is the double-bounded one read
+through the dilation a_n -> 3n-2, b_n -> 3n-1, ab_n -> 3n-3: it takes a
+gap partition of weight n with color counts (r, s, t) to a Schur-gap
+partition of 3n-2r-s-3t, so every count of dilated weight N with r+t = i
+and s+t = j sits at the one weight (N+2i+j)/3.  Every census buckets
+through the shared scan ``partitions.scan_statistic``, which asserts the
+statistic's uniqueness on each partition it classifies.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable
 
-from .identities import InternalMismatch
 from .partitions import (
     color_counts,
     count_V,
@@ -65,8 +65,7 @@ class CountReport:
             "lhs": self.lhs_count,
             "rhs": self.rhs_count,
             "holds": self.holds,
-            "breakdown": {",".join(map(str, k)) if isinstance(k, tuple) else str(k): v
-                          for k, v in self.breakdown.items()},
+            "breakdown": {",".join(map(str, k)): v for k, v in self.breakdown.items()},
         }
 
 
@@ -156,32 +155,6 @@ def _g3_census(L: int, M: int, N: int) -> Counter:
     return out
 
 
-def _count_P3(n: int, i: int, j: int, L: int, M: int) -> int:
-    """Partitions of n into i distinct parts = 1 mod 3 each <= 3(M-j)-2
-    and j distinct parts = 2 mod 3 each <= 3L-1."""
-    total = 0
-    for m in range(0, n + 1):
-        x = _count_distinct_in_class(m, i, 1, max(3 * (M - j) - 2, 0))
-        if x:
-            total += x * _count_distinct_in_class(n - m, j, 2, max(3 * L - 1, 0))
-    return total
-
-
-@lru_cache(maxsize=None)
-def _count_distinct_in_class(n: int, k: int, residue: int, cap: int) -> int:
-    """Exactly k distinct parts = residue (mod 3), each <= cap, summing to n."""
-    if k == 0:
-        return 1 if n == 0 else 0
-    if n <= 0 or cap < 1:
-        return 0
-    total = 0
-    for p in range(residue, cap + 1, 3):
-        if p > n:
-            break
-        total += _count_distinct_in_class(n - p, k - 1, residue, p - 1)
-    return total
-
-
 # --------------------------------------------------------------------------
 # theorem checks
 
@@ -235,23 +208,22 @@ def check_theorem2(n: int, i: int, j: int, L: int, M: int) -> CountReport:
 
 
 def check_theorem3(n: int, i: int, j: int, L: int, M: int) -> CountReport:
-    """Dilated double-bounded refinement, plus the consistency cross-check
-    that its counts agree with the undilated ones: P(n; i, j, L, M) equals
-    V((n+2i+j)/3; i, j, L, M) when 3 divides n+2i+j and is 0 otherwise."""
+    """Dilated double-bounded refinement, for M >= L >= i+j.
+
+    The dilation takes the vector partitions of m = (n+2i+j)/3 to the
+    partitions of n into i distinct parts = 1 mod 3, each <= 3(M-j)-2, and
+    j distinct parts = 2 mod 3, each <= 3L-1, and the gap partitions of m
+    with r+t = i, s+t = j to the Schur-gap partitions of n, so both sides
+    are read at m; both are 0 when 3 does not divide n+2i+j.
+    """
     if min(n, i, j) < 0:
         raise ValueError("n, i, j must be nonnegative")
     if not (M >= L >= i + j):
         raise ValueError("needs M >= L >= i+j")
-    lhs = _count_P3(n, i, j, L, M)
-    breakdown = _buckets(_g3_census(L, M, n), i, j)
-    # cross-check against the undilated world
-    undilated = 0
-    if (n + 2 * i + j) % 3 == 0:
-        undilated = count_V((n + 2 * i + j) // 3, i, j, L, M)
-    if lhs != undilated:
-        raise InternalMismatch(
-            f"dilation cross-check failed at {dict(n=n, i=i, j=j, L=L, M=M)}: "
-            f"P = {lhs}, V = {undilated}")
+    lhs, breakdown = 0, {}
+    m, rest = divmod(n + 2 * i + j, 3)
+    if not rest:
+        lhs, breakdown = count_V(m, i, j, L, M), _buckets(_s_census(L, M, m), i, j)
     return CountReport("T3", dict(n=n, i=i, j=j, L=L, M=M), lhs,
                        sum(breakdown.values()), breakdown)
 

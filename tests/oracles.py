@@ -10,7 +10,10 @@ library's transfer-matrix count.  ``series_model`` and its helpers keep
 a marker series as a dict of dicts, {marker tuple: {q exponent:
 coefficient}}, and state the keep-or-drop rule of ``MarkerSeries``
 term by term, the reference for its constructor and arithmetic.
-``ksum_literal`` forms each term of the eq21 k-sum from its three
+``p3_count`` counts the residue-class partitions of the dilated
+refinement's left side on ordinary integers, the reference for the
+library's read of that side at the undilated weight.  ``ksum_literal``
+forms each term of the eq21 k-sum from its three
 q-binomials, with no table, the reference for the library's k-sum, which
 reads the two L-free factors from a table.  ``lhs_63_literal`` sums the
 eq63 left side over the compositions under either the part-count
@@ -23,6 +26,8 @@ states one bucket's defining conditions literally, for one partition and
 one candidate bucket at a time; the census tests compare the library's
 scan-bucketed censuses against counts built from these.
 """
+
+from functools import lru_cache
 
 from qschur.bijection import BijectionTrace, InvalidInput
 from qschur.coefficients import qbinom, triangular
@@ -86,6 +91,23 @@ def schur_gap_literal(n, cap):
                    for x, y in zip(parts, parts[1:]))
     return sorted((parts for parts in _distinct_parts(n, cap) if schur_ok(parts)),
                   reverse=True)
+
+
+def p3_count(n, i, j, L, M) -> int:
+    """Partitions of n into i distinct parts = 1 mod 3, each <= 3(M-j)-2,
+    and j distinct parts = 2 mod 3, each <= 3L-1."""
+    return sum(_distinct_in_class(m, i, 1, 3 * (M - j) - 2)
+               * _distinct_in_class(n - m, j, 2, 3 * L - 1)
+               for m in range(0, n + 1))
+
+
+@lru_cache(maxsize=None)
+def _distinct_in_class(n, k, residue, cap) -> int:
+    """Exactly k distinct parts = residue (mod 3), each <= cap, summing to n."""
+    if k == 0:
+        return 1 if n == 0 else 0
+    return sum(_distinct_in_class(n - p, k - 1, residue, p - 1)
+               for p in range(residue, min(cap, n) + 1, 3))
 
 
 def _in_order(parts):

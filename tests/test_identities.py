@@ -116,6 +116,13 @@ class TestTriangularForm:
         v = verify_44(3, 4, 1, 2)
         assert v.holds
 
+    def test_triangular_exponents_are_the_eq21_exponents_shifted(self):
+        # T_{i+j-k} + T_k = T_i + T_j + (i-k)(j-k) for all integers, so
+        # eq44's terms are eq21's shifted by T_i + T_j
+        for i, j, k in itertools.product(range(-6, 13), repeat=3):
+            assert (triangular(i + j - k) + triangular(k)
+                    == triangular(i) + triangular(j) + (i - k) * (j - k)), (i, j, k)
+
     def test_scaling_relation_holds_on_grid(self):
         for L, M, i, j in itertools.product(range(0, 5), range(0, 5),
                                             range(0, 3), range(0, 3)):
@@ -136,21 +143,26 @@ class TestKsumTable:
 
     GRID = list(itertools.product(range(-4, 9), repeat=4))
 
-    @pytest.mark.parametrize("triangular_exponents", [False, True])
-    def test_equals_the_three_binomial_terms(self, triangular_exponents):
+    def test_equals_the_three_binomial_terms(self):
         for L, M, i, j in self.GRID:
-            got = identities._ksum(L, M, i, j, triangular_exponents)
-            want = ksum_literal(L, M, i, j, triangular_exponents)
+            got = identities._ksum(L, M, i, j)
+            assert _bits(got) == _bits(ksum_literal(L, M, i, j)), (L, M, i, j)
+
+    def test_eq44_lhs_is_the_triangular_term_sum(self):
+        # eq44 shifts the eq21 k-sum by T_i + T_j; the reference sums its
+        # terms with exponents T_{i+j-k} + T_k
+        for L, M, i, j in self.GRID:
+            got = verify_44(L, M, i, j).lhs
+            want = ksum_literal(L, M, i, j, triangular_exponents=True)
             assert _bits(got) == _bits(want), (L, M, i, j)
 
-    @pytest.mark.parametrize("triangular_exponents", [False, True])
-    def test_cold_and_warm_reads_agree(self, triangular_exponents):
+    def test_cold_and_warm_reads_agree(self):
         head = identities._ksum_head
         for L, M, i, j in self.GRID:
             head.cache_clear()
-            cold = identities._ksum(L, M, i, j, triangular_exponents)
-            warm = identities._ksum(L, M, i, j, triangular_exponents)
-            want = ksum_literal(L, M, i, j, triangular_exponents)
+            cold = identities._ksum(L, M, i, j)
+            warm = identities._ksum(L, M, i, j)
+            want = ksum_literal(L, M, i, j)
             assert _bits(cold) == _bits(warm) == _bits(want), (L, M, i, j)
 
     def test_the_table_is_keyed_by_M_minus_j_i_and_k(self):

@@ -7,8 +7,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qschur import theorems
-from qschur.identities import InternalMismatch
 from qschur.partitions import (
     ColoredPartition,
     NoValidStatistic,
@@ -30,6 +28,7 @@ from qschur.theorems import (
 from oracles import (
     fitting_buckets,
     g3_profile,
+    p3_count,
     s_profile,
     s_profile_mirrored,
     schur_gap_literal,
@@ -131,8 +130,6 @@ class TestTheorem3:
         assert check_theorem3(12, 1, 1, 2, 3).holds
 
     def test_matches_theorem2_under_dilation(self):
-        # the dilation consistency (P = V at the mapped weight) is checked
-        # inside check_theorem3; sweep it over a mixed grid
         for L in range(0, 4):
             for M in range(L, 5):
                 for i in range(0, 3):
@@ -147,13 +144,17 @@ class TestTheorem3:
         report = check_theorem3(4, 1, 1, 2, 2)  # 4 + 2 + 1 = 7, not divisible
         assert report.lhs_count == 0 and report.holds
 
-    def test_dilation_mismatch_is_internal(self, monkeypatch):
-        # P and V are two constructions of one count; a disagreement is a
-        # fault of the checker, not an input outside the theorem
-        count_P3 = theorems._count_P3
-        monkeypatch.setattr(theorems, "_count_P3", lambda *args: count_P3(*args) + 1)
-        with pytest.raises(InternalMismatch, match="dilation cross-check"):
-            check_theorem3(3, 1, 1, 2, 2)
+    def test_lhs_is_the_residue_class_count(self):
+        # the left side is read at the undilated weight (n+2i+j)/3; the
+        # residue-class count on ordinary integers is the reference, 0
+        # where 3 does not divide n+2i+j
+        for L in range(0, 6):
+            for M in range(L, 6):
+                for i in range(0, L + 1):
+                    for j in range(0, L - i + 1):
+                        for n in range(0, 46):
+                            assert (check_theorem3(n, i, j, L, M).lhs_count
+                                    == p3_count(n, i, j, L, M)), (n, i, j, L, M)
 
 
 N_MAX = 14
