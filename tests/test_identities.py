@@ -156,13 +156,20 @@ class TestKsumTable:
             want = ksum_literal(L, M, i, j, triangular_exponents=True)
             assert _bits(got) == _bits(want), (L, M, i, j)
 
-    def test_cold_and_warm_reads_agree(self):
+    @pytest.mark.parametrize("triangular_exponents", [False, True])
+    def test_cold_and_warm_reads_agree(self, triangular_exponents):
+        # False reads the eq21 k-sum, True the eq44 lhs built from it
+        def read(L, M, i, j):
+            if triangular_exponents:
+                return verify_44(L, M, i, j).lhs
+            return identities._ksum(L, M, i, j)
+
         head = identities._ksum_head
         for L, M, i, j in self.GRID:
             head.cache_clear()
-            cold = identities._ksum(L, M, i, j)
-            warm = identities._ksum(L, M, i, j)
-            want = ksum_literal(L, M, i, j)
+            cold = read(L, M, i, j)
+            warm = read(L, M, i, j)
+            want = ksum_literal(L, M, i, j, triangular_exponents)
             assert _bits(cold) == _bits(warm) == _bits(want), (L, M, i, j)
 
     def test_the_table_is_keyed_by_M_minus_j_i_and_k(self):
