@@ -2,7 +2,8 @@
 marker-series layers: both enumerators, the gap test, the T1/T2/T3
 census builds, the one-color components, the bounded bijection round
 trips, the truncated and Durfee-rectangle identity checks, warm eq21
-cells and the G_L / P_L series with the checks built on them.
+cells, the G_L / P_L series with the checks built on them, and the
+canonical text of the failing sides of a perturbed eq21 sweep.
 
 Run from a checkout, importing that checkout's sources:
 
@@ -164,6 +165,18 @@ def _ring():
                 identities.verify_21(10, M, i, j)
 
 
+# both sides of every failing cell of the perturbed eq21 sweep on
+# L, M in 0..12 and i, j in 0..6, built once and untimed
+SIDES = [side for verdict in identities.sweep(
+    "eq21", {"L": range(0, 13), "M": range(0, 13), "i": range(0, 7), "j": range(0, 7)},
+    perturb=True).failures for side in (verdict.lhs, verdict.rhs)]
+
+
+def _render():
+    for side in SIDES:
+        str(side)
+
+
 def _series():
     for L in range(0, 13):
         identities.build_GL(L)
@@ -201,6 +214,9 @@ LAYERS = {
     "series_s": (_series, "build_GL(L) and build_PL(L) for L <= 12, cold, then "
                           "verify_516(L) for 1 <= L <= 12 and verify_46(L, M) for "
                           "L, M <= 8"),
+    "render_s": (_render, f"str() of both sides of the {len(SIDES) // 2} failing cells "
+                          f"of the perturbed eq21 sweep on L, M in 0..12, i, j in 0..6, "
+                          f"built beforehand"),
 }
 
 WARM = {"ring_s": _ring}

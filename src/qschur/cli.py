@@ -68,8 +68,11 @@ def _parse_range(text: str) -> list[int]:
 
 def _emit(text: str, out: Optional[str]):
     if out:
-        with open(out, "w") as handle:
-            handle.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(out, "w") as handle:
+                handle.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write {out}: {exc.strerror}")
     else:
         print(text)
 
@@ -293,7 +296,7 @@ def cmd_gf(args) -> int:
     if marker_caps is not None or args.qmax is not None:
         series = series.with_truncation(Truncation(marker_caps, args.qmax))
     if args.format == "json":
-        _emit(series.to_json_text(), args.out)
+        _emit(json.dumps(series.to_json_dict(), indent=2), args.out)
     else:
         _emit(str(series), args.out)
     return 0

@@ -17,6 +17,14 @@ not fit, so no digit can carry into the next: sums, products, shifts,
 truncations and equality are single big-integer operations, and terms
 are decoded only where they are read.
 
+Exact division divides the packed values too.  Evaluating at q = 2^B is
+a ring map, so a remainder at any width disproves a quotient.  An exact
+packed quotient is the polynomial quotient when its digits times the
+divisor's cannot carry at that width; when that proof fails at the
+operands' width, the division is redone once at the width that holds
+Mignotte's bound on any factor of the dividend, where a failed proof
+disproves a quotient as well.
+
 A MarkerSeries keeps its terms through one normalising step, _kept: a
 pair past a marker cap is dropped, each coefficient is cut at q_cap, and
 the rest are summed per marker tuple with zero sums dropped.  The
@@ -26,7 +34,6 @@ a scalar factor becomes a constant series and takes the one product.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -171,10 +178,6 @@ class LaurentPoly:
             return ZERO
         return cls._packed(0, c, _width(abs(c)), abs(c))
 
-    def _items(self) -> list[tuple[int, int]]:
-        lo = self._lo
-        return [(lo + k, c) for k, c in enumerate(_digits(self._v, self._width)) if c]
-
     # -- inspection ---------------------------------------------------------
 
     def coeff(self, exponent: int) -> int:
@@ -191,7 +194,8 @@ class LaurentPoly:
 
     def terms(self) -> Iterator[tuple[int, int]]:
         """Iterate (exponent, coefficient) pairs in ascending exponent order."""
-        return iter(self._items())
+        lo = self._lo
+        return iter([(lo + k, c) for k, c in enumerate(_digits(self._v, self._width)) if c])
 
     @property
     def min_exp(self) -> Optional[int]:
@@ -294,7 +298,7 @@ class LaurentPoly:
             raise ValueError("dilation power must be >= 1")
         if power == 1:
             return self
-        return LaurentPoly._raw({e * power: c for e, c in self._items()})
+        return LaurentPoly._raw({e * power: c for e, c in self.terms()})
 
     def truncated(self, q_cap: int) -> "LaurentPoly":
         """Drop terms with exponent above q_cap."""
@@ -314,49 +318,37 @@ class LaurentPoly:
         if not self:
             return ZERO
         off = self._lo - other._lo
-        # Divide the packed values.  If that is exact and the quotient's
-        # digits q_k are small enough that the product q * other cannot
-        # carry at this width, then q * other has the same value and the
-        # same digits as self, so q is the quotient.
+        # Divide the packed values.  A remainder disproves a quotient.  If
+        # the division is exact and the quotient's digits q_k are small
+        # enough that q * other cannot carry at this width, then q * other
+        # has the same value and the same digits as self, so q is the
+        # quotient.  If that proof fails, divide once more at a width that
+        # holds Mignotte's bound |q_k| <= 2^deg(q) * sum |self_k| times the
+        # proof's other factors, min(len) * max |other_k|: a true quotient
+        # passes the proof there, so a failure there disproves it.
         width, a, b = _aligned(self, other, 0)
-        v, rem = divmod(a, b)
-        if not rem:
+        for first in (True, False):
+            v, rem = divmod(a, b)
+            if rem:
+                break
             digits, divisor = _digits(v, width), _digits(b, width)
-            bound = min(len(digits), len(divisor)) * max(map(abs, digits)) \
-                * max(map(abs, divisor))
-            if not bound >> (width - 1):
-                return LaurentPoly._raw(
-                    {k + off: c for k, c in enumerate(digits) if c})
-        # otherwise long division on the terms decides
-        num = {k: c for k, c in enumerate(_digits(self._v, self._width)) if c}
-        den = {k: c for k, c in enumerate(_digits(other._v, other._width)) if c}
-        ddeg = max(den)
-        dlead = den[ddeg]
-        quo: dict[int, int] = {}
-        while num:
-            ndeg = max(num)
-            if ndeg < ddeg:
-                raise NotDivisible("no exact Laurent quotient (remainder left)")
-            c, r = divmod(num[ndeg], dlead)
-            if r:
-                raise NotDivisible("no exact Laurent quotient (integer coefficients)")
-            shift = ndeg - ddeg
-            quo[shift] = c
-            for e, bc in den.items():
-                e2 = e + shift
-                v = num.get(e2, 0) - c * bc
-                if v:
-                    num[e2] = v
-                else:
-                    num.pop(e2, None)
-        return LaurentPoly._raw({e + off: c for e, c in quo.items()})
+            top = max(map(abs, divisor))
+            if not (min(len(digits), len(divisor)) * max(map(abs, digits)) * top) \
+                    >> (width - 1):
+                return LaurentPoly._raw({k + off: c for k, c in enumerate(digits) if c})
+            if first:
+                dividend = _digits(self._v, self._width)
+                deg = max(len(dividend) - len(divisor), 0)
+                mignotte = (sum(map(abs, dividend)) << deg) * min(deg + 1, len(divisor)) * top
+                width, a, b = _aligned(self, other, mignotte)
+        raise NotDivisible("no exact Laurent quotient")
 
     def evaluate(self, q0: Union[int, Fraction]) -> Fraction:
         """Evaluate at a nonzero rational point; the exactness oracle for tests."""
         x = Fraction(q0)
         if x == 0 and self.min_exp is not None and self.min_exp < 0:
             raise ZeroDivisionError("negative exponents cannot be evaluated at 0")
-        return sum((c * x ** e for e, c in self._items()), Fraction(0))
+        return sum((c * x ** e for e, c in self.terms()), Fraction(0))
 
     # -- comparison / hashing -----------------------------------------------
 
@@ -379,21 +371,7 @@ class LaurentPoly:
     # -- canonical text -----------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._v:
-            return "0"
-        pieces = []
-        for e, c in self._items():
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            else:
-                qpart = "q" if e == 1 else f"q^{e}"
-                body = qpart if mag == 1 else f"{mag}*{qpart}"
-            if not pieces:
-                pieces.append(("-" if c < 0 else "") + body)
-            else:
-                pieces.append((" - " if c < 0 else " + ") + body)
-        return "".join(pieces)
+        return _text([("", self)])
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self})"
@@ -437,6 +415,34 @@ def _coerce(value) -> "LaurentPoly":
     if isinstance(value, int):
         return LaurentPoly.const(value)
     return NotImplemented
+
+
+def _text(terms: Iterable[tuple[str, LaurentPoly]]) -> str:
+    """The canonical text of a sum of (marker, polynomial) terms, one
+    join over all of them: each nonzero coefficient c of q^e is written
+    [|c|*][marker*]q^e with signs between the terms, leaving out an empty
+    marker, q^0, and |c| = 1 unless nothing else is written."""
+    pieces = []
+    for marker, poly in terms:
+        head = marker + "*" if marker else ""
+        lo = poly._lo
+        for k, c in enumerate(_digits(poly._v, poly._width)):
+            if not c:
+                continue
+            e = lo + k
+            pieces.append(" - " if c < 0 else " + ")
+            mag = -c if c < 0 else c
+            if e:
+                qpart = "q" if e == 1 else f"q^{e}"
+                pieces.append(head + qpart if mag == 1 else f"{mag}*{head}{qpart}")
+            elif marker:
+                pieces.append(marker if mag == 1 else f"{mag}*{marker}")
+            else:
+                pieces.append(str(mag))
+    if not pieces:
+        return "0"
+    pieces[0] = "-" if pieces[0] == " - " else ""
+    return "".join(pieces)
 
 
 def _aligned(a: LaurentPoly, b: LaurentPoly, bound: int) -> tuple[int, int, int]:
@@ -703,28 +709,9 @@ class MarkerSeries:
     # -- canonical text and JSON --------------------------------------------
 
     def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        pieces = []
-        for exps, poly in self.terms():
-            marker = "*".join(
-                name if e == 1 else f"{name}^{e}"
-                for name, e in zip(_MARKER_NAMES, exps) if e)
-            for e, c in poly.terms():
-                mag = abs(c)
-                parts = []
-                if mag != 1:
-                    parts.append(str(mag))
-                if marker:
-                    parts.append(marker)
-                if e:
-                    parts.append("q" if e == 1 else f"q^{e}")
-                body = "*".join(parts) if parts else "1"
-                if not pieces:
-                    pieces.append(("-" if c < 0 else "") + body)
-                else:
-                    pieces.append((" - " if c < 0 else " + ") + body)
-        return "".join(pieces)
+        return _text(("*".join(name if e == 1 else f"{name}^{e}"
+                               for name, e in zip(_MARKER_NAMES, exps) if e), poly)
+                     for exps, poly in self.terms())
 
     def __repr__(self) -> str:
         return f"MarkerSeries({self})"
@@ -743,9 +730,6 @@ class MarkerSeries:
             "terms": [{"m": list(exps), "c": str(poly)} for exps, poly in self.terms()],
         }
 
-    def to_json_text(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "MarkerSeries":
         arity = len(data["markers"])
@@ -756,8 +740,4 @@ class MarkerSeries:
                                data["truncation"].get("q_cap"))
         coeffs = {tuple(t["m"]): LaurentPoly.parse(t["c"]) for t in data["terms"]}
         return cls(arity, coeffs, trunc)
-
-    @classmethod
-    def from_json_text(cls, text: str) -> "MarkerSeries":
-        return cls.from_json_dict(json.loads(text))
 

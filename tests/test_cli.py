@@ -105,6 +105,13 @@ class TestBadInput:
         ["count", "G", "--n", "3", "--L", "1"],
         # a negative --n is folded into one token and reaches count's check
         ["count", "S", "--n", "-1"],
+        # an --out path that cannot be written: a directory, and a path
+        # under a regular file; neither creates anything
+        pytest.param(["verify", "eq21", "--L", "0", "--M", "0", "--i", "0", "--j", "0",
+                      "--out", str(GOLDEN)], id="verify eq21 --out <a directory>"),
+        pytest.param(["gf", "GL", "--L", "2",
+                      "--out", str(GOLDEN / "gf_GL_L4.txt" / "x.json")],
+                     id="gf GL --out <a path under a file>"),
     ], ids=" ".join)
     def test_exits_2_with_one_error_line(self, argv, capsys):
         assert main(argv) == 2
@@ -188,6 +195,9 @@ class TestCountCommand:
          ["count", "T2", "--n", "0..6", "--L", "2", "--M", "3", "--format", "json"]),
         ("count_T3_n0-9_L1_M2.json",
          ["count", "T3", "--n", "0..9", "--L", "1", "--M", "2", "--format", "json"]),
+        ("gf_GL_L4_a2_q9.json",
+         ["gf", "GL", "--L", "4", "--amax", "2", "--qmax", "9", "--format", "json"]),
+        ("gf_GL_L4.txt", ["gf", "GL", "--L", "4"]),
     ])
     def test_json_matches_the_recorded_bytes(self, golden, argv, capsys):
         # pins the JSON contract, breakdown key order included
@@ -268,8 +278,8 @@ class TestGfCommand:
     def test_json_round_trip_bytes(self):
         code, out, _ = run_cli("gf", "GL", "--L", "2", "--format", "json")
         assert code == 0
-        series = MarkerSeries.from_json_text(out)
-        assert series.to_json_text() == out.rstrip("\n")
+        series = MarkerSeries.from_json_dict(json.loads(out))
+        assert json.dumps(series.to_json_dict(), indent=2) == out.rstrip("\n")
 
     @pytest.mark.parametrize("flag, kept", [("--amax", "B"), ("--bmax", "A")])
     def test_a_lone_marker_cap_is_applied(self, flag, kept, capsys):
@@ -279,7 +289,7 @@ class TestGfCommand:
 
     def test_GL_20_json(self, capsys):
         assert main(["gf", "GL", "--L", "20", "--format", "json"]) == 0
-        series = MarkerSeries.from_json_text(capsys.readouterr().out)
+        series = MarkerSeries.from_json_dict(json.loads(capsys.readouterr().out))
         # at q = A = B = 1 the multinomial side R_L sums to 3^L
         assert sum(c for _, poly in series.terms() for _, c in poly.terms()) == 3 ** 20
 
@@ -293,7 +303,7 @@ class TestGfCommand:
         code, out, _ = run_cli("gf", "GL", "--L", "2", "--format", "json",
                                "--out", str(target))
         assert code == 0
-        parsed = MarkerSeries.from_json_text(target.read_text())
+        parsed = MarkerSeries.from_json_dict(json.loads(target.read_text()))
         assert parsed.coeff((2, 0)).coeff(3) == 1
 
 
