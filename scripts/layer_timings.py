@@ -2,8 +2,9 @@
 marker-series layers: both enumerators, the gap test, the T1/T2/T3
 census builds, the one-color components, the bounded bijection round
 trips, the truncated and Durfee-rectangle identity checks, warm eq21
-cells, the G_L / P_L series with the checks built on them, and the
-canonical text of the failing sides of a perturbed eq21 sweep.
+cells, called directly and through the sweep harness, the G_L / P_L
+series with the checks built on them, and the canonical text of the
+failing sides of a perturbed eq21 sweep.
 
 Run from a checkout, importing that checkout's sources:
 
@@ -165,6 +166,10 @@ def _ring():
                 identities.verify_21(10, M, i, j)
 
 
+def _sweep():
+    assert identities.sweep("eq21", {"L": [10], "M": SIGNED, "i": SIGNED, "j": SIGNED}).holds
+
+
 # both sides of every failing cell of the perturbed eq21 sweep on
 # L, M in 0..12 and i, j in 0..6, built once and untimed
 SIDES = [side for verdict in identities.sweep(
@@ -211,6 +216,9 @@ LAYERS = {
     "ring_s": (_ring, "verify_21(10, M, i, j) for M, i, j in -5..10, q-binomial "
                       "tables, and the k-sum head table where there is one, warmed by one "
                       "untimed pass"),
+    "sweep_s": (_sweep, "identities.sweep('eq21') over the ring_s slice, L = 10 and "
+                        "M, i, j in -5..10, with the same tables warmed by one untimed "
+                        "pass"),
     "series_s": (_series, "build_GL(L) and build_PL(L) for L <= 12, cold, then "
                           "verify_516(L) for 1 <= L <= 12 and verify_46(L, M) for "
                           "L, M <= 8"),
@@ -219,7 +227,7 @@ LAYERS = {
                           f"built beforehand"),
 }
 
-WARM = {"ring_s": _ring}
+WARM = {"ring_s": _ring, "sweep_s": _ring}
 
 
 def main() -> None:

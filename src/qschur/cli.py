@@ -13,7 +13,7 @@ import json
 import math
 import re
 import sys
-from typing import Optional, Sequence
+from typing import Optional, Sequence, TextIO
 
 from .bijection import BijectionTrace, InvalidInput, forward, inverse
 from .identities import (
@@ -66,15 +66,23 @@ def _parse_range(text: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-def _emit(text: str, out: Optional[str]):
-    if out:
-        try:
-            with open(out, "w") as handle:
-                handle.write(text if text.endswith("\n") else text + "\n")
-        except OSError as exc:
-            raise UsageError(f"cannot write {out}: {exc.strerror}")
-    else:
+def _open_out(path: str) -> TextIO:
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}")
+
+
+def _emit(text: str, out: Optional[TextIO]):
+    """Print ``text``, or write it to the ``--out`` file that main opened."""
+    if not out:
         print(text)
+        return
+    try:
+        out.write(text if text.endswith("\n") else text + "\n")
+        out.flush()
+    except OSError as exc:
+        raise UsageError(f"cannot write {out.name}: {exc.strerror}")
 
 
 def _witness_line(v: Verdict) -> str:
@@ -370,7 +378,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         argv = sys.argv[1:]
     args = parser.parse_args(_join_negative_ranges(list(argv)))
     try:
-        return args.fn(args)
+        # --out is opened, and truncated, before the command computes, so
+        # an unwritable path fails at once; a command that fails after
+        # that leaves the file empty.  The command writes to the handle.
+        if not args.out:
+            return args.fn(args)
+        with _open_out(args.out) as args.out:
+            return args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

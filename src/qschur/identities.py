@@ -1,10 +1,13 @@
 """Exact verifiers for the bounded key identities and their consequences.
 
-Every verifier computes both sides of one identity as exact LaurentPoly
-or MarkerSeries values and returns a Verdict carrying both sides and,
-when it fails, a witness locating the first differing q-coefficient.
+Each identity has one sides function, which computes both sides as exact
+LaurentPoly or MarkerSeries values and returns them as a pair.  Its
+public verifier returns a Verdict carrying both sides and, when they
+differ, a witness locating the first differing q-coefficient.  sweep
+compares the sides itself and builds a Verdict only for a failing cell.
 Identity tags (eq21, eq32, ...) are the stable vocabulary shared with
-the command line; see IDENTITIES for the registry.
+the command line; see IDENTITIES for the registry, whose entries hold
+the sides functions.
 
 Each shape of computation has one route: every triple-q-binomial k-sum
 (eq21, eq32, eq44, G_L) is _ksum, the triangular-exponent ones (eq44,
@@ -86,6 +89,7 @@ class Witness:
 
 
 Value = Union[LaurentPoly, MarkerSeries]
+Sides = tuple[Value, Value]
 
 
 @dataclass(frozen=True)
@@ -158,10 +162,17 @@ def rhs_21(L: int, M: int, i: int, j: int) -> LaurentPoly:
     return qbinom(L, j) * qbinom(M - j, i)
 
 
+def _sides_21(L: int, M: int, i: int, j: int) -> Sides:
+    return _ksum(L, M, i, j), rhs_21(L, M, i, j)
+
+
 def verify_21(L: int, M: int, i: int, j: int) -> Verdict:
     """The double-bounded key identity; valid for arbitrary integers."""
-    return _verdict("eq21", dict(L=L, M=M, i=i, j=j),
-                    _ksum(L, M, i, j), rhs_21(L, M, i, j))
+    return _verdict("eq21", dict(L=L, M=M, i=i, j=j), *_sides_21(L, M, i, j))
+
+
+def _sides_32(L: int, i: int, j: int) -> Sides:
+    return _ksum(L, i + j, i, j), qbinom(L, j)
 
 
 def verify_32(L: int, i: int, j: int) -> Verdict:
@@ -169,7 +180,12 @@ def verify_32(L: int, i: int, j: int) -> Verdict:
     M = i + j, where [k; k] = 1 and [i; i-k] = [i; k] leave
     sum_k q^{(i-k)(j-k)} [i; k] [L-i; j-k] = [L; j]
     (q-Chu-Vandermonde; Gasper-Rahman, Basic Hypergeometric Series, 1.5)."""
-    return _verdict("eq32", dict(L=L, i=i, j=j), _ksum(L, i + j, i, j), qbinom(L, j))
+    return _verdict("eq32", dict(L=L, i=i, j=j), *_sides_32(L, i, j))
+
+
+def _sides_44(L: int, M: int, i: int, j: int) -> Sides:
+    shift = triangular(i) + triangular(j)
+    return _ksum(L, M, i, j).shifted(shift), rhs_21(L, M, i, j).shifted(shift)
 
 
 def verify_44(L: int, M: int, i: int, j: int) -> Verdict:
@@ -177,20 +193,22 @@ def verify_44(L: int, M: int, i: int, j: int) -> Verdict:
     exponents T_{i+j-k} + T_k against q^{T_i+T_j} [L; j] [M-j; i].  Since
     T_{i+j-k} + T_k = T_i + T_j + (i-k)(j-k) for every k, the left side is
     the eq21 k-sum shifted by T_i + T_j."""
-    shift = triangular(i) + triangular(j)
-    return _verdict("eq44", dict(L=L, M=M, i=i, j=j), _ksum(L, M, i, j).shifted(shift),
-                    rhs_21(L, M, i, j).shifted(shift))
+    return _verdict("eq44", dict(L=L, M=M, i=i, j=j), *_sides_44(L, M, i, j))
 
 
-def verify_48(L: int, M: int, i: int, j: int) -> Verdict:
-    """Multinomial-kernel bounded identity (0 <= i <= M, 0 <= j <= L)."""
+def _sides_48(L: int, M: int, i: int, j: int) -> Sides:
     lhs = (qbinom(M, i) * qbinom(L, j)).shifted(triangular(i) + triangular(j))
     rhs = ZERO
     for k in range(0, min(i, j) + 1):
         # [M; M-i, i-k, k] = (q)_M / ((q)_{M-i} (q)_{i-k} (q)_k)
         term = qmultinomial3(M, M - i, i - k) * qbinom(L - i, j - k)
         rhs = rhs + term.shifted(triangular(i + j - k) + triangular(k))
-    return _verdict("eq48", dict(L=L, M=M, i=i, j=j), lhs, rhs)
+    return lhs, rhs
+
+
+def verify_48(L: int, M: int, i: int, j: int) -> Verdict:
+    """Multinomial-kernel bounded identity (0 <= i <= M, 0 <= j <= L)."""
+    return _verdict("eq48", dict(L=L, M=M, i=i, j=j), *_sides_48(L, M, i, j))
 
 
 def _marker_product(tops: Sequence[int],
@@ -207,6 +225,14 @@ def _marker_product(tops: Sequence[int],
     return product
 
 
+def _sides_46(L: int, M: int) -> Sides:
+    product = _marker_product((M, L))
+    expansion = MarkerSeries(2, {
+        (i, j): (qbinom(M, i) * qbinom(L, j)).shifted(triangular(i) + triangular(j))
+        for i in range(0, max(M, 0) + 1) for j in range(0, max(L, 0) + 1)})
+    return product, expansion
+
+
 def verify_46(L: int, M: int) -> Verdict:
     """Finite two-marker product expansion.
 
@@ -214,11 +240,7 @@ def verify_46(L: int, M: int) -> Verdict:
     double sum of A^i B^j q^{T_i+T_j} [M; i] [L; j]; both sides are exact
     polynomials, compared coefficientwise over all (i, j).
     """
-    product = _marker_product((M, L))
-    expansion = MarkerSeries(2, {
-        (i, j): (qbinom(M, i) * qbinom(L, j)).shifted(triangular(i) + triangular(j))
-        for i in range(0, max(M, 0) + 1) for j in range(0, max(L, 0) + 1)})
-    return _verdict("eq46", dict(L=L, M=M), product, expansion)
+    return _verdict("eq46", dict(L=L, M=M), *_sides_46(L, M))
 
 
 # --------------------------------------------------------------------------
@@ -309,39 +331,58 @@ def build_PL(L: int) -> MarkerSeries:
     return _convergent_step(L, build_PL(L - 1), build_PL(max(L - 2, 0)))
 
 
+def _sides_53(L: int) -> Sides:
+    return build_GL(L), build_RL(L)
+
+
 def verify_53(L: int) -> Verdict:
     """G_L equals the multinomial series R_L."""
-    return _verdict("eq53", dict(L=L), build_GL(L), build_RL(L))
+    return _verdict("eq53", dict(L=L), *_sides_53(L))
+
+
+def _sides_rec55(L: int) -> Sides:
+    return build_GL(L), _convergent_step(L, build_GL(L - 1), build_GL(L - 2))
 
 
 def verify_rec55(L: int) -> Verdict:
     """Three-term recurrence for G_L (L >= 2)."""
-    return _verdict("rec55", dict(L=L), build_GL(L),
-                    _convergent_step(L, build_GL(L - 1), build_GL(L - 2)))
+    return _verdict("rec55", dict(L=L), *_sides_rec55(L))
+
+
+def _sides_rec512(L: int) -> Sides:
+    return build_PL(L), build_GL(L)
 
 
 def verify_rec512(L: int) -> Verdict:
     """Numerator convergents equal G_L."""
-    return _verdict("rec512", dict(L=L), build_PL(L), build_GL(L))
+    return _verdict("rec512", dict(L=L), *_sides_rec512(L))
 
 
-def verify_rec58(L: int, i: int, j: int) -> Verdict:
-    """Symmetric second-order multinomial recurrence (L >= 2)."""
+def _sides_rec58(L: int, i: int, j: int) -> Sides:
     lhs = qmultinomial3(L, i, j)
     rhs = (qmultinomial3(L - 1, i, j)
            + qmultinomial3(L - 1, i - 1, j).shifted(L - i)
            + qmultinomial3(L - 1, i, j - 1).shifted(L - j)
            + ((ONE - qpow(L - 1)) * qmultinomial3(L - 2, i - 1, j - 1)).shifted(L - i - j))
-    return _verdict("rec58", dict(L=L, i=i, j=j), lhs, rhs)
+    return lhs, rhs
 
 
-def verify_rec59(L: int, i: int, j: int) -> Verdict:
-    """Standard first-order multinomial recurrence (L >= 1)."""
+def verify_rec58(L: int, i: int, j: int) -> Verdict:
+    """Symmetric second-order multinomial recurrence (L >= 2)."""
+    return _verdict("rec58", dict(L=L, i=i, j=j), *_sides_rec58(L, i, j))
+
+
+def _sides_rec59(L: int, i: int, j: int) -> Sides:
     lhs = qmultinomial3(L, i, j)
     rhs = (qmultinomial3(L - 1, i, j)
            + qmultinomial3(L - 1, i, j - 1).shifted(L - i - j)
            + qmultinomial3(L - 1, i - 1, j).shifted(L - i))
-    return _verdict("rec59", dict(L=L, i=i, j=j), lhs, rhs)
+    return lhs, rhs
+
+
+def verify_rec59(L: int, i: int, j: int) -> Verdict:
+    """Standard first-order multinomial recurrence (L >= 1)."""
+    return _verdict("rec59", dict(L=L, i=i, j=j), *_sides_rec59(L, i, j))
 
 
 def trinomial_rhs(L: int) -> MarkerSeries:
@@ -352,11 +393,14 @@ def trinomial_rhs(L: int) -> MarkerSeries:
         for tau in range(-L, L + 1) for j, entry in qtrinomial(L, tau).entries.items()])
 
 
+def _sides_516(L: int) -> Sides:
+    return build_GL(L).dilate(3, (-2, -1)), trinomial_rhs(L)
+
+
 def verify_516(L: int) -> Verdict:
     """Dilated G_L (q -> q^3, A -> Aq^-2, B -> Bq^-1) equals the
     two-parameter trinomial sum (L >= 1)."""
-    lhs = build_GL(L).dilate(3, (-2, -1))
-    return _verdict("eq516", dict(L=L), lhs, trinomial_rhs(L))
+    return _verdict("eq516", dict(L=L), *_sides_516(L))
 
 
 # --------------------------------------------------------------------------
@@ -421,19 +465,26 @@ def _rhs_63(L: int, M: int, i: int, j: int, k: int) -> LaurentPoly:
     return total
 
 
+def _sides_63(L: int, M: int, i: int, j: int, k: int) -> Sides:
+    return _lhs_63(L, M, i, j, k), _rhs_63(L, M, i, j, k)
+
+
 def verify_63(L: int, M: int, i: int, j: int, k: int) -> Verdict:
     """The double-bounded three-color key identity (i, j, k >= 0)."""
-    return _verdict("eq63", dict(L=L, M=M, i=i, j=j, k=k),
-                    _lhs_63(L, M, i, j, k), _rhs_63(L, M, i, j, k))
+    return _verdict("eq63", dict(L=L, M=M, i=i, j=j, k=k), *_sides_63(L, M, i, j, k))
+
+
+def _sides_63lm(L: int, i: int, j: int, k: int) -> Sides:
+    lhs = _rhs_63(L, L, i, j, k)
+    rhs = (qbinom(L - k, i) * qbinom(L - i, j) * qbinom(L - j, k)).shifted(
+        triangular(i) + triangular(j) + triangular(k))
+    return lhs, rhs
 
 
 def verify_63_closed_LM(L: int, i: int, j: int, k: int) -> Verdict:
     """At L = M the tau-sum collapses to the cyclic closed form
     q^{T_i+T_j+T_k} [L-k; i] [L-i; j] [L-j; k]."""
-    lhs = _rhs_63(L, L, i, j, k)
-    rhs = (qbinom(L - k, i) * qbinom(L - i, j) * qbinom(L - j, k)).shifted(
-        triangular(i) + triangular(j) + triangular(k))
-    return _verdict("eq63lm", dict(L=L, i=i, j=j, k=k), lhs, rhs)
+    return _verdict("eq63lm", dict(L=L, i=i, j=j, k=k), *_sides_63lm(L, i, j, k))
 
 
 # --------------------------------------------------------------------------
@@ -462,10 +513,7 @@ def inv_poch_trunc(n: int, q_cap: int) -> LaurentPoly:
     return _capped_product((inv_poch_trunc(n - 1, q_cap), geom), q_cap)
 
 
-def verify_26_cell(i: int, j: int, qmax: int) -> Verdict:
-    """Termwise limit identity at one (i, j): the k-sum of
-    q^{T_{i+j-k}+T_k} / ((q)_{i-k} (q)_{j-k} (q)_k) equals
-    q^{T_i+T_j} / ((q)_i (q)_j), both truncated at qmax."""
+def _sides_26(i: int, j: int, qmax: int) -> Sides:
     lhs = ZERO
     for k in range(0, min(i, j) + 1):
         lhs = lhs + _capped_product(
@@ -473,16 +521,23 @@ def verify_26_cell(i: int, j: int, qmax: int) -> Verdict:
             triangular(i + j - k) + triangular(k))
     rhs = _capped_product((inv_poch_trunc(i, qmax), inv_poch_trunc(j, qmax)), qmax,
                           triangular(i) + triangular(j))
-    return _verdict("eq26", dict(i=i, j=j, qmax=qmax), lhs, rhs)
+    return lhs, rhs
 
 
-def _cellwise(tag: str, params: dict, caps: Sequence[int], qmax: int,
-              cell: Callable[..., tuple[LaurentPoly, LaurentPoly]]) -> Verdict:
-    """A truncated marker identity checked cell by cell: ``cell(*marker)``
-    gives both sides of the coefficient of one marker tuple within
-    ``caps``.  The first cell whose sides differ is the verdict, as
-    one-term series at its marker; when every cell holds, the sum of the
-    left sides is compared with the product of (1 + X q^m) over the
+def verify_26_cell(i: int, j: int, qmax: int) -> Verdict:
+    """Termwise limit identity at one (i, j): the k-sum of
+    q^{T_{i+j-k}+T_k} / ((q)_{i-k} (q)_{j-k} (q)_k) equals
+    q^{T_i+T_j} / ((q)_i (q)_j), both truncated at qmax."""
+    return _verdict("eq26", dict(i=i, j=j, qmax=qmax), *_sides_26(i, j, qmax))
+
+
+def _cellwise(caps: Sequence[int], qmax: int,
+              cell: Callable[..., tuple[LaurentPoly, LaurentPoly]]) -> Sides:
+    """Both sides of a truncated marker identity checked cell by cell:
+    ``cell(*marker)`` gives both sides of the coefficient of one marker
+    tuple within ``caps``.  The first cell whose sides differ gives the
+    sides, as one-term series at its marker; when every cell holds, they
+    are the sum of the left sides and the product of (1 + X q^m) over the
     markers X."""
     trunc = Truncation(tuple(caps), qmax)
     arity = len(caps)
@@ -490,11 +545,14 @@ def _cellwise(tag: str, params: dict, caps: Sequence[int], qmax: int,
     for marker in itertools.product(*(range(0, cap + 1) for cap in caps)):
         lhs, rhs = cell(*marker)
         if lhs != rhs:
-            return _verdict(tag, params, MarkerSeries(arity, {marker: lhs}, trunc),
-                            MarkerSeries(arity, {marker: rhs}, trunc))
+            return (MarkerSeries(arity, {marker: lhs}, trunc),
+                    MarkerSeries(arity, {marker: rhs}, trunc))
         cells[marker] = lhs
-    return _verdict(tag, params, MarkerSeries(arity, cells, trunc),
-                    _marker_product((qmax,) * arity, trunc))
+    return MarkerSeries(arity, cells, trunc), _marker_product((qmax,) * arity, trunc)
+
+
+def _sides_11(amax: int, bmax: int, qmax: int) -> Sides:
+    return _cellwise((amax, bmax), qmax, lambda i, j: _sides_26(i, j, qmax))
 
 
 def verify_11(amax: int, bmax: int, qmax: int) -> Verdict:
@@ -502,11 +560,8 @@ def verify_11(amax: int, bmax: int, qmax: int) -> Verdict:
     k-sum against the Pochhammer form), and the k-sum double series must
     equal the double product within the caps.  A failing eq26 cell is
     reported at its marker (i, j)."""
-    def cell(i: int, j: int) -> tuple[LaurentPoly, LaurentPoly]:
-        verdict = verify_26_cell(i, j, qmax)
-        return verdict.lhs, verdict.rhs
-    return _cellwise("eq11", dict(amax=amax, bmax=bmax, qmax=qmax), (amax, bmax),
-                     qmax, cell)
+    return _verdict("eq11", dict(amax=amax, bmax=bmax, qmax=qmax),
+                    *_sides_11(amax, bmax, qmax))
 
 
 def _cell_61(i: int, j: int, k: int, q_cap: int) -> LaurentPoly:
@@ -525,17 +580,21 @@ def _cell_61(i: int, j: int, k: int, q_cap: int) -> LaurentPoly:
     return total
 
 
+def _sides_61(amax: int, bmax: int, cmax: int, qmax: int) -> Sides:
+    def cell(i: int, j: int, k: int) -> tuple[LaurentPoly, LaurentPoly]:
+        return _cell_61(i, j, k, qmax), _capped_product(
+            [inv_poch_trunc(n, qmax) for n in (i, j, k)], qmax,
+            triangular(i) + triangular(j) + triangular(k))
+    return _cellwise((amax, bmax, cmax), qmax, cell)
+
+
 def verify_61(amax: int, bmax: int, cmax: int, qmax: int) -> Verdict:
     """Truncated three-marker key identity: for each (i, j, k) within the
     caps the composition sum must reduce to q^{T_i+T_j+T_k} / ((q)_i (q)_j
     (q)_k), and summed against the markers it must equal the triple
     product."""
-    def cell(i: int, j: int, k: int) -> tuple[LaurentPoly, LaurentPoly]:
-        return _cell_61(i, j, k, qmax), _capped_product(
-            [inv_poch_trunc(n, qmax) for n in (i, j, k)], qmax,
-            triangular(i) + triangular(j) + triangular(k))
-    return _cellwise("eq61", dict(amax=amax, bmax=bmax, cmax=cmax, qmax=qmax),
-                     (amax, bmax, cmax), qmax, cell)
+    return _verdict("eq61", dict(amax=amax, bmax=bmax, cmax=cmax, qmax=qmax),
+                    *_sides_61(amax, bmax, cmax, qmax))
 
 
 # --------------------------------------------------------------------------
@@ -544,37 +603,41 @@ def verify_61(amax: int, bmax: int, cmax: int, qmax: int) -> Verdict:
 
 @dataclass(frozen=True)
 class IdentitySpec:
-    """Registry entry: how to drive one identity from parameter ranges."""
+    """Registry entry: how to drive one identity from parameter ranges.
+    ``fn`` is the identity's sides function and ``valid`` its domain
+    test; sweep calls both positionally, ``fn`` with the range
+    parameters then the caps and ``valid`` with the range parameters,
+    each in the order named here."""
 
-    fn: Callable[..., Verdict]
+    fn: Callable[..., Sides]
     range_params: tuple[str, ...]
     cap_params: tuple[str, ...] = ()
     valid: Optional[Callable[..., bool]] = None
 
 
 IDENTITIES: dict[str, IdentitySpec] = {
-    "eq21": IdentitySpec(verify_21, ("L", "M", "i", "j")),
-    "eq32": IdentitySpec(verify_32, ("L", "i", "j"),
+    "eq21": IdentitySpec(_sides_21, ("L", "M", "i", "j")),
+    "eq32": IdentitySpec(_sides_32, ("L", "i", "j"),
                          valid=lambda L, i, j: 0 <= i and 0 <= j and i + j <= L),
-    "eq44": IdentitySpec(verify_44, ("L", "M", "i", "j"),
+    "eq44": IdentitySpec(_sides_44, ("L", "M", "i", "j"),
                          valid=lambda L, M, i, j: 0 <= i + j <= min(L, M) and i >= 0 and j >= 0),
-    "eq46": IdentitySpec(verify_46, ("L", "M"), valid=lambda L, M: L >= 0 and M >= 0),
-    "eq48": IdentitySpec(verify_48, ("L", "M", "i", "j"),
+    "eq46": IdentitySpec(_sides_46, ("L", "M"), valid=lambda L, M: L >= 0 and M >= 0),
+    "eq48": IdentitySpec(_sides_48, ("L", "M", "i", "j"),
                          valid=lambda L, M, i, j: 0 <= i <= M and 0 <= j <= L),
-    "eq53": IdentitySpec(verify_53, ("L",), valid=lambda L: L >= 0),
-    "eq516": IdentitySpec(verify_516, ("L",), valid=lambda L: L >= 1),
-    "eq63": IdentitySpec(verify_63, ("L", "M", "i", "j", "k"),
+    "eq53": IdentitySpec(_sides_53, ("L",), valid=lambda L: L >= 0),
+    "eq516": IdentitySpec(_sides_516, ("L",), valid=lambda L: L >= 1),
+    "eq63": IdentitySpec(_sides_63, ("L", "M", "i", "j", "k"),
                          valid=lambda L, M, i, j, k: min(i, j, k) >= 0),
-    "eq63lm": IdentitySpec(verify_63_closed_LM, ("L", "i", "j", "k"),
+    "eq63lm": IdentitySpec(_sides_63lm, ("L", "i", "j", "k"),
                            valid=lambda L, i, j, k: min(L, i, j, k) >= 0),
-    "rec55": IdentitySpec(verify_rec55, ("L",), valid=lambda L: L >= 2),
-    "rec58": IdentitySpec(verify_rec58, ("L", "i", "j"), valid=lambda L, i, j: L >= 2),
-    "rec59": IdentitySpec(verify_rec59, ("L", "i", "j"), valid=lambda L, i, j: L >= 1),
-    "rec512": IdentitySpec(verify_rec512, ("L",), valid=lambda L: L >= 0),
-    "eq26": IdentitySpec(verify_26_cell, ("i", "j"), cap_params=("qmax",),
+    "rec55": IdentitySpec(_sides_rec55, ("L",), valid=lambda L: L >= 2),
+    "rec58": IdentitySpec(_sides_rec58, ("L", "i", "j"), valid=lambda L, i, j: L >= 2),
+    "rec59": IdentitySpec(_sides_rec59, ("L", "i", "j"), valid=lambda L, i, j: L >= 1),
+    "rec512": IdentitySpec(_sides_rec512, ("L",), valid=lambda L: L >= 0),
+    "eq26": IdentitySpec(_sides_26, ("i", "j"), cap_params=("qmax",),
                          valid=lambda i, j: i >= 0 and j >= 0),
-    "eq11": IdentitySpec(verify_11, (), cap_params=("amax", "bmax", "qmax")),
-    "eq61": IdentitySpec(verify_61, (), cap_params=("amax", "bmax", "cmax", "qmax")),
+    "eq11": IdentitySpec(_sides_11, (), cap_params=("amax", "bmax", "qmax")),
+    "eq61": IdentitySpec(_sides_61, (), cap_params=("amax", "bmax", "cmax", "qmax")),
 }
 
 DEFAULT_CAPS = {"amax": 8, "bmax": 8, "cmax": 8, "qmax": 60}
@@ -597,19 +660,17 @@ class SweepResult:
                 "failures": len(self.failures)}
 
 
-def _perturbed(verdict: Verdict) -> Verdict:
-    """Self-test hook: recompute the verdict with the right side shifted
-    by +1, which must fail with a witness at the constant coefficient."""
-    return _verdict(verdict.identity + "+perturbed", verdict.params,
-                    verdict.lhs, verdict.rhs + 1)
-
-
 def sweep(identity: str, ranges: dict[str, Sequence[int]],
           caps: Optional[dict[str, int]] = None, *,
           perturb: bool = False) -> SweepResult:
     """Check one identity over the Cartesian grid of its parameter ranges.
 
     Returns the failures only (in deterministic grid order) plus counts.
+    A cell is checked by comparing its sides; its Verdict is built only
+    when they differ.  With ``perturb`` (the harness self-test) the right
+    side of every cell is shifted by +1, which must fail every cell with
+    a witness at the constant coefficient, under the tag
+    ``identity+perturbed``.
     """
     if identity not in IDENTITIES:
         raise KeyError(f"unknown identity {identity!r}")
@@ -617,20 +678,24 @@ def sweep(identity: str, ranges: dict[str, Sequence[int]],
     missing = [p for p in spec.range_params if p not in ranges]
     if missing:
         raise ValueError(f"{identity} needs ranges for {', '.join(missing)}")
-    cap_values = {cap: (caps or {}).get(cap, DEFAULT_CAPS[cap]) for cap in spec.cap_params}
+    cap_values = tuple((caps or {}).get(cap, DEFAULT_CAPS[cap]) for cap in spec.cap_params)
+    names = spec.range_params + spec.cap_params
+    tag = identity + "+perturbed" if perturb else identity
 
+    fn, valid = spec.fn, spec.valid
     grids = [list(ranges[p]) for p in spec.range_params]
     cells = skipped = 0
     failures = []
     for combo in itertools.product(*grids):
-        params = dict(zip(spec.range_params, combo))
-        if spec.valid is not None and not spec.valid(**params):
+        if valid is not None and not valid(*combo):
             skipped += 1
             continue
         cells += 1
-        verdict = spec.fn(**params, **cap_values)
+        lhs, rhs = fn(*combo, *cap_values)
         if perturb:
-            verdict = _perturbed(verdict)
-        if not verdict.holds:
-            failures.append(verdict)
+            rhs = rhs + 1
+        if lhs != rhs:
+            verdict = _verdict(tag, dict(zip(names, combo + cap_values)), lhs, rhs)
+            if not verdict.holds:
+                failures.append(verdict)
     return SweepResult(identity, cells, skipped, failures)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from qschur import cli
 from qschur.cli import main
 from qschur.qseries import MarkerSeries
 
@@ -213,12 +214,42 @@ class TestCountCommand:
         ("verify_eq32_L0-4_i0-2_j0-2_perturb.json",
          ["verify", "eq32", "--L", "0..4", "--i", "0..2", "--j", "0..2"]),
         ("verify_rec55_L2-4_perturb.json", ["verify", "rec55", "--L", "2..4"]),
+        # negative tops, and cells whose terms vanish at a zero q-binomial
+        ("verify_eq21_Lm1-1_M0-1_i0-1_jm1-1_perturb.json",
+         ["verify", "eq21", "--L", "-1..1", "--M", "0..1", "--i", "0..1", "--j", "-1..1"]),
     ])
     def test_perturbed_verify_json_matches_the_recorded_bytes(self, golden, argv, capsys):
         # both sides, witness and summary of a failing sweep, byte for byte
         assert main([*argv, "--perturb", "--format", "json"]) == 1
         out, _ = capsys.readouterr()
         assert out.encode() == (GOLDEN / golden).read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "eq21", "--L", "0..12", "--M", "0..12", "--i", "0..6", "--j", "0..6",
+         "--perturb", "--format", "json"],
+        ["count", "T2", "--n", "0..6", "--L", "2", "--M", "3"],
+        ["gf", "GL", "--L", "4"],
+    ], ids=lambda argv: argv[0])
+    def test_unwritable_out_fails_before_computing(self, argv, monkeypatch, capsys):
+        def computes(*args, **kwargs):
+            raise AssertionError("computed before opening --out")
+
+        for name in ("sweep", "check_theorem2", "build_GL"):
+            monkeypatch.setattr(cli, name, computes)
+        assert main([*argv, "--out", str(GOLDEN / "gf_GL_L4.txt" / "x.json")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: cannot write ")
+
+    def test_a_command_that_raises_leaves_an_empty_out_file(self, tmp_path, monkeypatch):
+        def fails(*args, **kwargs):
+            raise RuntimeError("sweep failed")
+
+        monkeypatch.setattr(cli, "sweep", fails)
+        target = tmp_path / "report.json"
+        target.write_text("an older report\n")
+        with pytest.raises(RuntimeError):
+            main(["verify", "eq53", "--L", "0..2", "--out", str(target)])
+        assert target.read_text() == ""
 
     def test_count_out_file(self, tmp_path):
         target = tmp_path / "schur.csv"

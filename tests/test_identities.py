@@ -1,5 +1,6 @@
 """Identity verifiers: frozen examples, invariants, and the sweep harness."""
 
+import inspect
 import itertools
 
 import pytest
@@ -329,8 +330,10 @@ class TestRecurrences:
             assert verify_rec512(L).holds
 
     def test_dispatcher(self):
-        assert IDENTITIES["rec55"].fn(L=3).holds
-        assert IDENTITIES["rec58"].fn(L=3, i=1, j=1).holds
+        lhs, rhs = IDENTITIES["rec55"].fn(3)
+        assert lhs == rhs
+        lhs, rhs = IDENTITIES["rec58"].fn(3, 1, 1)
+        assert lhs == rhs
         with pytest.raises(KeyError):
             sweep("rec999", {"L": [3]})
 
@@ -455,18 +458,14 @@ class TestTruncated:
         assert v.rhs.coeff((1, 1)).coeff(4) == 3
 
     def test_eq11_reports_a_failing_eq26_cell_at_its_marker(self, monkeypatch):
-        import qschur.identities as identities
-        real = identities.verify_26_cell
+        real = identities._sides_26
 
         def broken(i, j, qmax):
-            verdict = real(i, j, qmax)
-            if (i, j) != (1, 2):
-                return verdict
-            return identities._verdict("eq26", verdict.params, verdict.lhs,
-                                       verdict.rhs + qpow(6))
+            lhs, rhs = real(i, j, qmax)
+            return (lhs, rhs + qpow(6)) if (i, j) == (1, 2) else (lhs, rhs)
 
-        monkeypatch.setattr(identities, "verify_26_cell", broken)
-        cell = broken(1, 2, 10)
+        monkeypatch.setattr(identities, "_sides_26", broken)
+        cell = verify_26_cell(1, 2, 10)
         v = verify_11(2, 2, 10)
         assert not cell.holds and not v.holds
         assert v.identity == "eq11"
@@ -513,8 +512,10 @@ class TestTruncated:
         assert v.witness.rhs_coeff - v.witness.lhs_coeff == 1
 
     def test_dispatcher(self):
-        assert IDENTITIES["eq26"].fn(i=1, j=2, qmax=12).holds
-        assert IDENTITIES["eq11"].fn(amax=2, bmax=2, qmax=8).holds
+        lhs, rhs = IDENTITIES["eq26"].fn(1, 2, 12)
+        assert lhs == rhs
+        lhs, rhs = IDENTITIES["eq11"].fn(2, 2, 8)
+        assert lhs == rhs
         with pytest.raises(KeyError):
             sweep("eq99", {}, {"qmax": 5})
 
@@ -590,6 +591,59 @@ class TestSweep:
             assert w.rhs_coeff - w.lhs_coeff == 1
             if not isinstance(verdict.lhs, LaurentPoly):
                 assert w.marker == (0,) * verdict.lhs.arity
+
+    # the public verifier of each registry entry, called with a cell's params
+    VERIFIERS = {
+        "eq21": verify_21, "eq32": verify_32, "eq44": verify_44, "eq46": verify_46,
+        "eq48": verify_48, "eq53": verify_53, "eq516": verify_516, "eq63": verify_63,
+        "eq63lm": verify_63_closed_LM, "rec55": verify_rec55, "rec58": verify_rec58,
+        "rec59": verify_rec59, "rec512": verify_rec512, "eq26": verify_26_cell,
+        "eq11": verify_11, "eq61": verify_61,
+    }
+
+    @pytest.mark.parametrize("tag", sorted(TINY_GRIDS))
+    def test_perturbed_failures_are_the_public_verdicts_perturbed(self, tag):
+        # the sweep builds its failing verdicts itself; each must be the
+        # one its public verifier gives, with the right side shifted by +1
+        ranges, caps = self.TINY_GRIDS[tag]
+        failures = sweep(tag, ranges, caps, perturb=True).failures
+        assert failures
+        for failure in failures:
+            v = self.VERIFIERS[tag](**failure.params)
+            expected = identities._verdict(tag + "+perturbed", v.params, v.lhs, v.rhs + 1)
+            assert failure.to_json_dict() == expected.to_json_dict()
+
+    def test_a_broken_cell_is_the_one_failure_and_the_one_verdict(self, monkeypatch):
+        real_rhs, real_verdict = identities.rhs_21, identities._verdict
+        built = []
+
+        def broken(L, M, i, j):
+            rhs = real_rhs(L, M, i, j)
+            return rhs + qpow(3) if (L, M, i, j) == (2, 2, 1, 1) else rhs
+
+        def counted(identity, params, lhs, rhs):
+            built.append(params)
+            return real_verdict(identity, params, lhs, rhs)
+
+        monkeypatch.setattr(identities, "rhs_21", broken)
+        monkeypatch.setattr(identities, "_verdict", counted)
+        ranges, _ = self.TINY_GRIDS["eq21"]
+        result = sweep("eq21", ranges)
+        # cells whose sides are equal build no Verdict
+        assert built == [dict(L=2, M=2, i=1, j=1)]
+        assert result.cells == 4
+        assert result.failures == [verify_21(2, 2, 1, 1)]
+        assert result.failures[0].witness.q_exp == 3
+
+    @pytest.mark.parametrize("tag", sorted(IDENTITIES))
+    def test_positional_calls_match_the_registry(self, tag):
+        # sweep calls fn and valid positionally: a parameter order that
+        # differs from the registry's would swap L and M without an error
+        spec = IDENTITIES[tag]
+        assert tuple(inspect.signature(spec.fn).parameters) == \
+            spec.range_params + spec.cap_params
+        if spec.valid is not None:
+            assert tuple(inspect.signature(spec.valid).parameters) == spec.range_params
 
     def test_witness_locates_first_differing_coefficient(self):
         lhs = LaurentPoly({-1: 2, 0: 1, 5: 3})
