@@ -27,15 +27,15 @@ for top in range(-4, 6):
             qbinom(top - 1, bottom - 1).shifted(top - bottom)
 print("Pascal recurrences verified on a signed grid")
 
-# Order-3 multinomials factor into binomials.
+# Order-3 multinomials are products of two binomials, [L; i] [L-i; j];
+# the q-binomial is the only coefficient computed by division.
 print("\n[3; 1,1,1] =", qmultinomial3(3, 1, 1))
 assert qmultinomial3(3, 1, 1) == qbinom(3, 1) * qbinom(2, 1)
 
-# Generalized trinomials keep the parameter c formal: a map from the
-# c-exponent to its Laurent coefficient.
+# Generalized trinomials keep the parameter c formal: a dict from the
+# c-exponent to its Laurent coefficient, zero entries dropped.
 t = qtrinomial(2, 0)
-print("trinomial (L=2, tau=0):", {j: str(p) for j, p in sorted(t.entries.items())})
-print("after c -> AB:", t.substitute_ab())
+print("trinomial (L=2, tau=0):", {j: str(p) for j, p in sorted(t.items())})
 
 # Triangular numbers do the exponent bookkeeping everywhere; note the
 # convention T(-1) = 0 that the boundary cases rely on.

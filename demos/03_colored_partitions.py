@@ -2,14 +2,14 @@
 integers with the classical difference conditions.
 """
 
-from qschur import ColoredPartition, is_type1, schur_counts
-from qschur.partitions import iter_type1, symbol
+from qschur import ColoredPartition, ColoredSymbol, is_type1, schur_counts
+from qschur.partitions import iter_type1
 
 P = ColoredPartition.from_text
 
 # Integers come in colors a, b (all n >= 1) and ab (n >= 2), totally
 # ordered a1 < b1 < ab2 < a2 < b2 < ab3 < ...
-symbols = [symbol(s) for s in ("a1", "b1", "ab2", "a2", "b2", "ab3")]
+symbols = [ColoredSymbol.parse(s) for s in ("a1", "b1", "ab2", "a2", "b2", "ab3")]
 print("ranks:", {str(s): s.rank for s in symbols})
 
 # A gap partition needs consecutive weights to differ by >= 1, and by

@@ -2,9 +2,10 @@
 marker-series layers: both enumerators, the gap test, the T1/T2/T3
 census builds, the one-color components, the bounded bijection round
 trips, the truncated and Durfee-rectangle identity checks, warm eq21
-cells, called directly and through the sweep harness, the G_L / P_L
-series with the checks built on them, and the canonical text of the
-failing sides of a perturbed eq21 sweep.
+cells, called directly and through the sweep harness, cold multinomial
+and trinomial tables, the G_L / P_L series with the checks built on
+them, and the canonical text of the failing sides of a perturbed eq21
+sweep.
 
 Run from a checkout, importing that checkout's sources:
 
@@ -19,7 +20,9 @@ multiplied by ``PROBE_REF_S`` over the median of the probes on either
 side of it, so two checkouts timed minutes apart on a shared host can be
 compared.  Census and coefficient tables are cleared before each run, so
 every build is cold; a layer listed in ``WARM`` then runs its warm-up
-untimed, so that only its ring arithmetic is timed.  Only names the
+untimed, so that only its ring arithmetic is timed.  The inputs some
+layers read (parsed partitions, the bijection grid, the failing sides)
+are built once by ``main``, untimed, and not at import.  Only names the
 library has exposed since the exact-weight enumerators are used, so two
 checkouts can be timed with the same script.
 """
@@ -27,6 +30,7 @@ checkouts can be timed with the same script.
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.util
 import json
 import platform
@@ -41,7 +45,8 @@ from qschur.partitions import ColoredPartition, is_type1, iter_schur_gap, iter_t
 # the tables cleared before every run
 CACHES = [getattr(theorems, name) for name in
           ("_type1_census", "_s_census", "_s_census_mirrored", "_g3_census")] + \
-    [coefficients.poch_qpow, coefficients.qbinom, identities.inv_poch_trunc,
+    [coefficients.poch_qpow, coefficients.qbinom, coefficients.qmultinomial3,
+     identities.inv_poch_trunc,
      identities.build_GL, identities.build_PL, identities.build_RL]
 # the k-sum head table, skipped in a checkout that has none
 _KSUM_HEAD = getattr(identities, "_ksum_head", None)
@@ -75,14 +80,17 @@ def _iter_schur_gap():
             pass
 
 
-# parsed from text, so that neither side reuses symbols its enumerator interned
-PARTITIONS = [ColoredPartition.from_text(str(ColoredPartition(parts)))
-              for n in range(0, 21) for parts in iter_type1(n)]
+@functools.cache
+def _partitions():
+    # parsed from text, so that neither side reuses symbols its enumerator interned
+    return [ColoredPartition.from_text(str(ColoredPartition(parts)))
+            for n in range(0, 21) for parts in iter_type1(n)]
 
 
 def _is_type1():
+    partitions = _partitions()
     for _ in range(5):
-        for p in PARTITIONS:
+        for p in partitions:
             is_type1(p)
 
 
@@ -123,25 +131,31 @@ def _distinct_parts(n, cap):
             yield (p,) + rest
 
 
-# the bounded grid of the bijection round trips: distinct a-parts <= M-j and
-# distinct b-parts <= L with i+j <= L, for 0 <= L <= M <= 8 and weight <= 16
-GRID = [(L, M, w1, w2) for L in range(0, 9) for M in range(L, 9)
-        for n in range(0, 17) for m in range(0, n + 1)
-        for w2 in _distinct_parts(n - m, min(L, n - m))
-        for w1 in _distinct_parts(m, min(max(M - len(w2), 0), m))
-        if len(w1) + len(w2) <= L]
-COMPONENTS = [(ColoredPartition.colored("a", w1), ColoredPartition.colored("b", w2), L, M)
-              for L, M, w1, w2 in GRID]
+@functools.cache
+def _grid():
+    # the bounded grid of the bijection round trips: distinct a-parts <= M-j and
+    # distinct b-parts <= L with i+j <= L, for 0 <= L <= M <= 8 and weight <= 16
+    return [(L, M, w1, w2) for L in range(0, 9) for M in range(L, 9)
+            for n in range(0, 17) for m in range(0, n + 1)
+            for w2 in _distinct_parts(n - m, min(L, n - m))
+            for w1 in _distinct_parts(m, min(max(M - len(w2), 0), m))
+            if len(w1) + len(w2) <= L]
+
+
+@functools.cache
+def _components():
+    return [(ColoredPartition.colored("a", w1), ColoredPartition.colored("b", w2), L, M)
+            for L, M, w1, w2 in _grid()]
 
 
 def _colored():
-    for _, _, w1, w2 in GRID:
+    for _, _, w1, w2 in _grid():
         ColoredPartition.colored("a", w1)
         ColoredPartition.colored("b", w2)
 
 
 def _bijection():
-    for pi1, pi2, L, M in COMPONENTS:
+    for pi1, pi2, L, M in _components():
         trace, _ = forward_bounded(pi1, pi2, L, M)
         assert inverse(trace.pi3) == (pi1, pi2)
 
@@ -170,16 +184,30 @@ def _sweep():
     assert identities.sweep("eq21", {"L": [10], "M": SIGNED, "i": SIGNED, "j": SIGNED}).holds
 
 
-# both sides of every failing cell of the perturbed eq21 sweep on
-# L, M in 0..12 and i, j in 0..6, built once and untimed
-SIDES = [side for verdict in identities.sweep(
-    "eq21", {"L": range(0, 13), "M": range(0, 13), "i": range(0, 7), "j": range(0, 7)},
-    perturb=True).failures for side in (verdict.lhs, verdict.rhs)]
+@functools.cache
+def _sides():
+    # both sides of every failing cell of the perturbed eq21 sweep on
+    # L, M in 0..12 and i, j in 0..6
+    return [side for verdict in identities.sweep(
+        "eq21", {"L": range(0, 13), "M": range(0, 13), "i": range(0, 7), "j": range(0, 7)},
+        perturb=True).failures for side in (verdict.lhs, verdict.rhs)]
 
 
 def _render():
-    for side in SIDES:
+    for side in _sides():
         str(side)
+
+
+def _multinomial():
+    # [M; M-i, i-k, k], the keys of large-degree's eq48 ops (M in 16..18,
+    # 0 <= k <= i <= 16), then every trinomial of L <= 12
+    for M in range(16, 19):
+        for i in range(0, 17):
+            for k in range(0, i + 1):
+                coefficients.qmultinomial3(M, M - i, i - k)
+    for L in range(0, 13):
+        for tau in range(-L, L + 1):
+            coefficients.qtrinomial(L, tau)
 
 
 def _series():
@@ -206,11 +234,11 @@ LAYERS = {
     "census_T3_build_s": (_census_T3, "_s_census at the undilated weights (N+2i+j)/3 of "
                                       "0 <= L <= M <= 5, i+j <= L and dilated weight "
                                       "N <= 45, cold"),
-    "colored_s": (_colored, f"ColoredPartition.colored for both components of each "
-                            f"of the {len(GRID)} grid pairs"),
-    "bijection_s": (_bijection, f"forward_bounded then inverse, compared with the input, "
-                                f"on the {len(GRID)} pairs of the bounded grid "
-                                f"L <= M <= 8, weight <= 16"),
+    "colored_s": (_colored, "ColoredPartition.colored for both components of each "
+                            "pair of the bijection_s grid"),
+    "bijection_s": (_bijection, "forward_bounded then inverse, compared with the input, "
+                                "on the pairs of the bounded grid L <= M <= 8, "
+                                "weight <= 16, built beforehand"),
     "identities_s": (_identities, "verify_11(4, 4, 30), verify_61(3, 3, 3, 30) and "
                                   "verify_32 on every 0 <= i, j with i + j <= L <= 12, cold"),
     "ring_s": (_ring, "verify_21(10, M, i, j) for M, i, j in -5..10, q-binomial "
@@ -219,15 +247,21 @@ LAYERS = {
     "sweep_s": (_sweep, "identities.sweep('eq21') over the ring_s slice, L = 10 and "
                         "M, i, j in -5..10, with the same tables warmed by one untimed "
                         "pass"),
+    "multinomial_s": (_multinomial, "qmultinomial3(M, M - i, i - k) for M in 16..18 and "
+                                    "0 <= k <= i <= 16 (the keys of large-degree's eq48 "
+                                    "ops), then qtrinomial(L, tau) for L <= 12 and "
+                                    "|tau| <= L, cold"),
     "series_s": (_series, "build_GL(L) and build_PL(L) for L <= 12, cold, then "
                           "verify_516(L) for 1 <= L <= 12 and verify_46(L, M) for "
                           "L, M <= 8"),
-    "render_s": (_render, f"str() of both sides of the {len(SIDES) // 2} failing cells "
-                          f"of the perturbed eq21 sweep on L, M in 0..12, i, j in 0..6, "
-                          f"built beforehand"),
+    "render_s": (_render, "str() of both sides of the failing cells of the perturbed "
+                          "eq21 sweep on L, M in 0..12, i, j in 0..6, built beforehand"),
 }
 
 WARM = {"ring_s": _ring, "sweep_s": _ring}
+
+# the inputs some layers read, built once by main before any timing
+INPUTS = (_partitions, _grid, _components, _sides)
 
 
 def main() -> None:
@@ -237,6 +271,8 @@ def main() -> None:
     probe, probe_ref_s = _load_probe()
     out = {"python": platform.python_version(), "repeat": args.repeat,
            "probe_ref_s": probe_ref_s, "layers": {}}
+    for build in INPUTS:
+        build()
     for name, (fn, what) in LAYERS.items():
         times, probes = [], [probe()]
         for _ in range(args.repeat):

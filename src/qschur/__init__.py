@@ -11,7 +11,6 @@ their theorem-level counting consequences, including the three-color
 
 from .qseries import LaurentPoly, MarkerSeries, NotDivisible, Truncation, ONE, ZERO, qpow
 from .coefficients import (
-    TrinomialValue,
     poch_qpow,
     qbinom,
     qmultinomial3,

@@ -8,19 +8,19 @@ The extended q-binomial is computed directly from its defining ratio by
 exact Laurent division (qbinom(t, b) = (q^{t-b+1})_b / (q)_b for b >= 0,
 zero for b < 0); for negative top this yields a signed monomial times an
 ordinary Gaussian polynomial, and the standard reflection formula is used
-only as an independent test oracle, never in the computation.
+only as an independent test oracle, never in the computation.  It is the
+only division here: every multinomial, and so every trinomial entry, is a
+product of two q-binomials, [L; i, j, L-i-j] = [L; i] [L-i; j] (Andrews,
+The Theory of Partitions, 1976, section 3.3).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping
 
-from .qseries import LaurentPoly, MarkerSeries, ONE, ZERO, qpow
+from .qseries import LaurentPoly, ONE, ZERO, qpow
 
 __all__ = [
-    "TrinomialValue",
     "poch_qpow",
     "qbinom",
     "qmultinomial3",
@@ -68,55 +68,23 @@ def qbinom(top: int, bottom: int) -> LaurentPoly:
 
 @lru_cache(maxsize=None)
 def qmultinomial3(L: int, i: int, j: int) -> LaurentPoly:
-    """Order-3 q-multinomial (q)_L / ((q)_i (q)_j (q)_{L-i-j}).
+    """Order-3 q-multinomial (q)_L / ((q)_i (q)_j (q)_{L-i-j}), read as
+    [L; i] [L-i; j].
 
     Zero unless i, j and L-i-j are all nonnegative.
     """
-    k = L - i - j
-    if i < 0 or j < 0 or k < 0:
+    if i < 0 or j < 0 or L - i - j < 0:
         return ZERO
-    return poch_qpow(1, L).divide_exact(
-        poch_qpow(1, i) * poch_qpow(1, j) * poch_qpow(1, k))
+    return qbinom(L, i) * qbinom(L - i, j)
 
 
-@dataclass(frozen=True)
-class TrinomialValue:
-    """A generalized q-trinomial coefficient with the parameter c kept formal.
+def qtrinomial(L: int, tau: int) -> dict[int, LaurentPoly]:
+    """Generalized q-trinomial: sum_j c^j q^{j(j+tau)} [L; j+tau, j, L-2j-tau],
+    with the parameter c kept formal.
 
-    ``entries`` maps the c-exponent to its LaurentPoly coefficient, so the
-    value is sum_j c^j * entries[j].  Substituting c -> AB turns an entry
-    at c-exponent j into the marker tuple (j, j).
+    Returns {j: coefficient of c^j}.  The sum runs over the j >= 0 for
+    which the order-3 multinomial has nonnegative slots, where it is
+    nonzero; outside that range the value is zero, an empty dict.
     """
-
-    entries: Mapping[int, LaurentPoly]
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries",
-                           {j: p for j, p in dict(self.entries).items() if p})
-
-    def __bool__(self) -> bool:
-        return bool(self.entries)
-
-    def dilated(self, power: int) -> "TrinomialValue":
-        """Substitute q -> q^power in every entry."""
-        return TrinomialValue({j: p.dilated(power) for j, p in self.entries.items()})
-
-    def substitute_ab(self) -> MarkerSeries:
-        """Substitute c -> AB, yielding a two-marker series."""
-        return MarkerSeries(2, {(j, j): p for j, p in self.entries.items()})
-
-
-def qtrinomial(L: int, tau: int) -> TrinomialValue:
-    """Generalized q-trinomial: sum_j c^j q^{j(j+tau)} [L; j+tau, j, L-2j-tau].
-
-    The sum runs over the j >= 0 for which the order-3 multinomial has
-    nonnegative slots; outside that range the value is zero.
-    """
-    entries = {}
-    j = max(0, -tau)
-    while L - 2 * j - tau >= 0:
-        m = qmultinomial3(L, j + tau, j)
-        if m:
-            entries[j] = m.shifted(j * (j + tau))
-        j += 1
-    return TrinomialValue(entries)
+    return {j: qmultinomial3(L, j + tau, j).shifted(j * (j + tau))
+            for j in range(max(0, -tau), (L - tau) // 2 + 1)}

@@ -390,7 +390,7 @@ def trinomial_rhs(L: int) -> MarkerSeries:
     A^tau q^{tau(3tau-1)/2} times the base-q^3 trinomial at c = AB."""
     return MarkerSeries(2, [
         ((j + tau, j), entry.dilated(3).shifted(tau * (3 * tau - 1) // 2))
-        for tau in range(-L, L + 1) for j, entry in qtrinomial(L, tau).entries.items()])
+        for tau in range(-L, L + 1) for j, entry in qtrinomial(L, tau).items()])
 
 
 def _sides_516(L: int) -> Sides:

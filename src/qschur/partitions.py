@@ -108,11 +108,6 @@ class ColoredSymbol:
         return cls(m.group(1), int(m.group(2)))
 
 
-def symbol(text: str) -> ColoredSymbol:
-    """Shorthand parser: symbol('ab12') == ColoredSymbol('ab', 12)."""
-    return ColoredSymbol.parse(text)
-
-
 class ColoredPartition:
     """A strictly decreasing (by rank) sequence of colored symbols.
 

@@ -15,7 +15,10 @@ refinement's left side on ordinary integers, the reference for the
 library's read of that side at the undilated weight.  ``ksum_literal``
 forms each term of the eq21 k-sum from its three
 q-binomials, with no table, the reference for the library's k-sum, which
-reads the two L-free factors from a table.  ``lhs_63_literal`` sums the
+reads the two L-free factors from a table.  ``multinomial_literal``
+divides (q)_L by the three Pochhammer products of the slots, the
+definition, and the reference for the library's multinomial, which is a
+product of two q-binomials.  ``lhs_63_literal`` sums the
 eq63 left side over the compositions under either the part-count
 statistic or the rejected alternative one, the reference for the
 library's left side and the record of the bookkeeping that fails.
@@ -30,7 +33,7 @@ scan-bucketed censuses against counts built from these.
 from functools import lru_cache
 
 from qschur.bijection import BijectionTrace, InvalidInput
-from qschur.coefficients import qbinom, triangular
+from qschur.coefficients import poch_qpow, qbinom, triangular
 from qschur.identities import goellnitz_compositions
 from qschur.partitions import ColoredPartition, ColoredSymbol, color_counts, iter_type1_dilated
 from qschur.qseries import ZERO, LaurentPoly, MarkerSeries, Truncation
@@ -323,6 +326,15 @@ def model_product(x: dict, y: dict, trunc) -> dict:
              for ex, tx in x.items() for ey, ty in y.items()
              for ea, ca in tx.items() for eb, cb in ty.items()]
     return series_model(pairs, trunc)
+
+
+def multinomial_literal(L, i, j) -> LaurentPoly:
+    """[L; i, j, L-i-j] = (q)_L / ((q)_i (q)_j (q)_{L-i-j}) by exact division;
+    zero unless every slot is nonnegative."""
+    k = L - i - j
+    if i < 0 or j < 0 or k < 0:
+        return ZERO
+    return poch_qpow(1, L).divide_exact(poch_qpow(1, i) * poch_qpow(1, j) * poch_qpow(1, k))
 
 
 def ksum_literal(L, M, i, j, triangular_exponents=False) -> LaurentPoly:

@@ -199,6 +199,11 @@ class TestCountCommand:
         ("gf_GL_L4_a2_q9.json",
          ["gf", "GL", "--L", "4", "--amax", "2", "--qmax", "9", "--format", "json"]),
         ("gf_GL_L4.txt", ["gf", "GL", "--L", "4"]),
+        # the multinomial side R_L and the trinomial representation
+        ("gf_RL_L4.json", ["gf", "RL", "--L", "4", "--format", "json"]),
+        ("gf_trinomialRHS_L3.txt", ["gf", "trinomialRHS", "--L", "3"]),
+        ("count_T2_n0-4_L1_M2.csv",
+         ["count", "T2", "--n", "0..4", "--L", "1", "--M", "2", "--format", "csv"]),
     ])
     def test_json_matches_the_recorded_bytes(self, golden, argv, capsys):
         # pins the JSON contract, breakdown key order included
@@ -217,6 +222,11 @@ class TestCountCommand:
         # negative tops, and cells whose terms vanish at a zero q-binomial
         ("verify_eq21_Lm1-1_M0-1_i0-1_jm1-1_perturb.json",
          ["verify", "eq21", "--L", "-1..1", "--M", "0..1", "--i", "0..1", "--j", "-1..1"]),
+        # multinomial reads, with out-of-domain slots in rec59
+        ("verify_eq48_L2-3_M2-3_i0-2_j0-2_perturb.json",
+         ["verify", "eq48", "--L", "2..3", "--M", "2..3", "--i", "0..2", "--j", "0..2"]),
+        ("verify_rec59_L1-3_im1-2_j0-2_perturb.json",
+         ["verify", "rec59", "--L", "1..3", "--i", "-1..2", "--j", "0..2"]),
     ])
     def test_perturbed_verify_json_matches_the_recorded_bytes(self, golden, argv, capsys):
         # both sides, witness and summary of a failing sweep, byte for byte

@@ -15,6 +15,8 @@ from qschur.coefficients import (
 )
 from qschur.qseries import LaurentPoly, ONE, ZERO, qpow
 
+from oracles import multinomial_literal
+
 
 def box_partition_gf(parts_max: int, part_size_max: int) -> LaurentPoly:
     """Independent oracle: enumerate partitions with <= parts_max parts,
@@ -128,10 +130,29 @@ class TestQMultinomial:
         assert str(qmultinomial3(L, i, j)) == expected
 
     def test_factorization_into_binomials(self):
-        for L in range(0, 9):
-            for i in range(0, L + 1):
-                for j in range(0, L - i + 1):
-                    assert qmultinomial3(L, i, j) == qbinom(L, j) * qbinom(L - j, i)
+        # the two-binomial product against the Pochhammer quotient, out-of-domain
+        # tops and slots included
+        for L in range(-3, 15):
+            for i in range(-2, L + 3):
+                for j in range(-2, L + 3):
+                    assert qmultinomial3(L, i, j) == multinomial_literal(L, i, j), (L, i, j)
+
+    def test_reads_no_division(self, monkeypatch):
+        # with the q-binomial table warm, a cold multinomial divides nothing
+        keys = [(L, i, j) for L in range(-1, 15)
+                for i in range(-1, L + 2) for j in range(-1, L + 2)]
+        expected = {key: multinomial_literal(*key) for key in keys}
+        for top in range(0, 15):
+            for bottom in range(0, top + 1):
+                qbinom(top, bottom)
+        qmultinomial3.cache_clear()
+
+        def divides(*args):
+            raise AssertionError("qmultinomial3 divided")
+
+        monkeypatch.setattr(LaurentPoly, "divide_exact", divides)
+        for key in keys:
+            assert qmultinomial3(*key) == expected[key], key
 
     def test_symmetry(self):
         for L in range(0, 8):
@@ -142,26 +163,15 @@ class TestQMultinomial:
 
 class TestQTrinomial:
     def test_examples(self):
-        assert dict(qtrinomial(1, 0).entries) == {0: ONE}
-        t = qtrinomial(2, 0)
-        assert set(t.entries) == {0, 1}
-        assert t.entries[0] == ONE
-        assert t.entries[1] == qpow(1) * (ONE + qpow(1))
-        assert not qtrinomial(1, 2)
+        assert qtrinomial(1, 0) == {0: ONE}
+        assert qtrinomial(2, 0) == {0: ONE, 1: qpow(1) * (ONE + qpow(1))}
+        assert qtrinomial(1, 2) == {}
 
     def test_definition_termwise(self):
         for L in range(0, 6):
             for tau in range(-L - 1, L + 2):
                 value = qtrinomial(L, tau)
+                assert all(value.values())
                 for j in range(0, L + 3):
                     expected = qmultinomial3(L, j + tau, j).shifted(j * (j + tau))
-                    assert value.entries.get(j, ZERO) == expected
-
-    def test_substitute_ab(self):
-        series = qtrinomial(2, 0).substitute_ab()
-        assert series.coeff((0, 0)) == ONE
-        assert series.coeff((1, 1)) == qpow(1) + qpow(2)
-
-    def test_dilated(self):
-        t = qtrinomial(2, 0).dilated(3)
-        assert t.entries[1] == qpow(3) + qpow(6)
+                    assert value.get(j, ZERO) == expected

@@ -20,7 +20,6 @@ from qschur.partitions import (
     iter_type1,
     nu_statistics,
     schur_counts,
-    symbol,
 )
 from qschur.coefficients import qbinom
 from qschur.qseries import LaurentPoly
@@ -43,7 +42,7 @@ class TestSymbols:
     def test_ordering_matches_the_listing(self):
         listed = ["a1", "b1", "ab2", "a2", "b2", "ab3", "a3", "b3",
                   "ab4", "a4", "b4", "ab5"]
-        symbols = [symbol(s) for s in listed]
+        symbols = [ColoredSymbol.parse(s) for s in listed]
         assert sorted(symbols, key=lambda s: s.rank) == symbols
         ranks = [s.rank for s in symbols]
         assert len(set(ranks)) == len(ranks)
@@ -58,7 +57,7 @@ class TestSymbols:
 
     @pytest.mark.parametrize("text,value", [("a1", 1), ("b2", 5), ("ab2", 3)])
     def test_dilation_examples(self, text, value):
-        assert symbol(text).dilated == value
+        assert ColoredSymbol.parse(text).dilated == value
 
     def test_dilation_is_an_order_isomorphism(self):
         symbols = [ColoredSymbol(c, w) for w in range(1, 9) for c in COLORS

@@ -18,3 +18,4 @@ def test_layer_timings_bindings_resolve():
     for name, (fn, what) in module.LAYERS.items():
         assert callable(fn) and what, name
     assert set(module.WARM) <= set(module.LAYERS)
+    assert all(callable(build) for build in module.INPUTS)
