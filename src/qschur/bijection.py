@@ -197,9 +197,9 @@ def forward_bounded(pi1: ColoredPartition, pi2: ColoredPartition,
     i, j = len(pi1), len(pi2)
     if max(L, M) < i + j:
         raise InvalidInput(f"need max(L, M) >= i+j = {i + j}")
-    if any(p.weight > M - j for p in pi1):
+    if any(d // 3 + 1 > M - j for d in pi1.dilated()):
         raise InvalidInput(f"pi1 parts must be <= M-j = {M - j}")
-    if any(p.weight > L for p in pi2):
+    if any(d // 3 + 1 > L for d in pi2.dilated()):
         raise InvalidInput(f"pi2 parts must be <= L = {L}")
 
     nu_l, nu_m = nu_statistics(trace.pi3, L, M)

@@ -3,7 +3,11 @@ traces and generating-function dumps.
 
 Exit codes, stable across subcommands: 0 when everything holds, 1 when a
 counterexample was found (the first witness is printed), 2 on usage or
-parse errors.
+parse errors.  Every usage error, whether the parser or a command finds
+it, prints one ``error: ...`` line on stderr and ``main`` returns 2; only
+``--help`` exits through argparse.  Each flag's value is checked where the
+flag is declared, so a bad value is rejected while parsing, before
+``--out`` is opened.
 """
 
 from __future__ import annotations
@@ -43,27 +47,64 @@ _RANGE_RE = re.compile(r"^(-?\d+)(?:\.\.(-?\d+))?$")
 _COUNT_FLAGS = ("n", "i", "j", "L", "M")
 THEOREMS = {"S": ("n",), "T1": ("n", "i", "j"), "T2": _COUNT_FLAGS, "T3": _COUNT_FLAGS,
             "G": ("n",)}
-GF_KINDS = ("GL", "RL", "PL", "trinomialRHS")
+GF_KINDS = {"GL": build_GL, "RL": build_RL, "PL": build_PL, "trinomialRHS": trinomial_rhs}
 # the parameter flags of 'verify': every range parameter of the registry,
 # of which each identity takes a subset
 _RANGE_NAMES = tuple(dict.fromkeys(
     name for spec in IDENTITIES.values() for name in spec.range_params))
 _CAP_NAMES = ("qmax", "amax", "bmax", "cmax")
+_PARAM_NAMES = _RANGE_NAMES + _CAP_NAMES + ("n",)  # 'count' takes --n
 
 
 class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports a rejection as a UsageError, so
+    main prints it like every other usage error."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _parse_range(text: str) -> list[int]:
     m = _RANGE_RE.match(text.strip())
     if m is None:
-        raise UsageError(f"bad range {text!r} (expected 'n' or 'a..b')")
+        raise argparse.ArgumentTypeError(f"bad range {text!r} (expected 'n' or 'a..b')")
     lo = int(m.group(1))
     hi = int(m.group(2)) if m.group(2) is not None else lo
     if hi < lo:
-        raise UsageError(f"empty range {text!r}")
+        raise argparse.ArgumentTypeError(f"empty range {text!r}")
     return list(range(lo, hi + 1))
+
+
+def _nonnegative_range(text: str) -> list[int]:
+    values = _parse_range(text)
+    if values[0] < 0:
+        raise argparse.ArgumentTypeError(f"range {text!r} must be nonnegative")
+    return values
+
+
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} must be nonnegative")
+    return value
+
+
+def _flags(args, what: str, takes: Sequence[str], needs: Sequence[str]):
+    """Reject a parameter flag that ``what`` does not take, then a flag in
+    ``needs`` that is missing."""
+    for name in _PARAM_NAMES:
+        if getattr(args, name, None) is not None and name not in takes:
+            raise UsageError(f"{what} does not take --{name}")
+    for name in needs:
+        if getattr(args, name) is None:
+            raise UsageError(f"{what} needs --{name}")
 
 
 def _open_out(path: str) -> TextIO:
@@ -97,32 +138,16 @@ def _witness_line(v: Verdict) -> str:
             f"{where}: lhs {w.lhs_coeff}, rhs {w.rhs_coeff}")
 
 
-def _reject_csv(args):
-    if args.format == "csv":
-        raise UsageError("--format csv is only available for 'count'")
-
-
 def cmd_verify(args) -> int:
-    _reject_csv(args)
     if args.identity not in IDENTITIES:
         raise UsageError(f"unknown identity {args.identity!r}; "
                          f"choose from {', '.join(sorted(IDENTITIES))}")
     spec = IDENTITIES[args.identity]
-    for name in _RANGE_NAMES + _CAP_NAMES:
-        if getattr(args, name) is not None \
-                and name not in spec.range_params + spec.cap_params:
-            raise UsageError(f"identity {args.identity} does not take --{name}")
-    ranges = {}
-    for name in spec.range_params:
-        value = getattr(args, name)
-        if value is None:
-            raise UsageError(f"identity {args.identity} needs --{name}")
-        ranges[name] = _parse_range(value)
+    _flags(args, f"identity {args.identity}", spec.range_params + spec.cap_params,
+           spec.range_params)
+    ranges = {name: getattr(args, name) for name in spec.range_params}
     caps = {name: getattr(args, name) for name in spec.cap_params
             if getattr(args, name) is not None}
-    for name, value in caps.items():
-        if value < 0:
-            raise UsageError(f"--{name} must be nonnegative")
     result = sweep(args.identity, ranges, caps, perturb=args.perturb)
 
     if args.format == "json":
@@ -140,63 +165,40 @@ def cmd_verify(args) -> int:
 
 
 def _count_reports(args) -> list[CountReport]:
-    theorem = args.theorem
-    n_range = _parse_range(args.n) if args.n else None
+    theorem, n_range = args.theorem, args.n
     if theorem in ("S", "G"):
-        if n_range is None:
-            raise UsageError(f"count {theorem} needs --n")
-        if min(n_range) < 0:
-            raise UsageError("--n must be nonnegative")
         reports = check_schur(max(n_range)) if theorem == "S" \
             else check_goellnitz(max(n_range))
         return [r for r in reports if r.params["n"] >= n_range[0]]
-    if n_range is None or min(n_range) < 0:
-        raise UsageError(f"count {theorem} needs a nonnegative --n range")
-
-    def axis(name, default):
-        value = getattr(args, name)
-        if not value:
-            return default
-        values = _parse_range(value)
-        if values[0] < 0:
-            raise UsageError(f"--{name} must be nonnegative")
-        return values
 
     reports = []
     if theorem == "T1":
         top = max(n_range)
-        bound = (math.isqrt(8 * top + 1) - 1) // 2  # the largest b with T_b <= top
+        every = range(0, (math.isqrt(8 * top + 1) - 1) // 2 + 1)  # b with T_b <= top
         for n in n_range:
-            for i in axis("i", range(0, bound + 1)):
-                for j in axis("j", range(0, bound + 1)):
+            for i in args.i or every:
+                for j in args.j or every:
                     if i * (i + 1) // 2 + j * (j + 1) // 2 <= n:
                         reports.append(check_theorem1(n, i, j))
         return reports
 
-    L_range = axis("L", None)
-    M_range = axis("M", None)
-    if L_range is None or M_range is None:
-        raise UsageError(f"count {theorem} needs --L and --M")
     if theorem == "T2":
         check, in_domain = check_theorem2, lambda L, M, ij: ij <= min(L, M)
     else:
         check, in_domain = check_theorem3, lambda L, M, ij: M >= L >= ij
-    for L in L_range:
-        for M in M_range:
-            for i in axis("i", range(0, max(L, M) + 1)):
-                for j in axis("j", range(0, max(L, M) + 1)):
+    for L in args.L:
+        for M in args.M:
+            every = range(0, max(L, M) + 1)
+            for i in args.i or every:
+                for j in args.j or every:
                     if in_domain(L, M, i + j):
                         reports.extend(check(n, i, j, L, M) for n in n_range)
     return reports
 
 
 def cmd_count(args) -> int:
-    if args.theorem not in THEOREMS:
-        raise UsageError(f"unknown theorem {args.theorem!r}; "
-                         f"choose from {', '.join(THEOREMS)}")
-    for name in _COUNT_FLAGS:
-        if getattr(args, name) is not None and name not in THEOREMS[args.theorem]:
-            raise UsageError(f"count {args.theorem} does not take --{name}")
+    _flags(args, f"count {args.theorem}", THEOREMS[args.theorem],
+           ("L", "M") if args.theorem in ("T2", "T3") else ())
     reports = _count_reports(args)
     failures = [r for r in reports if not r.holds]
     if args.format == "json":
@@ -249,7 +251,6 @@ def _trace_json(trace: BijectionTrace) -> dict:
 
 
 def cmd_bijection(args) -> int:
-    _reject_csv(args)
     try:
         if args.direction == "forward":
             if "/" not in args.input:
@@ -279,20 +280,9 @@ def cmd_bijection(args) -> int:
 
 
 def cmd_gf(args) -> int:
-    _reject_csv(args)
-    if args.kind not in GF_KINDS:
-        raise UsageError(f"unknown kind {args.kind!r}; choose from {', '.join(GF_KINDS)}")
-    if args.L is None or not re.fullmatch(r"\d+", args.L.strip()):
-        raise UsageError("gf needs --L >= 0")
-    L = int(args.L)
-    if args.kind == "trinomialRHS" and L < 1:
+    if args.kind == "trinomialRHS" and args.L < 1:
         raise UsageError("trinomialRHS needs --L >= 1")
-    for name in ("qmax", "amax", "bmax"):
-        if getattr(args, name) is not None and getattr(args, name) < 0:
-            raise UsageError(f"--{name} must be nonnegative")
-    builder = {"GL": build_GL, "RL": build_RL, "PL": build_PL,
-               "trinomialRHS": trinomial_rhs}[args.kind]
-    series = builder(L)
+    series = GF_KINDS[args.kind](args.L)
     caps = (args.amax, args.bmax)
     marker_caps = None
     if caps != (None, None):
@@ -311,7 +301,7 @@ def cmd_gf(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qschur",
         description="exact checks for bounded Schur-type partition identities")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -319,17 +309,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="sweep one identity over a parameter grid")
     p_verify.add_argument("identity")
     for name in _RANGE_NAMES:
-        p_verify.add_argument(f"--{name}", help="integer or inclusive range a..b")
+        p_verify.add_argument(f"--{name}", type=_parse_range,
+                              help="integer or inclusive range a..b")
     for name in _CAP_NAMES:
-        p_verify.add_argument(f"--{name}", type=int, help="truncation cap")
+        p_verify.add_argument(f"--{name}", type=_nonnegative_int, help="truncation cap")
     p_verify.add_argument("--perturb", action="store_true",
                           help="self-test: perturb the right side by +1")
     p_verify.set_defaults(fn=cmd_verify)
 
     p_count = sub.add_parser("count", help="check a theorem's count equality")
-    p_count.add_argument("theorem")
+    p_count.add_argument("theorem", choices=THEOREMS)
     for name in _COUNT_FLAGS:
-        p_count.add_argument(f"--{name}", help="integer or inclusive range a..b")
+        p_count.add_argument(f"--{name}", type=_nonnegative_range, required=name == "n",
+                             help="nonnegative integer or inclusive range a..b")
     p_count.set_defaults(fn=cmd_count)
 
     p_bij = sub.add_parser("bijection", help="trace the correspondence")
@@ -338,19 +330,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_bij.set_defaults(fn=cmd_bijection)
 
     p_gf = sub.add_parser("gf", help="dump a generating function")
-    p_gf.add_argument("kind")
-    p_gf.add_argument("--L")
+    p_gf.add_argument("kind", choices=GF_KINDS)
+    p_gf.add_argument("--L", type=_nonnegative_int, required=True)
     for name in ("qmax", "amax", "bmax"):
-        p_gf.add_argument(f"--{name}", type=int)
+        p_gf.add_argument(f"--{name}", type=_nonnegative_int)
     p_gf.set_defaults(fn=cmd_gf)
 
     for p in (p_verify, p_count, p_bij, p_gf):
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+        formats = ("text", "json", "csv") if p is p_count else ("text", "json")
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--out", help="write the report to this path")
     return parser
-
-
-_RANGE_FLAGS = {f"--{name}" for name in _RANGE_NAMES + ("n",)}  # 'count' takes --n
 
 
 def _join_negative_ranges(argv: Sequence[str]) -> list[str]:
@@ -363,7 +353,7 @@ def _join_negative_ranges(argv: Sequence[str]) -> list[str]:
             skip = False
             continue
         nxt = argv[pos + 1] if pos + 1 < len(argv) else None
-        if token in _RANGE_FLAGS and nxt is not None \
+        if token[2:] in _PARAM_NAMES and token.startswith("--") and nxt is not None \
                 and nxt.startswith("-") and _RANGE_RE.match(nxt):
             out.append(f"{token}={nxt}")
             skip = True
@@ -373,11 +363,10 @@ def _join_negative_ranges(argv: Sequence[str]) -> list[str]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_join_negative_ranges(list(argv)))
     try:
+        args = build_parser().parse_args(_join_negative_ranges(list(argv)))
         # --out is opened, and truncated, before the command computes, so
         # an unwritable path fails at once; a command that fails after
         # that leaves the file empty.  The command writes to the handle.

@@ -15,8 +15,8 @@ On dilated values this is Schur's gap condition, the one test used here
 (``_schur_next_bound``): parts differ by at least 3, strictly when the
 larger is a multiple of 3.  Gap partitions and Schur-gap partitions are
 thus the same value sequences, graded by weight and by value; one
-recursion enumerates both, and symbols are built only at the API, text
-and JSON boundary.
+recursion enumerates both.  A ColoredPartition stores only its dilated
+values, so symbols are built only at the API, text and JSON boundary.
 """
 
 from __future__ import annotations
@@ -109,7 +109,8 @@ class ColoredSymbol:
 
 
 class ColoredPartition:
-    """A strictly decreasing (by rank) sequence of colored symbols.
+    """A strictly decreasing (by rank) sequence of colored symbols, stored
+    as its dilated values; ``parts`` builds the symbols on read.
 
     Besides gap partitions this also represents the distinct-part vector
     partition components (all-a or all-b).  The text form joins symbols
@@ -117,14 +118,13 @@ class ColoredPartition:
     the empty partition renders as a lone '∅'.
     """
 
-    __slots__ = ("parts", "_values")
+    __slots__ = ("_values",)
 
     def __init__(self, parts: Iterable[ColoredSymbol] = ()):
-        seq = sorted(parts, key=lambda s: s.dilated, reverse=True)
-        values = tuple([s.dilated for s in seq])
+        values = tuple(sorted((s.dilated for s in parts), reverse=True))
         if len(set(values)) < len(values):
             raise ValueError("parts must be strictly decreasing in the symbol order")
-        self.parts, self._values = tuple(seq), values
+        self._values = values
 
     # -- construction -------------------------------------------------------
 
@@ -146,17 +146,22 @@ class ColoredPartition:
 
     @classmethod
     def _of_values(cls, values: Sequence[int]) -> "ColoredPartition":
-        """Trusted: ``values`` strictly decrease.  Parts are interned symbols."""
+        """Trusted: ``values`` strictly decrease."""
         self = cls.__new__(cls)
-        self.parts, self._values = tuple(map(ColoredSymbol.from_dilated, values)), tuple(values)
+        self._values = tuple(values)
         return self
+
+    @property
+    def parts(self) -> tuple[ColoredSymbol, ...]:
+        """The symbols, decreasing; interned, built on each read."""
+        return tuple(map(ColoredSymbol.from_dilated, self._values))
 
     # -- statistics ----------------------------------------------------------
 
     @property
     def sigma(self) -> int:
         """Total weight: the sum of the part weights."""
-        return sum(p.weight for p in self.parts)
+        return sum(d // 3 + 1 for d in self._values)
 
     def dilated(self) -> tuple[int, ...]:
         """The ordinary-integer image of each part (decreasing)."""
@@ -168,7 +173,7 @@ class ColoredPartition:
         return iter(self.parts)
 
     def __len__(self) -> int:
-        return len(self.parts)
+        return len(self._values)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ColoredPartition) and self._values == other._values
@@ -177,7 +182,7 @@ class ColoredPartition:
         return hash(self._values)
 
     def __str__(self) -> str:
-        return "+".join(str(p) for p in self.parts) if self.parts else "∅"
+        return "+".join(map(str, self.parts)) if self._values else "∅"
 
     def __repr__(self) -> str:
         return f"ColoredPartition({self})"

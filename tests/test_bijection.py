@@ -118,6 +118,19 @@ class TestInvariants:
                         assert t.pi3 not in seen_pi3
                         seen_pi3.add(t.pi3)
 
+    def test_inverse_builds_no_symbols(self, monkeypatch):
+        # inverse runs on dilated values, and so do the partitions it returns
+        pairs = [(P(left), P(right)) for left, right in (
+            ("∅", "∅"), ("a3+a1", "b5+b2+b1"), ("a6+a5+a3+a2+a1", "b9+b8+b6+b4+b2+b1"))]
+        images = [forward(pi1, pi2).pi3 for pi1, pi2 in pairs]
+
+        def builds(cls, value):
+            raise AssertionError(f"built the symbol of {value}")
+
+        monkeypatch.setattr(ColoredSymbol, "from_dilated", classmethod(builds))
+        for (pi1, pi2), pi3 in zip(pairs, images):
+            assert inverse(pi3) == (pi1, pi2)
+
     @given(distinct_weight_sets(14), distinct_weight_sets(14))
     @settings(max_examples=150)
     def test_round_trip_random(self, w1, w2):
@@ -145,12 +158,12 @@ class TestBounded:
         assert (cert.nu_l, cert.nu_m) == (0, 0)
 
     def test_preconditions_enforced(self):
-        with pytest.raises(InvalidInput):
-            forward_bounded(P("a5"), P("∅"), L=3, M=3)  # a-part exceeds M - j
-        with pytest.raises(InvalidInput):
-            forward_bounded(P("a1"), P("b4"), L=3, M=3)  # b-part exceeds L
-        with pytest.raises(InvalidInput):
-            forward_bounded(P("a1"), P("b2"), L=1, M=1)  # max(L, M) < i + j
+        with pytest.raises(InvalidInput, match=r"^pi1 parts must be <= M-j = 3$"):
+            forward_bounded(P("a5"), P("∅"), L=3, M=3)
+        with pytest.raises(InvalidInput, match=r"^pi2 parts must be <= L = 3$"):
+            forward_bounded(P("a1"), P("b4"), L=3, M=3)
+        with pytest.raises(InvalidInput, match=r"^need max\(L, M\) >= i\+j = 2$"):
+            forward_bounded(P("a1"), P("b2"), L=1, M=1)
 
     def test_bound_profile_on_a_grid(self):
         for L in range(0, 5):

@@ -106,6 +106,14 @@ class TestBadInput:
         ["count", "G", "--n", "3", "--L", "1"],
         # a negative --n is folded into one token and reaches count's check
         ["count", "S", "--n", "-1"],
+        # rejected by the parser itself: an unknown flag, a value outside
+        # a flag's choices or type, a missing positional or subcommand
+        ["verify", "eq53", "--L", "1", "--n", "3"],
+        ["verify", "eq53", "--L", "1", "--format", "xml"],
+        ["verify", "eq26", "--i", "0", "--j", "0", "--qmax", "x"],
+        ["bijection", "sideways", "a1"],
+        ["count"],
+        pytest.param([], id="(no arguments)"),
         # an --out path that cannot be written: a directory, and a path
         # under a regular file; neither creates anything
         pytest.param(["verify", "eq21", "--L", "0", "--M", "0", "--i", "0", "--j", "0",
@@ -115,6 +123,7 @@ class TestBadInput:
                      id="gf GL --out <a path under a file>"),
     ], ids=" ".join)
     def test_exits_2_with_one_error_line(self, argv, capsys):
+        # main returns 2 itself: no usage error leaves it as SystemExit
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == ""
@@ -260,6 +269,14 @@ class TestCountCommand:
         with pytest.raises(RuntimeError):
             main(["verify", "eq53", "--L", "0..2", "--out", str(target)])
         assert target.read_text() == ""
+
+    def test_a_bad_flag_value_leaves_the_out_file_untouched(self, tmp_path, capsys):
+        # flag values are checked while parsing, before --out is opened
+        target = tmp_path / "report.txt"
+        target.write_text("an older report\n")
+        assert main(["verify", "eq53", "--L", "5..1", "--out", str(target)]) == 2
+        assert capsys.readouterr().err == "error: argument --L: empty range '5..1'\n"
+        assert target.read_text() == "an older report\n"
 
     def test_count_out_file(self, tmp_path):
         target = tmp_path / "schur.csv"
