@@ -8,16 +8,12 @@ from qschur import (
     build_RL,
     sweep,
     trinomial_rhs,
-    verify_21,
-    verify_53,
-    verify_63,
-    verify_63_closed_LM,
+    verify,
 )
-from qschur.identities import verify_11, verify_rec55
 
 # One cell of the double-bounded key identity.  Both sides are exact
 # Laurent polynomials; holds means bit-for-bit equality.
-v = verify_21(2, 2, 1, 1)
+v = verify("eq21", 2, 2, 1, 1)
 print("key identity at (2,2,1,1):", v.lhs, "=", v.rhs, "->", v.holds)
 
 # The identity is valid for ARBITRARY integers, including negative bounds.
@@ -30,7 +26,7 @@ print("signed sweep:", result.summary())
 print("\nG_2 =", build_GL(2))
 print("R_2 =", build_RL(2))
 print("P_2 =", build_PL(2))
-assert verify_53(2).holds and verify_rec55(4).holds
+assert verify("eq53", 2).holds and verify("rec55", 4).holds
 
 # Dilating G_L gives the two-parameter trinomial representation.
 print("\ntrinomial form of G_2:", trinomial_rhs(2))
@@ -40,10 +36,10 @@ print("\ntrinomial form of G_2:", trinomial_rhs(2))
 print("\nthree-color identity spot checks:")
 for L, M, i, j, k in ((4, 6, 1, 1, 1), (6, 4, 2, 1, 1), (5, 5, 2, 2, 2)):
     print(f"  (L={L}, M={M}, i={i}, j={j}, k={k}):",
-          verify_63(L, M, i, j, k).holds)
-print("closed form at L=M=5, (2,2,2):", verify_63_closed_LM(5, 2, 2, 2).holds)
+          verify("eq63", L, M, i, j, k).holds)
+print("closed form at L=M=5, (2,2,2):", verify("eq63lm", 5, 2, 2, 2).holds)
 
 # Truncated check of the infinite two-marker identity: double series
 # against double product, within explicit caps.
 print("\ntruncated product identity (caps 4,4, q^20):",
-      verify_11(4, 4, 20).holds)
+      verify("eq11", 4, 4, 20).holds)

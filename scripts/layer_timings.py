@@ -23,8 +23,8 @@ every build is cold; a layer listed in ``WARM`` then runs its warm-up
 untimed, so that only its ring arithmetic is timed.  The inputs some
 layers read (parsed partitions, the bijection grid, the failing sides)
 are built once by ``main``, untimed, and not at import.  Only names the
-library has exposed since the exact-weight enumerators are used, so two
-checkouts can be timed with the same script.
+library has exposed since the registry-driven ``identities.verify`` are
+used, so two checkouts can be timed with the same script.
 """
 
 from __future__ import annotations
@@ -47,11 +47,7 @@ CACHES = [getattr(theorems, name) for name in
           ("_type1_census", "_s_census", "_s_census_mirrored", "_g3_census")] + \
     [coefficients.poch_qpow, coefficients.qbinom, coefficients.qmultinomial3,
      identities.inv_poch_trunc,
-     identities.build_GL, identities.build_PL, identities.build_RL]
-# the k-sum head table, skipped in a checkout that has none
-_KSUM_HEAD = getattr(identities, "_ksum_head", None)
-if _KSUM_HEAD is not None:
-    CACHES.append(_KSUM_HEAD)
+     identities.build_GL, identities.build_PL, identities.build_RL, identities._ksum_head]
 
 
 def _load_probe():
@@ -161,12 +157,12 @@ def _bijection():
 
 
 def _identities():
-    identities.verify_11(4, 4, 30)
-    identities.verify_61(3, 3, 3, 30)
+    identities.verify("eq11", 4, 4, 30)
+    identities.verify("eq61", 3, 3, 3, 30)
     for L in range(0, 13):
         for i in range(0, L + 1):
             for j in range(0, L - i + 1):
-                identities.verify_32(L, i, j)
+                identities.verify("eq32", L, i, j)
 
 
 # one L-slice of the signed grid [-5..10]^4, the one with the largest L
@@ -177,7 +173,7 @@ def _ring():
     for M in SIGNED:
         for i in SIGNED:
             for j in SIGNED:
-                identities.verify_21(10, M, i, j)
+                identities.verify("eq21", 10, M, i, j)
 
 
 def _sweep():
@@ -215,10 +211,10 @@ def _series():
         identities.build_GL(L)
         identities.build_PL(L)
     for L in range(1, 13):
-        identities.verify_516(L)
+        identities.verify("eq516", L)
     for L in range(0, 9):
         for M in range(0, 9):
-            identities.verify_46(L, M)
+            identities.verify("eq46", L, M)
 
 
 LAYERS = {
@@ -239,11 +235,11 @@ LAYERS = {
     "bijection_s": (_bijection, "forward_bounded then inverse, compared with the input, "
                                 "on the pairs of the bounded grid L <= M <= 8, "
                                 "weight <= 16, built beforehand"),
-    "identities_s": (_identities, "verify_11(4, 4, 30), verify_61(3, 3, 3, 30) and "
-                                  "verify_32 on every 0 <= i, j with i + j <= L <= 12, cold"),
-    "ring_s": (_ring, "verify_21(10, M, i, j) for M, i, j in -5..10, q-binomial "
-                      "tables, and the k-sum head table where there is one, warmed by one "
-                      "untimed pass"),
+    "identities_s": (_identities, "verify('eq11', 4, 4, 30), verify('eq61', 3, 3, 3, 30) "
+                                  "and verify('eq32', L, i, j) on every 0 <= i, j with "
+                                  "i + j <= L <= 12, cold"),
+    "ring_s": (_ring, "verify('eq21', 10, M, i, j) for M, i, j in -5..10, q-binomial "
+                      "tables and the k-sum head table, warmed by one untimed pass"),
     "sweep_s": (_sweep, "identities.sweep('eq21') over the ring_s slice, L = 10 and "
                         "M, i, j in -5..10, with the same tables warmed by one untimed "
                         "pass"),
@@ -252,7 +248,7 @@ LAYERS = {
                                     "ops), then qtrinomial(L, tau) for L <= 12 and "
                                     "|tau| <= L, cold"),
     "series_s": (_series, "build_GL(L) and build_PL(L) for L <= 12, cold, then "
-                          "verify_516(L) for 1 <= L <= 12 and verify_46(L, M) for "
+                          "verify('eq516', L) for 1 <= L <= 12 and verify('eq46', L, M) for "
                           "L, M <= 8"),
     "render_s": (_render, "str() of both sides of the failing cells of the perturbed "
                           "eq21 sweep on L, M in 0..12, i, j in 0..6, built beforehand"),

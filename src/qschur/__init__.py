@@ -47,15 +47,7 @@ from .identities import (
     build_RL,
     sweep,
     trinomial_rhs,
-    verify_21,
-    verify_32,
-    verify_44,
-    verify_46,
-    verify_48,
-    verify_516,
-    verify_53,
-    verify_63,
-    verify_63_closed_LM,
+    verify,
 )
 from .theorems import (
     CountReport,

@@ -6,8 +6,9 @@ counterexample was found (the first witness is printed), 2 on usage or
 parse errors.  Every usage error, whether the parser or a command finds
 it, prints one ``error: ...`` line on stderr and ``main`` returns 2; only
 ``--help`` exits through argparse.  Each flag's value is checked where the
-flag is declared, so a bad value is rejected while parsing, before
-``--out`` is opened.
+flag is declared, so a bad value is rejected while parsing; each command's
+``usage`` function makes the checks the parser cannot declare.  Both run
+before ``--out`` is opened, so a usage error leaves an existing file as is.
 """
 
 from __future__ import annotations
@@ -138,13 +139,17 @@ def _witness_line(v: Verdict) -> str:
             f"{where}: lhs {w.lhs_coeff}, rhs {w.rhs_coeff}")
 
 
-def cmd_verify(args) -> int:
+def _verify_usage(args):
     if args.identity not in IDENTITIES:
         raise UsageError(f"unknown identity {args.identity!r}; "
                          f"choose from {', '.join(sorted(IDENTITIES))}")
     spec = IDENTITIES[args.identity]
     _flags(args, f"identity {args.identity}", spec.range_params + spec.cap_params,
            spec.range_params)
+
+
+def cmd_verify(args) -> int:
+    spec = IDENTITIES[args.identity]
     ranges = {name: getattr(args, name) for name in spec.range_params}
     caps = {name: getattr(args, name) for name in spec.cap_params
             if getattr(args, name) is not None}
@@ -196,9 +201,12 @@ def _count_reports(args) -> list[CountReport]:
     return reports
 
 
-def cmd_count(args) -> int:
+def _count_usage(args):
     _flags(args, f"count {args.theorem}", THEOREMS[args.theorem],
            ("L", "M") if args.theorem in ("T2", "T3") else ())
+
+
+def cmd_count(args) -> int:
     reports = _count_reports(args)
     failures = [r for r in reports if not r.holds]
     if args.format == "json":
@@ -250,22 +258,28 @@ def _trace_json(trace: BijectionTrace) -> dict:
     }
 
 
+def _bijection_usage(args):
+    """Parse the input into ``args.partitions``: pi1 and pi2 forward, pi3
+    inverse."""
+    if args.direction == "forward" and "/" not in args.input:
+        raise UsageError("forward input must be 'pi1 / pi2'")
+    texts = args.input.split("/", 1) if args.direction == "forward" else [args.input]
+    try:
+        args.partitions = [ColoredPartition.from_text(text) for text in texts]
+    except ValueError as exc:
+        raise UsageError(str(exc))
+
+
 def cmd_bijection(args) -> int:
     try:
         if args.direction == "forward":
-            if "/" not in args.input:
-                raise UsageError("forward input must be 'pi1 / pi2'")
-            left, right = args.input.split("/", 1)
-            pi1 = ColoredPartition.from_text(left)
-            pi2 = ColoredPartition.from_text(right)
-            trace = forward(pi1, pi2)
+            trace = forward(*args.partitions)
             if args.format == "json":
                 _emit(json.dumps(_trace_json(trace), indent=2), args.out)
             else:
                 _emit(_trace_table(trace) + f"\npi3 = {trace.pi3}", args.out)
             return 0
-        pi3 = ColoredPartition.from_text(args.input)
-        pi1, pi2 = inverse(pi3)
+        pi1, pi2 = inverse(*args.partitions)
         if args.format == "json":
             _emit(json.dumps({"pi1": pi1.to_json(), "pi2": pi2.to_json()}, indent=2),
                   args.out)
@@ -275,13 +289,14 @@ def cmd_bijection(args) -> int:
     except InvalidInput as exc:
         print(f"not in the correspondence's domain: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        raise UsageError(str(exc))
+
+
+def _gf_usage(args):
+    if args.kind == "trinomialRHS" and args.L < 1:
+        raise UsageError("trinomialRHS needs --L >= 1")
 
 
 def cmd_gf(args) -> int:
-    if args.kind == "trinomialRHS" and args.L < 1:
-        raise UsageError("trinomialRHS needs --L >= 1")
     series = GF_KINDS[args.kind](args.L)
     caps = (args.amax, args.bmax)
     marker_caps = None
@@ -315,26 +330,26 @@ def build_parser() -> argparse.ArgumentParser:
         p_verify.add_argument(f"--{name}", type=_nonnegative_int, help="truncation cap")
     p_verify.add_argument("--perturb", action="store_true",
                           help="self-test: perturb the right side by +1")
-    p_verify.set_defaults(fn=cmd_verify)
+    p_verify.set_defaults(fn=cmd_verify, usage=_verify_usage)
 
     p_count = sub.add_parser("count", help="check a theorem's count equality")
     p_count.add_argument("theorem", choices=THEOREMS)
     for name in _COUNT_FLAGS:
         p_count.add_argument(f"--{name}", type=_nonnegative_range, required=name == "n",
                              help="nonnegative integer or inclusive range a..b")
-    p_count.set_defaults(fn=cmd_count)
+    p_count.set_defaults(fn=cmd_count, usage=_count_usage)
 
     p_bij = sub.add_parser("bijection", help="trace the correspondence")
     p_bij.add_argument("direction", choices=("forward", "inverse"))
     p_bij.add_argument("input", help="forward: 'pi1 / pi2'; inverse: a partition")
-    p_bij.set_defaults(fn=cmd_bijection)
+    p_bij.set_defaults(fn=cmd_bijection, usage=_bijection_usage)
 
     p_gf = sub.add_parser("gf", help="dump a generating function")
     p_gf.add_argument("kind", choices=GF_KINDS)
     p_gf.add_argument("--L", type=_nonnegative_int, required=True)
     for name in ("qmax", "amax", "bmax"):
         p_gf.add_argument(f"--{name}", type=_nonnegative_int)
-    p_gf.set_defaults(fn=cmd_gf)
+    p_gf.set_defaults(fn=cmd_gf, usage=_gf_usage)
 
     for p in (p_verify, p_count, p_bij, p_gf):
         formats = ("text", "json", "csv") if p is p_count else ("text", "json")
@@ -367,8 +382,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         argv = sys.argv[1:]
     try:
         args = build_parser().parse_args(_join_negative_ranges(list(argv)))
+        args.usage(args)
         # --out is opened, and truncated, before the command computes, so
-        # an unwritable path fails at once; a command that fails after
+        # an unwritable path fails at once; a command that raises after
         # that leaves the file empty.  The command writes to the handle.
         if not args.out:
             return args.fn(args)

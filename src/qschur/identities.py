@@ -1,13 +1,14 @@
 """Exact verifiers for the bounded key identities and their consequences.
 
 Each identity has one sides function, which computes both sides as exact
-LaurentPoly or MarkerSeries values and returns them as a pair.  Its
-public verifier returns a Verdict carrying both sides and, when they
-differ, a witness locating the first differing q-coefficient.  sweep
-compares the sides itself and builds a Verdict only for a failing cell.
-Identity tags (eq21, eq32, ...) are the stable vocabulary shared with
-the command line; see IDENTITIES for the registry, whose entries hold
-the sides functions.
+LaurentPoly or MarkerSeries values and returns them as a pair.  Identity
+tags (eq21, eq32, ...) are the stable vocabulary shared with the command
+line; IDENTITIES, the registry, maps each tag to its sides function and
+parameter names, and is the one way in.  verify(tag, *params) checks one
+cell and returns a Verdict carrying both sides and, when they differ, a
+witness locating the first differing q-coefficient.  sweep checks a grid
+of cells, compares the sides itself and builds a Verdict only for a
+failing cell.
 
 Each shape of computation has one route: every triple-q-binomial k-sum
 (eq21, eq32, eq44, G_L) is _ksum, the triangular-exponent ones (eq44,
@@ -49,22 +50,7 @@ __all__ = [
     "rhs_21",
     "sweep",
     "trinomial_rhs",
-    "verify_11",
-    "verify_21",
-    "verify_26_cell",
-    "verify_32",
-    "verify_44",
-    "verify_46",
-    "verify_48",
-    "verify_516",
-    "verify_53",
-    "verify_61",
-    "verify_63",
-    "verify_63_closed_LM",
-    "verify_rec512",
-    "verify_rec55",
-    "verify_rec58",
-    "verify_rec59",
+    "verify",
 ]
 
 
@@ -163,40 +149,29 @@ def rhs_21(L: int, M: int, i: int, j: int) -> LaurentPoly:
 
 
 def _sides_21(L: int, M: int, i: int, j: int) -> Sides:
+    """The double-bounded key identity; valid for arbitrary integers."""
     return _ksum(L, M, i, j), rhs_21(L, M, i, j)
 
 
-def verify_21(L: int, M: int, i: int, j: int) -> Verdict:
-    """The double-bounded key identity; valid for arbitrary integers."""
-    return _verdict("eq21", dict(L=L, M=M, i=i, j=j), *_sides_21(L, M, i, j))
-
-
 def _sides_32(L: int, i: int, j: int) -> Sides:
-    return _ksum(L, i + j, i, j), qbinom(L, j)
-
-
-def verify_32(L: int, i: int, j: int) -> Verdict:
     """The M-free Durfee-rectangle identity (i, j >= 0, L >= i+j): eq21 at
     M = i + j, where [k; k] = 1 and [i; i-k] = [i; k] leave
     sum_k q^{(i-k)(j-k)} [i; k] [L-i; j-k] = [L; j]
     (q-Chu-Vandermonde; Gasper-Rahman, Basic Hypergeometric Series, 1.5)."""
-    return _verdict("eq32", dict(L=L, i=i, j=j), *_sides_32(L, i, j))
+    return _ksum(L, i + j, i, j), qbinom(L, j)
 
 
 def _sides_44(L: int, M: int, i: int, j: int) -> Sides:
-    shift = triangular(i) + triangular(j)
-    return _ksum(L, M, i, j).shifted(shift), rhs_21(L, M, i, j).shifted(shift)
-
-
-def verify_44(L: int, M: int, i: int, j: int) -> Verdict:
     """Triangular-exponent form of the key identity: the k-sum with
     exponents T_{i+j-k} + T_k against q^{T_i+T_j} [L; j] [M-j; i].  Since
     T_{i+j-k} + T_k = T_i + T_j + (i-k)(j-k) for every k, the left side is
     the eq21 k-sum shifted by T_i + T_j."""
-    return _verdict("eq44", dict(L=L, M=M, i=i, j=j), *_sides_44(L, M, i, j))
+    shift = triangular(i) + triangular(j)
+    return _ksum(L, M, i, j).shifted(shift), rhs_21(L, M, i, j).shifted(shift)
 
 
 def _sides_48(L: int, M: int, i: int, j: int) -> Sides:
+    """Multinomial-kernel bounded identity (0 <= i <= M, 0 <= j <= L)."""
     lhs = (qbinom(M, i) * qbinom(L, j)).shifted(triangular(i) + triangular(j))
     rhs = ZERO
     for k in range(0, min(i, j) + 1):
@@ -204,11 +179,6 @@ def _sides_48(L: int, M: int, i: int, j: int) -> Sides:
         term = qmultinomial3(M, M - i, i - k) * qbinom(L - i, j - k)
         rhs = rhs + term.shifted(triangular(i + j - k) + triangular(k))
     return lhs, rhs
-
-
-def verify_48(L: int, M: int, i: int, j: int) -> Verdict:
-    """Multinomial-kernel bounded identity (0 <= i <= M, 0 <= j <= L)."""
-    return _verdict("eq48", dict(L=L, M=M, i=i, j=j), *_sides_48(L, M, i, j))
 
 
 def _marker_product(tops: Sequence[int],
@@ -226,21 +196,17 @@ def _marker_product(tops: Sequence[int],
 
 
 def _sides_46(L: int, M: int) -> Sides:
-    product = _marker_product((M, L))
-    expansion = MarkerSeries(2, {
-        (i, j): (qbinom(M, i) * qbinom(L, j)).shifted(triangular(i) + triangular(j))
-        for i in range(0, max(M, 0) + 1) for j in range(0, max(L, 0) + 1)})
-    return product, expansion
-
-
-def verify_46(L: int, M: int) -> Verdict:
     """Finite two-marker product expansion.
 
     The product prod_{m<=M}(1+Aq^m) * prod_{m<=L}(1+Bq^m) must equal the
     double sum of A^i B^j q^{T_i+T_j} [M; i] [L; j]; both sides are exact
     polynomials, compared coefficientwise over all (i, j).
     """
-    return _verdict("eq46", dict(L=L, M=M), *_sides_46(L, M))
+    product = _marker_product((M, L))
+    expansion = MarkerSeries(2, {
+        (i, j): (qbinom(M, i) * qbinom(L, j)).shifted(triangular(i) + triangular(j))
+        for i in range(0, max(M, 0) + 1) for j in range(0, max(L, 0) + 1)})
+    return product, expansion
 
 
 # --------------------------------------------------------------------------
@@ -332,33 +298,22 @@ def build_PL(L: int) -> MarkerSeries:
 
 
 def _sides_53(L: int) -> Sides:
+    """G_L equals the multinomial series R_L."""
     return build_GL(L), build_RL(L)
 
 
-def verify_53(L: int) -> Verdict:
-    """G_L equals the multinomial series R_L."""
-    return _verdict("eq53", dict(L=L), *_sides_53(L))
-
-
 def _sides_rec55(L: int) -> Sides:
+    """Three-term recurrence for G_L (L >= 2)."""
     return build_GL(L), _convergent_step(L, build_GL(L - 1), build_GL(L - 2))
 
 
-def verify_rec55(L: int) -> Verdict:
-    """Three-term recurrence for G_L (L >= 2)."""
-    return _verdict("rec55", dict(L=L), *_sides_rec55(L))
-
-
 def _sides_rec512(L: int) -> Sides:
+    """Numerator convergents equal G_L."""
     return build_PL(L), build_GL(L)
 
 
-def verify_rec512(L: int) -> Verdict:
-    """Numerator convergents equal G_L."""
-    return _verdict("rec512", dict(L=L), *_sides_rec512(L))
-
-
 def _sides_rec58(L: int, i: int, j: int) -> Sides:
+    """Symmetric second-order multinomial recurrence (L >= 2)."""
     lhs = qmultinomial3(L, i, j)
     rhs = (qmultinomial3(L - 1, i, j)
            + qmultinomial3(L - 1, i - 1, j).shifted(L - i)
@@ -367,22 +322,13 @@ def _sides_rec58(L: int, i: int, j: int) -> Sides:
     return lhs, rhs
 
 
-def verify_rec58(L: int, i: int, j: int) -> Verdict:
-    """Symmetric second-order multinomial recurrence (L >= 2)."""
-    return _verdict("rec58", dict(L=L, i=i, j=j), *_sides_rec58(L, i, j))
-
-
 def _sides_rec59(L: int, i: int, j: int) -> Sides:
+    """Standard first-order multinomial recurrence (L >= 1)."""
     lhs = qmultinomial3(L, i, j)
     rhs = (qmultinomial3(L - 1, i, j)
            + qmultinomial3(L - 1, i, j - 1).shifted(L - i - j)
            + qmultinomial3(L - 1, i - 1, j).shifted(L - i))
     return lhs, rhs
-
-
-def verify_rec59(L: int, i: int, j: int) -> Verdict:
-    """Standard first-order multinomial recurrence (L >= 1)."""
-    return _verdict("rec59", dict(L=L, i=i, j=j), *_sides_rec59(L, i, j))
 
 
 def trinomial_rhs(L: int) -> MarkerSeries:
@@ -394,13 +340,9 @@ def trinomial_rhs(L: int) -> MarkerSeries:
 
 
 def _sides_516(L: int) -> Sides:
-    return build_GL(L).dilate(3, (-2, -1)), trinomial_rhs(L)
-
-
-def verify_516(L: int) -> Verdict:
     """Dilated G_L (q -> q^3, A -> Aq^-2, B -> Bq^-1) equals the
     two-parameter trinomial sum (L >= 1)."""
-    return _verdict("eq516", dict(L=L), *_sides_516(L))
+    return build_GL(L).dilate(3, (-2, -1)), trinomial_rhs(L)
 
 
 # --------------------------------------------------------------------------
@@ -466,25 +408,17 @@ def _rhs_63(L: int, M: int, i: int, j: int, k: int) -> LaurentPoly:
 
 
 def _sides_63(L: int, M: int, i: int, j: int, k: int) -> Sides:
+    """The double-bounded three-color key identity (i, j, k >= 0)."""
     return _lhs_63(L, M, i, j, k), _rhs_63(L, M, i, j, k)
 
 
-def verify_63(L: int, M: int, i: int, j: int, k: int) -> Verdict:
-    """The double-bounded three-color key identity (i, j, k >= 0)."""
-    return _verdict("eq63", dict(L=L, M=M, i=i, j=j, k=k), *_sides_63(L, M, i, j, k))
-
-
 def _sides_63lm(L: int, i: int, j: int, k: int) -> Sides:
+    """At L = M the tau-sum collapses to the cyclic closed form
+    q^{T_i+T_j+T_k} [L-k; i] [L-i; j] [L-j; k]."""
     lhs = _rhs_63(L, L, i, j, k)
     rhs = (qbinom(L - k, i) * qbinom(L - i, j) * qbinom(L - j, k)).shifted(
         triangular(i) + triangular(j) + triangular(k))
     return lhs, rhs
-
-
-def verify_63_closed_LM(L: int, i: int, j: int, k: int) -> Verdict:
-    """At L = M the tau-sum collapses to the cyclic closed form
-    q^{T_i+T_j+T_k} [L-k; i] [L-i; j] [L-j; k]."""
-    return _verdict("eq63lm", dict(L=L, i=i, j=j, k=k), *_sides_63lm(L, i, j, k))
 
 
 # --------------------------------------------------------------------------
@@ -514,6 +448,9 @@ def inv_poch_trunc(n: int, q_cap: int) -> LaurentPoly:
 
 
 def _sides_26(i: int, j: int, qmax: int) -> Sides:
+    """Termwise limit identity at one (i, j): the k-sum of
+    q^{T_{i+j-k}+T_k} / ((q)_{i-k} (q)_{j-k} (q)_k) equals
+    q^{T_i+T_j} / ((q)_i (q)_j), both truncated at qmax."""
     lhs = ZERO
     for k in range(0, min(i, j) + 1):
         lhs = lhs + _capped_product(
@@ -522,13 +459,6 @@ def _sides_26(i: int, j: int, qmax: int) -> Sides:
     rhs = _capped_product((inv_poch_trunc(i, qmax), inv_poch_trunc(j, qmax)), qmax,
                           triangular(i) + triangular(j))
     return lhs, rhs
-
-
-def verify_26_cell(i: int, j: int, qmax: int) -> Verdict:
-    """Termwise limit identity at one (i, j): the k-sum of
-    q^{T_{i+j-k}+T_k} / ((q)_{i-k} (q)_{j-k} (q)_k) equals
-    q^{T_i+T_j} / ((q)_i (q)_j), both truncated at qmax."""
-    return _verdict("eq26", dict(i=i, j=j, qmax=qmax), *_sides_26(i, j, qmax))
 
 
 def _cellwise(caps: Sequence[int], qmax: int,
@@ -552,16 +482,11 @@ def _cellwise(caps: Sequence[int], qmax: int,
 
 
 def _sides_11(amax: int, bmax: int, qmax: int) -> Sides:
-    return _cellwise((amax, bmax), qmax, lambda i, j: _sides_26(i, j, qmax))
-
-
-def verify_11(amax: int, bmax: int, qmax: int) -> Verdict:
     """Truncated two-marker key identity: each (i, j) cell is eq26 (the
     k-sum against the Pochhammer form), and the k-sum double series must
     equal the double product within the caps.  A failing eq26 cell is
     reported at its marker (i, j)."""
-    return _verdict("eq11", dict(amax=amax, bmax=bmax, qmax=qmax),
-                    *_sides_11(amax, bmax, qmax))
+    return _cellwise((amax, bmax), qmax, lambda i, j: _sides_26(i, j, qmax))
 
 
 def _cell_61(i: int, j: int, k: int, q_cap: int) -> LaurentPoly:
@@ -581,20 +506,15 @@ def _cell_61(i: int, j: int, k: int, q_cap: int) -> LaurentPoly:
 
 
 def _sides_61(amax: int, bmax: int, cmax: int, qmax: int) -> Sides:
+    """Truncated three-marker key identity: for each (i, j, k) within the
+    caps the composition sum must reduce to q^{T_i+T_j+T_k} / ((q)_i (q)_j
+    (q)_k), and summed against the markers it must equal the triple
+    product."""
     def cell(i: int, j: int, k: int) -> tuple[LaurentPoly, LaurentPoly]:
         return _cell_61(i, j, k, qmax), _capped_product(
             [inv_poch_trunc(n, qmax) for n in (i, j, k)], qmax,
             triangular(i) + triangular(j) + triangular(k))
     return _cellwise((amax, bmax, cmax), qmax, cell)
-
-
-def verify_61(amax: int, bmax: int, cmax: int, qmax: int) -> Verdict:
-    """Truncated three-marker key identity: for each (i, j, k) within the
-    caps the composition sum must reduce to q^{T_i+T_j+T_k} / ((q)_i (q)_j
-    (q)_k), and summed against the markers it must equal the triple
-    product."""
-    return _verdict("eq61", dict(amax=amax, bmax=bmax, cmax=cmax, qmax=qmax),
-                    *_sides_61(amax, bmax, cmax, qmax))
 
 
 # --------------------------------------------------------------------------
@@ -603,11 +523,11 @@ def verify_61(amax: int, bmax: int, cmax: int, qmax: int) -> Verdict:
 
 @dataclass(frozen=True)
 class IdentitySpec:
-    """Registry entry: how to drive one identity from parameter ranges.
+    """Registry entry: how to drive one identity from its parameters.
     ``fn`` is the identity's sides function and ``valid`` its domain
-    test; sweep calls both positionally, ``fn`` with the range
-    parameters then the caps and ``valid`` with the range parameters,
-    each in the order named here."""
+    test.  verify and sweep both call ``fn`` positionally, with the range
+    parameters then the caps, in the order named here; sweep calls
+    ``valid`` positionally with the range parameters."""
 
     fn: Callable[..., Sides]
     range_params: tuple[str, ...]
@@ -643,6 +563,20 @@ IDENTITIES: dict[str, IdentitySpec] = {
 DEFAULT_CAPS = {"amax": 8, "bmax": 8, "cmax": 8, "qmax": 60}
 
 
+def verify(identity: str, *params: int) -> Verdict:
+    """Check one cell of an identity and return its Verdict.  ``params``
+    are the identity's range parameters then its caps, in the registry's
+    order, as in verify("eq21", L, M, i, j) or verify("eq11", amax, bmax,
+    qmax).  The cell's domain is not checked and the caps have no
+    defaults."""
+    spec = IDENTITIES[identity]
+    names = spec.range_params + spec.cap_params
+    if len(params) != len(names):
+        raise TypeError(f"{identity} takes {len(names)} parameters "
+                        f"({', '.join(names)}), got {len(params)}")
+    return _verdict(identity, dict(zip(names, params)), *spec.fn(*params))
+
+
 @dataclass
 class SweepResult:
     identity: str
@@ -672,8 +606,6 @@ def sweep(identity: str, ranges: dict[str, Sequence[int]],
     a witness at the constant coefficient, under the tag
     ``identity+perturbed``.
     """
-    if identity not in IDENTITIES:
-        raise KeyError(f"unknown identity {identity!r}")
     spec = IDENTITIES[identity]
     missing = [p for p in spec.range_params if p not in ranges]
     if missing:

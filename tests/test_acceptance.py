@@ -15,25 +15,7 @@ import pytest
 
 from qschur.bijection import forward, forward_bounded, inverse
 from qschur.coefficients import qbinom, qmultinomial3, triangular
-from qschur.identities import (
-    sweep,
-    verify_11,
-    verify_21,
-    verify_26_cell,
-    verify_32,
-    verify_44,
-    verify_46,
-    verify_48,
-    verify_516,
-    verify_53,
-    verify_61,
-    verify_63,
-    verify_63_closed_LM,
-    verify_rec512,
-    verify_rec55,
-    verify_rec58,
-    verify_rec59,
-)
+from qschur.identities import sweep, verify
 from qschur.partitions import (
     ColoredPartition,
     durfee_decompose,
@@ -96,7 +78,7 @@ def test_criterion_02_durfee_identity_and_round_trip():
         for L in range(0, 15):
             for i in range(0, L + 1):
                 for j in range(0, L - i + 1):
-                    assert verify_32(L, i, j).holds, (L, i, j)
+                    assert verify("eq32", L, i, j).holds, (L, i, j)
         for L in range(0, 11):
             for j in range(0, L + 1):
                 boxes = set(box_partitions(j, L - j))
@@ -120,43 +102,43 @@ def test_criterion_03_triangular_form_kernel_and_product():
             for M in range(0, 11):
                 for i in range(0, min(L, M) + 1):
                     for j in range(0, min(L, M) - i + 1):
-                        v = verify_44(L, M, i, j)
+                        v = verify("eq44", L, M, i, j)
                         assert v.holds, (L, M, i, j)
                         shift = triangular(i) + triangular(j)
-                        assert v.rhs == verify_21(L, M, i, j).rhs.shifted(shift)
+                        assert v.rhs == verify("eq21", L, M, i, j).rhs.shifted(shift)
         for M in range(0, 9):
             for L in range(0, 9):
                 for i in range(0, M + 1):
                     for j in range(0, L + 1):
-                        assert verify_48(L, M, i, j).holds, (L, M, i, j)
+                        assert verify("eq48", L, M, i, j).holds, (L, M, i, j)
         for L in range(0, 7):
             for M in range(0, 7):
-                assert verify_46(L, M).holds, (L, M)
+                assert verify("eq46", L, M).holds, (L, M)
 
 
 def test_criterion_04_series_recurrences_and_convergents():
     with criterion(4, "G_L = R_L to 8 (dual construction), recurrences to 12, convergents to 8"):
         for L in range(0, 9):
-            assert verify_53(L).holds, L  # build_GL dual-checks internally
+            assert verify("eq53", L).holds, L  # build_GL dual-checks internally
         for L in range(2, 13):
-            assert verify_rec55(L).holds, L
+            assert verify("rec55", L).holds, L
         for L in range(1, 13):
             for i in range(0, L + 1):
                 for j in range(0, L + 1):
                     if L >= 2:
-                        assert verify_rec58(L, i, j).holds, (L, i, j)
-                    assert verify_rec59(L, i, j).holds, (L, i, j)
+                        assert verify("rec58", L, i, j).holds, (L, i, j)
+                    assert verify("rec59", L, i, j).holds, (L, i, j)
         for L in range(0, 9):
-            assert verify_rec512(L).holds, L
+            assert verify("rec512", L).holds, L
 
 
 def test_criterion_05_trinomial_representation():
     with criterion(5, "trinomial representation exact for L <= 4, closed forms frozen"):
         for L in range(1, 5):
-            assert verify_516(L).holds, L
-        assert verify_516(1).lhs == MarkerSeries(
+            assert verify("eq516", L).holds, L
+        assert verify("eq516", 1).lhs == MarkerSeries(
             2, {(0, 0): ONE, (1, 0): qpow(1), (0, 1): qpow(2)})
-        assert verify_516(2).lhs == MarkerSeries(2, {
+        assert verify("eq516", 2).lhs == MarkerSeries(2, {
             (0, 0): ONE,
             (1, 0): qpow(1) + qpow(4),
             (0, 1): qpow(2) + qpow(5),
@@ -174,7 +156,7 @@ def test_criterion_06_three_color_identity():
                 for i in range(0, 4):
                     for j in range(0, 4):
                         for k in range(0, 4):
-                            v = verify_63(L, M, i, j, k)
+                            v = verify("eq63", L, M, i, j, k)
                             if not v.holds:
                                 failures.append((v, lhs_63_literal(L, M, i, j, k,
                                                                    alt_s=True) == v.rhs))
@@ -189,7 +171,7 @@ def test_criterion_06_three_color_identity():
         for L in range(3, 8):
             for i in range(0, 4):
                 for j in range(0, 4):
-                    v = verify_63(L, L, i, j, 0)
+                    v = verify("eq63", L, L, i, j, 0)
                     assert v.lhs == qmultinomial3(L, i, j).shifted(
                         triangular(i) + triangular(j))
         # equal bounds match the cyclic closed form
@@ -197,10 +179,10 @@ def test_criterion_06_three_color_identity():
             for i in range(0, 4):
                 for j in range(0, 4):
                     for k in range(0, 4):
-                        closed = verify_63_closed_LM(L, i, j, k)
+                        closed = verify("eq63lm", L, i, j, k)
                         assert closed.holds
-                        assert verify_63(L, L, i, j, k).rhs == closed.lhs
-        assert verify_61(3, 3, 3, 40).holds
+                        assert verify("eq63", L, L, i, j, k).rhs == closed.lhs
+        assert verify("eq61", 3, 3, 3, 40).holds
 
 
 def test_criterion_07_bijection_round_trip_and_bounds():
@@ -274,8 +256,8 @@ def test_criterion_09_truncated_infinite_identities():
     with criterion(9, "truncated limits: termwise to (6,6) at q^50, products at caps (6,6) q^30"):
         for i in range(0, 7):
             for j in range(0, 7):
-                assert verify_26_cell(i, j, 50).holds, (i, j)
-        assert verify_11(6, 6, 30).holds
+                assert verify("eq26", i, j, 50).holds, (i, j)
+        assert verify("eq11", 6, 6, 30).holds
 
 
 def test_criterion_10_harness_self_test():

@@ -278,6 +278,24 @@ class TestCountCommand:
         assert capsys.readouterr().err == "error: argument --L: empty range '5..1'\n"
         assert target.read_text() == "an older report\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "eq21", "--L", "0"],
+        ["count", "T2", "--n", "3", "--L", "1"],
+        ["verify", "bogus", "--L", "0"],
+        ["gf", "trinomialRHS", "--L", "0"],
+        ["bijection", "forward", "a1"],
+        ["bijection", "inverse", "zz9"],
+    ], ids=" ".join)
+    def test_a_command_usage_error_leaves_the_out_file_untouched(self, argv, tmp_path,
+                                                                 capsys):
+        # each command's own usage checks run before --out is opened
+        target = tmp_path / "report.txt"
+        target.write_bytes(b"an older report\n")
+        assert main([*argv, "--out", str(target)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert target.read_bytes() == b"an older report\n"
+
     def test_count_out_file(self, tmp_path):
         target = tmp_path / "schur.csv"
         code, _, _ = run_cli("count", "S", "--n", "0..5", "--format", "csv",

@@ -1,6 +1,8 @@
-"""Every demo script runs to completion against the sources."""
+"""Every demo script, and README's quick-taste example, runs to completion
+against the sources."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,13 +13,25 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
+def _run(*args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, cwd=ROOT)
+
+
 def test_demos_exist():
     assert DEMOS
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_exits_zero(demo):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
-                          text=True, env=env, cwd=ROOT)
+    proc = _run(str(demo))
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_taste_runs():
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)
+    assert len(blocks) == 1
+    proc = _run("-c", blocks[0])
     assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,6 @@
 """Identity verifiers: frozen examples, invariants, and the sweep harness."""
 
+import dataclasses
 import inspect
 import itertools
 
@@ -17,22 +18,7 @@ from qschur.identities import (
     rhs_21,
     sweep,
     trinomial_rhs,
-    verify_11,
-    verify_21,
-    verify_26_cell,
-    verify_32,
-    verify_44,
-    verify_46,
-    verify_48,
-    verify_516,
-    verify_53,
-    verify_61,
-    verify_63,
-    verify_63_closed_LM,
-    verify_rec512,
-    verify_rec55,
-    verify_rec58,
-    verify_rec59,
+    verify,
 )
 from qschur.qseries import LaurentPoly, MarkerSeries, ONE, Truncation, ZERO, qpow
 
@@ -41,28 +27,28 @@ from oracles import gl_by_enumeration, ksum_literal, lhs_63_literal
 
 class TestKeyIdentity:
     def test_basic_example(self):
-        v = verify_21(2, 2, 1, 1)
+        v = verify("eq21", 2, 2, 1, 1)
         assert v.holds and v.lhs == ONE + qpow(1)
 
     def test_zero_orders(self):
         for L in range(-2, 3):
             for M in range(-2, 3):
-                v = verify_21(L, M, 0, 0)
+                v = verify("eq21", L, M, 0, 0)
                 assert v.holds and v.lhs == ONE
 
     def test_negative_top_cell(self):
-        v = verify_21(-1, 0, 0, 0)
+        v = verify("eq21", -1, 0, 0, 0)
         assert v.holds and v.lhs == ONE
 
     def test_empty_sum_matches_zero_right_side(self):
         # min(i, j) < 0 gives an empty sum; the right side vanishes too
         for L, M, i, j in ((3, 3, -1, 2), (3, 3, 2, -1), (0, -2, -3, 5)):
-            v = verify_21(L, M, i, j)
+            v = verify("eq21", L, M, i, j)
             assert v.holds and v.lhs == ZERO and v.rhs == ZERO
 
     def test_mixed_sign_grid(self):
         for L, M, i, j in itertools.product(range(-3, 4), repeat=4):
-            assert verify_21(L, M, i, j).lhs == rhs_21(L, M, i, j)
+            assert verify("eq21", L, M, i, j).lhs == rhs_21(L, M, i, j)
 
     def test_M_independence_of_the_reduced_identity(self):
         # for L, M >= i+j the left side divided by [M-j; i] does not
@@ -74,7 +60,7 @@ class TestKeyIdentity:
                         continue
                     reduced = None
                     for M in range(i + j, i + j + 4):
-                        quotient = verify_21(L, M, i, j).lhs.divide_exact(qbinom(M - j, i))
+                        quotient = verify("eq21", L, M, i, j).lhs.divide_exact(qbinom(M - j, i))
                         if reduced is None:
                             reduced = quotient
                         assert quotient == reduced
@@ -82,17 +68,17 @@ class TestKeyIdentity:
 
 class TestDurfeeIdentity:
     def test_examples(self):
-        assert verify_32(2, 1, 1).holds
-        assert verify_32(2, 1, 1).lhs == ONE + qpow(1)
-        assert verify_32(3, 0, 3).holds  # L = j, i = 0 single term
-        v = verify_32(4, 2, 2)
+        assert verify("eq32", 2, 1, 1).holds
+        assert verify("eq32", 2, 1, 1).lhs == ONE + qpow(1)
+        assert verify("eq32", 3, 0, 3).holds  # L = j, i = 0 single term
+        v = verify("eq32", 4, 2, 2)
         assert v.holds and v.lhs == qbinom(4, 2)
 
     def test_grid(self):
         for L in range(0, 9):
             for i in range(0, L + 1):
                 for j in range(0, L - i + 1):
-                    assert verify_32(L, i, j).holds
+                    assert verify("eq32", L, i, j).holds
 
     def test_lhs_is_the_two_binomial_sum(self):
         # eq21 at M = i + j: [k; k] = 1 and [i; i-k] = [i; k] leave the
@@ -101,20 +87,20 @@ class TestDurfeeIdentity:
             direct = ZERO
             for k in range(0, min(i, j) + 1):
                 direct = direct + (qbinom(i, k) * qbinom(L - i, j - k)).shifted((i - k) * (j - k))
-            lhs = verify_32(L, i, j).lhs
+            lhs = verify("eq32", L, i, j).lhs
             assert lhs == direct and str(lhs) == str(direct), (L, i, j)
 
 
 class TestTriangularForm:
     def test_example_is_scaled_eq21(self):
-        v = verify_44(2, 2, 1, 1)
+        v = verify("eq44", 2, 2, 1, 1)
         assert v.holds and v.lhs == (ONE + qpow(1)).shifted(2)
 
     def test_zero_orders(self):
-        assert verify_44(4, 7, 0, 0).lhs == ONE
+        assert verify("eq44", 4, 7, 0, 0).lhs == ONE
 
     def test_oracle_cell(self):
-        v = verify_44(3, 4, 1, 2)
+        v = verify("eq44", 3, 4, 1, 2)
         assert v.holds
 
     def test_triangular_exponents_are_the_eq21_exponents_shifted(self):
@@ -130,7 +116,7 @@ class TestTriangularForm:
             if min(L, M) < i + j:
                 continue
             shift = triangular(i) + triangular(j)
-            assert verify_44(L, M, i, j).lhs == verify_21(L, M, i, j).lhs.shifted(shift)
+            assert verify("eq44", L, M, i, j).lhs == verify("eq21", L, M, i, j).lhs.shifted(shift)
 
 
 def _bits(poly):
@@ -153,7 +139,7 @@ class TestKsumTable:
         # eq44 shifts the eq21 k-sum by T_i + T_j; the reference sums its
         # terms with exponents T_{i+j-k} + T_k
         for L, M, i, j in self.GRID:
-            got = verify_44(L, M, i, j).lhs
+            got = verify("eq44", L, M, i, j).lhs
             want = ksum_literal(L, M, i, j, triangular_exponents=True)
             assert _bits(got) == _bits(want), (L, M, i, j)
 
@@ -162,7 +148,7 @@ class TestKsumTable:
         # False reads the eq21 k-sum, True the eq44 lhs built from it
         def read(L, M, i, j):
             if triangular_exponents:
-                return verify_44(L, M, i, j).lhs
+                return verify("eq44", L, M, i, j).lhs
             return identities._ksum(L, M, i, j)
 
         head = identities._ksum_head
@@ -189,33 +175,33 @@ class TestKsumTable:
 
 class TestMultinomialKernel:
     def test_trivial(self):
-        assert verify_48(3, 3, 0, 0).lhs == ONE
+        assert verify("eq48", 3, 3, 0, 0).lhs == ONE
 
     def test_small_cells(self):
-        assert verify_48(1, 1, 1, 1).holds
-        assert verify_48(2, 2, 1, 1).holds
+        assert verify("eq48", 1, 1, 1, 1).holds
+        assert verify("eq48", 2, 2, 1, 1).holds
 
     def test_grid(self):
         for M in range(0, 6):
             for L in range(0, 6):
                 for i in range(0, M + 1):
                     for j in range(0, L + 1):
-                        assert verify_48(L, M, i, j).holds
+                        assert verify("eq48", L, M, i, j).holds
 
 
 class TestProductExpansion:
     def test_one_by_one(self):
-        v = verify_46(1, 1)
+        v = verify("eq46", 1, 1)
         assert v.holds
         assert v.lhs == MarkerSeries(2, {(0, 0): ONE, (1, 0): qpow(1),
                                          (0, 1): qpow(1), (1, 1): qpow(2)})
 
     def test_coefficient_of_A2(self):
-        v = verify_46(1, 2)  # L = 1, M = 2
+        v = verify("eq46", 1, 2)  # L = 1, M = 2
         assert v.lhs.coeff((2, 0)) == qpow(3)
 
     def test_trivial_coefficient(self):
-        assert verify_46(3, 2).lhs.coeff((0, 0)) == ONE
+        assert verify("eq46", 3, 2).lhs.coeff((0, 0)) == ONE
 
 
 class TestGeneratingFunctions:
@@ -246,7 +232,7 @@ class TestGeneratingFunctions:
 
     def test_series_equality(self):
         for L in range(0, 7):
-            assert verify_53(L).holds
+            assert verify("eq53", L).holds
 
     def test_marker_symmetry_of_RL(self):
         for L in range(0, 7):
@@ -290,36 +276,36 @@ class TestTransferMatrixRoute:
 class TestBeyondTheAcceptanceGrid:
     """G_L identities past the acceptance grid's L <= 12."""
 
-    @pytest.mark.parametrize("verify", [verify_53, verify_rec55, verify_rec512, verify_516])
-    def test_holds_for_L_13_to_20(self, verify):
+    @pytest.mark.parametrize("tag", ["eq53", "rec55", "rec512", "eq516"])
+    def test_holds_for_L_13_to_20(self, tag):
         for L in range(13, 21):
-            assert verify(L).holds, L
+            assert verify(tag, L).holds, L
 
 
 class TestRecurrences:
     def test_rec55_small(self):
-        assert verify_rec55(2).holds
-        assert all(verify_rec55(L).holds for L in range(2, 9))
+        assert verify("rec55", 2).holds
+        assert all(verify("rec55", L).holds for L in range(2, 9))
 
     def test_rec58_hand_expansion(self):
-        v = verify_rec58(2, 1, 1)
+        v = verify("rec58", 2, 1, 1)
         assert v.holds and v.lhs == ONE + qpow(1)
 
     def test_rec58_grid(self):
         for L in range(2, 8):
             for i in range(0, L + 1):
                 for j in range(0, L + 1):
-                    assert verify_rec58(L, i, j).holds
+                    assert verify("rec58", L, i, j).holds
 
     def test_rec59_trivial(self):
-        v = verify_rec59(1, 0, 0)
+        v = verify("rec59", 1, 0, 0)
         assert v.holds and v.lhs == ONE
 
     def test_rec59_grid(self):
         for L in range(1, 8):
             for i in range(0, L + 1):
                 for j in range(0, L + 1):
-                    assert verify_rec59(L, i, j).holds
+                    assert verify("rec59", L, i, j).holds
 
     def test_convergents_initial_conditions(self):
         assert build_PL(0) == build_GL(0)
@@ -327,7 +313,7 @@ class TestRecurrences:
 
     def test_convergents_equal_GL(self):
         for L in range(0, 7):
-            assert verify_rec512(L).holds
+            assert verify("rec512", L).holds
 
     def test_dispatcher(self):
         lhs, rhs = IDENTITIES["rec55"].fn(3)
@@ -340,13 +326,13 @@ class TestRecurrences:
 
 class TestTrinomialRepresentation:
     def test_L1_closed_form(self):
-        v = verify_516(1)
+        v = verify("eq516", 1)
         assert v.holds
         assert v.lhs == MarkerSeries(2, {(0, 0): ONE, (1, 0): qpow(1),
                                          (0, 1): qpow(2)})
 
     def test_L2_closed_form(self):
-        v = verify_516(2)
+        v = verify("eq516", 2)
         assert v.holds
         expected = MarkerSeries(2, {
             (0, 0): ONE,
@@ -363,7 +349,7 @@ class TestTrinomialRepresentation:
             assert trinomial_rhs(L).coeff((0, 0)) == ONE
 
     def test_up_to_L4(self):
-        assert verify_516(3).holds and verify_516(4).holds
+        assert verify("eq516", 3).holds and verify("eq516", 4).holds
 
 
 class TestThreeColorIdentity:
@@ -382,14 +368,14 @@ class TestThreeColorIdentity:
     def test_zero_orders(self):
         for L in range(0, 4):
             for M in range(0, 4):
-                v = verify_63(L, M, 0, 0, 0)
+                v = verify("eq63", L, M, 0, 0, 0)
                 assert v.holds and v.lhs == ONE
 
     def test_k0_slice_reduces_to_the_multinomial_coefficients(self):
         for L in range(0, 5):
             for i in range(0, 3):
                 for j in range(0, 3):
-                    v = verify_63(L, L, i, j, 0)
+                    v = verify("eq63", L, L, i, j, 0)
                     expected = qmultinomial3(L, i, j).shifted(
                         triangular(i) + triangular(j))
                     assert v.holds and v.lhs == expected
@@ -401,56 +387,56 @@ class TestThreeColorIdentity:
             for M in range(0, 6):
                 for j in range(0, 3):
                     for k in range(0, 3):
-                        v63 = verify_63(L, M, 0, j, k)
-                        v44 = verify_44(L, M, k, j)
+                        v63 = verify("eq63", L, M, 0, j, k)
+                        v44 = verify("eq44", L, M, k, j)
                         assert v63.lhs == v44.lhs and v63.rhs == v44.rhs
 
     def test_unequal_bounds_both_ways(self):
         for L, M in ((3, 5), (5, 3), (4, 6), (6, 4)):
             for i, j, k in itertools.product(range(0, 3), repeat=3):
-                assert verify_63(L, M, i, j, k).holds
+                assert verify("eq63", L, M, i, j, k).holds
 
     def test_degenerate_orders_give_zero_on_both_sides(self):
         # negative orders empty both the composition set and the tau sum
         for i, j, k in ((-1, 2, 2), (2, -1, 2), (2, 2, -1), (-2, -2, -2)):
-            v = verify_63(3, 4, i, j, k)
+            v = verify("eq63", 3, 4, i, j, k)
             assert v.holds and v.lhs == ZERO and v.rhs == ZERO
 
     def test_lhs_is_the_literal_composition_sum(self):
         for L, M in ((3, 5), (5, 3), (4, 4), (0, 2), (-1, 3)):
             for i, j, k in itertools.product(range(-1, 4), repeat=3):
-                assert verify_63(L, M, i, j, k).lhs == lhs_63_literal(L, M, i, j, k)
+                assert verify("eq63", L, M, i, j, k).lhs == lhs_63_literal(L, M, i, j, k)
 
     def test_alternative_statistic_is_genuinely_different(self):
         # the rejected bookkeeping (delta twice, gamma omitted) must fail
         # somewhere, otherwise keeping it for falsification is pointless
-        outcomes = [lhs_63_literal(L, L, i, j, 0, alt_s=True) == verify_63(L, L, i, j, 0).rhs
+        outcomes = [lhs_63_literal(L, L, i, j, 0, alt_s=True) == verify("eq63", L, L, i, j, 0).rhs
                     for L in range(2, 5) for i in range(0, 3) for j in range(0, 3)]
         assert not all(outcomes)
 
     def test_closed_form_examples(self):
-        assert verify_63_closed_LM(4, 0, 0, 0).lhs == ONE
-        v = verify_63_closed_LM(2, 1, 0, 0)
+        assert verify("eq63lm", 4, 0, 0, 0).lhs == ONE
+        v = verify("eq63lm", 2, 1, 0, 0)
         assert v.holds and v.lhs == qpow(1) * qbinom(2, 1)
-        assert verify_63_closed_LM(3, 1, 1, 1).holds
+        assert verify("eq63lm", 3, 1, 1, 1).holds
 
     def test_closed_form_grid(self):
         for L in range(0, 6):
             for i, j, k in itertools.product(range(0, 4), repeat=3):
-                assert verify_63_closed_LM(L, i, j, k).holds
+                assert verify("eq63lm", L, i, j, k).holds
 
 
 class TestTruncated:
     def test_eq26_trivial(self):
-        v = verify_26_cell(0, 0, 10)
+        v = verify("eq26", 0, 0, 10)
         assert v.holds and v.lhs == ONE
 
     def test_eq26_cell(self):
-        assert verify_26_cell(1, 1, 10).holds
-        assert verify_26_cell(3, 2, 25).holds
+        assert verify("eq26", 1, 1, 10).holds
+        assert verify("eq26", 3, 2, 25).holds
 
     def test_eq11_small_caps(self):
-        v = verify_11(2, 2, 10)
+        v = verify("eq11", 2, 2, 10)
         assert v.holds
         # the A^1 B^1 coefficient is (q + q^2 + ...)^2 = q^2 + 2q^3 + 3q^4 + ...
         assert v.rhs.coeff((1, 1)).coeff(2) == 1
@@ -464,9 +450,13 @@ class TestTruncated:
             lhs, rhs = real(i, j, qmax)
             return (lhs, rhs + qpow(6)) if (i, j) == (1, 2) else (lhs, rhs)
 
+        # eq11's cells call the module's _sides_26, verify("eq26") the
+        # registry's reference to it: patch both
         monkeypatch.setattr(identities, "_sides_26", broken)
-        cell = verify_26_cell(1, 2, 10)
-        v = verify_11(2, 2, 10)
+        monkeypatch.setitem(IDENTITIES, "eq26",
+                            dataclasses.replace(IDENTITIES["eq26"], fn=broken))
+        cell = verify("eq26", 1, 2, 10)
+        v = verify("eq11", 2, 2, 10)
         assert not cell.holds and not v.holds
         assert v.identity == "eq11"
         assert v.witness.marker == (1, 2)
@@ -475,7 +465,7 @@ class TestTruncated:
             (cell.witness.lhs_coeff, cell.witness.rhs_coeff)
 
     def test_eq61_small_caps(self):
-        assert verify_61(2, 2, 2, 16).holds
+        assert verify("eq61", 2, 2, 2, 16).holds
 
     def test_eq61_reports_a_failing_cell_at_its_marker(self, monkeypatch):
         real = identities._cell_61
@@ -485,7 +475,7 @@ class TestTruncated:
             return cell + qpow(5) if (i, j, k) == (1, 0, 1) else cell
 
         monkeypatch.setattr(identities, "_cell_61", broken)
-        v = verify_61(1, 1, 1, 10)
+        v = verify("eq61", 1, 1, 1, 10)
         assert not v.holds
         assert v.identity == "eq61"
         assert v.witness.marker == (1, 0, 1)
@@ -494,8 +484,8 @@ class TestTruncated:
         assert v.witness.rhs_coeff == real(1, 0, 1, 10).coeff(5)
 
     @pytest.mark.parametrize("check, marker", [
-        (lambda: verify_11(2, 2, 10), (1, 0)),
-        (lambda: verify_61(1, 1, 1, 10), (1, 0, 0)),
+        (lambda: verify("eq11", 2, 2, 10), (1, 0)),
+        (lambda: verify("eq61", 1, 1, 1, 10), (1, 0, 0)),
     ], ids=["eq11", "eq61"])
     def test_a_wrong_marker_product_fails_at_its_marker(self, check, marker, monkeypatch):
         # every cell holds, so only the comparison with the product can fail
@@ -592,24 +582,15 @@ class TestSweep:
             if not isinstance(verdict.lhs, LaurentPoly):
                 assert w.marker == (0,) * verdict.lhs.arity
 
-    # the public verifier of each registry entry, called with a cell's params
-    VERIFIERS = {
-        "eq21": verify_21, "eq32": verify_32, "eq44": verify_44, "eq46": verify_46,
-        "eq48": verify_48, "eq53": verify_53, "eq516": verify_516, "eq63": verify_63,
-        "eq63lm": verify_63_closed_LM, "rec55": verify_rec55, "rec58": verify_rec58,
-        "rec59": verify_rec59, "rec512": verify_rec512, "eq26": verify_26_cell,
-        "eq11": verify_11, "eq61": verify_61,
-    }
-
     @pytest.mark.parametrize("tag", sorted(TINY_GRIDS))
     def test_perturbed_failures_are_the_public_verdicts_perturbed(self, tag):
         # the sweep builds its failing verdicts itself; each must be the
-        # one its public verifier gives, with the right side shifted by +1
+        # one verify gives, with the right side shifted by +1
         ranges, caps = self.TINY_GRIDS[tag]
         failures = sweep(tag, ranges, caps, perturb=True).failures
         assert failures
         for failure in failures:
-            v = self.VERIFIERS[tag](**failure.params)
+            v = verify(tag, *failure.params.values())
             expected = identities._verdict(tag + "+perturbed", v.params, v.lhs, v.rhs + 1)
             assert failure.to_json_dict() == expected.to_json_dict()
 
@@ -632,7 +613,7 @@ class TestSweep:
         # cells whose sides are equal build no Verdict
         assert built == [dict(L=2, M=2, i=1, j=1)]
         assert result.cells == 4
-        assert result.failures == [verify_21(2, 2, 1, 1)]
+        assert result.failures == [verify("eq21", 2, 2, 1, 1)]
         assert result.failures[0].witness.q_exp == 3
 
     @pytest.mark.parametrize("tag", sorted(IDENTITIES))
@@ -659,16 +640,20 @@ class TestSweep:
             sweep("eq21", {"L": [1]})
         with pytest.raises(KeyError):
             sweep("bogus", {})
+        with pytest.raises(KeyError):
+            verify("bogus", 1)
+        with pytest.raises(TypeError, match=r"eq21 takes 4 parameters \(L, M, i, j\), got 3"):
+            verify("eq21", 1, 2, 3)
 
 
 def _side_pairs():
     """Both sides of eq21 cells on [-2..3]^4, of eq11, eq61 and eq516
     cells, each also perturbed at its constant and at a higher term."""
     signed = range(-2, 4)
-    verdicts = [verify_21(L, M, i, j)
+    verdicts = [verify("eq21", L, M, i, j)
                 for L, M, i, j in itertools.product(signed, repeat=4)]
-    verdicts += [verify_11(3, 3, 20), verify_11(2, 4, 12), verify_61(2, 2, 1, 12)]
-    verdicts += [verify_516(L) for L in range(1, 5)]
+    verdicts += [verify("eq11", 3, 3, 20), verify("eq11", 2, 4, 12), verify("eq61", 2, 2, 1, 12)]
+    verdicts += [verify("eq516", L) for L in range(1, 5)]
     for v in verdicts:
         yield v.lhs, v.rhs
         yield v.lhs, v.rhs + 1
