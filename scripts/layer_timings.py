@@ -1,11 +1,11 @@
 """In-process timings of the partition, bijection, identity, ring and
 marker-series layers: both enumerators, the gap test, the T1/T2/T3
-census builds, the one-color components, the bounded bijection round
-trips, the truncated and Durfee-rectangle identity checks, warm eq21
-cells, called directly and through the sweep harness, cold multinomial
-and trinomial tables, the G_L / P_L series with the checks built on
-them, and the canonical text of the failing sides of a perturbed eq21
-sweep.
+census builds, the classical S and G counts, the one-color components,
+the bounded bijection round trips, the truncated and Durfee-rectangle
+identity checks, warm eq21 cells, called directly and through the sweep
+harness, cold multinomial and trinomial tables, the G_L / P_L series with
+the checks built on them, and the canonical text of the failing sides of
+a perturbed eq21 sweep.
 
 Run from a checkout, importing that checkout's sources:
 
@@ -18,13 +18,18 @@ fixed probe (``_probe`` in perfbench/child.py, loaded from there) runs
 before the first run and after every run, and each run's time is
 multiplied by ``PROBE_REF_S`` over the median of the probes on either
 side of it, so two checkouts timed minutes apart on a shared host can be
-compared.  Census and coefficient tables are cleared before each run, so
-every build is cold; a layer listed in ``WARM`` then runs its warm-up
-untimed, so that only its ring arithmetic is timed.  The inputs some
-layers read (parsed partitions, the bijection grid, the failing sides)
-are built once by ``main``, untimed, and not at import.  Only names the
-library has exposed since the registry-driven ``identities.verify`` are
-used, so two checkouts can be timed with the same script.
+compared.  Census, counter and coefficient tables are cleared before
+each run, so every build is cold.  The counter tables are every
+``lru_cache`` at the top level of ``qschur.partitions``, found by
+introspection, so checkouts with different counters are cleared alike.
+A layer listed in ``WARM`` then runs its warm-up untimed, so that only
+its ring arithmetic is timed.  The inputs some layers read (parsed
+partitions, the bijection grid, the failing sides) are built once by
+``main``, untimed, and not at import; the bijection grid is
+perfbench/workloads.py's ``bijection_pairs``, loaded from there like the
+probe.  Only names the library has exposed since the registry-driven
+``identities.verify`` are used, so two checkouts can be timed with the
+same script.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ import statistics
 import time
 from pathlib import Path
 
-from qschur import coefficients, identities, theorems
+from qschur import coefficients, identities, partitions, theorems
 from qschur.bijection import forward_bounded, inverse
 from qschur.partitions import ColoredPartition, is_type1, iter_schur_gap, iter_type1
 
@@ -47,17 +52,17 @@ CACHES = [getattr(theorems, name) for name in
           ("_type1_census", "_s_census", "_s_census_mirrored", "_g3_census")] + \
     [coefficients.poch_qpow, coefficients.qbinom, coefficients.qmultinomial3,
      identities.inv_poch_trunc,
-     identities.build_GL, identities.build_PL, identities.build_RL, identities._ksum_head]
+     identities.build_GL, identities.build_PL, identities.build_RL, identities._ksum_head] + \
+    [obj for obj in vars(partitions).values() if hasattr(obj, "cache_clear")]
 
 
-def _load_probe():
-    """The benchmark's speed probe and its reference time, from
-    perfbench/child.py."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
-    spec = importlib.util.spec_from_file_location("perfbench_child", path)
+def _perfbench(name: str):
+    """The benchmark's module perfbench/<name>.py, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module._probe, module.PROBE_REF_S
+    return module
 
 
 def _iter_type1():
@@ -118,24 +123,18 @@ def _census_T3():
                 theorems._s_census(L, M, m)
 
 
-def _distinct_parts(n, cap):
-    if n == 0:
-        yield ()
-        return
-    for p in range(min(n, cap), 0, -1):
-        for rest in _distinct_parts(n - p, p - 1):
-            yield (p,) + rest
+def _classical():
+    theorems.check_schur(60)
+    theorems.check_goellnitz(60)
 
 
 @functools.cache
 def _grid():
-    # the bounded grid of the bijection round trips: distinct a-parts <= M-j and
-    # distinct b-parts <= L with i+j <= L, for 0 <= L <= M <= 8 and weight <= 16
-    return [(L, M, w1, w2) for L in range(0, 9) for M in range(L, 9)
-            for n in range(0, 17) for m in range(0, n + 1)
-            for w2 in _distinct_parts(n - m, min(L, n - m))
-            for w1 in _distinct_parts(m, min(max(M - len(w2), 0), m))
-            if len(w1) + len(w2) <= L]
+    # the bounded grid of partition-census's bijection round trips: distinct
+    # a-parts <= M-j and distinct b-parts <= L with i+j <= L, for
+    # 0 <= L <= M <= 8 and weight <= 16
+    bijection_pairs = _perfbench("workloads").bijection_pairs
+    return [pair for L in range(0, 9) for pair in bijection_pairs(L)]
 
 
 @functools.cache
@@ -230,6 +229,7 @@ LAYERS = {
     "census_T3_build_s": (_census_T3, "_s_census at the undilated weights (N+2i+j)/3 of "
                                       "0 <= L <= M <= 5, i+j <= L and dilated weight "
                                       "N <= 45, cold"),
+    "classical_s": (_classical, "check_schur(60) then check_goellnitz(60), cold"),
     "colored_s": (_colored, "ColoredPartition.colored for both components of each "
                             "pair of the bijection_s grid"),
     "bijection_s": (_bijection, "forward_bounded then inverse, compared with the input, "
@@ -264,7 +264,8 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeat", type=int, default=7)
     args = parser.parse_args()
-    probe, probe_ref_s = _load_probe()
+    child = _perfbench("child")
+    probe, probe_ref_s = child._probe, child.PROBE_REF_S
     out = {"python": platform.python_version(), "repeat": args.repeat,
            "probe_ref_s": probe_ref_s, "layers": {}}
     for build in INPUTS:

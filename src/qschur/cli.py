@@ -14,6 +14,7 @@ before ``--out`` is opened, so a usage error leaves an existing file as is.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import re
@@ -116,12 +117,13 @@ def _open_out(path: str) -> TextIO:
 
 
 def _emit(text: str, out: Optional[TextIO]):
-    """Print ``text``, or write it to the ``--out`` file that main opened."""
+    """Print ``text``, or write the same bytes to the ``--out`` file that
+    main opened."""
     if not out:
         print(text)
         return
     try:
-        out.write(text if text.endswith("\n") else text + "\n")
+        out.write(text + "\n")
         out.flush()
     except OSError as exc:
         raise UsageError(f"cannot write {out.name}: {exc.strerror}")
@@ -146,6 +148,9 @@ def _verify_usage(args):
     spec = IDENTITIES[args.identity]
     _flags(args, f"identity {args.identity}", spec.range_params + spec.cap_params,
            spec.range_params)
+    grid = itertools.product(*(getattr(args, name) for name in spec.range_params))
+    if spec.valid is not None and not any(spec.valid(*cell) for cell in grid):
+        raise UsageError(f"identity {args.identity}: no cell of the grid is in its domain")
 
 
 def cmd_verify(args) -> int:

@@ -353,7 +353,8 @@ def _sides_516(L: int) -> Sides:
 class GoellnitzComposition:
     """A composition (alpha..phi) of (i, j, k) with i = alpha+delta+epsilon,
     j = beta+delta+phi, k = gamma+epsilon+phi; s is the total number of
-    parts alpha+beta+gamma+delta+epsilon+phi."""
+    parts alpha+beta+gamma+delta+epsilon+phi, and shift the exponent
+    T_s + T_delta + T_epsilon + T_{phi-1} of its term in eq61 and eq63."""
 
     alpha: int
     beta: int
@@ -366,6 +367,11 @@ class GoellnitzComposition:
     def s(self) -> int:
         return (self.alpha + self.beta + self.gamma
                 + self.delta + self.epsilon + self.phi)
+
+    @property
+    def shift(self) -> int:
+        return (triangular(self.s) + triangular(self.delta)
+                + triangular(self.epsilon) + triangular(self.phi - 1))
 
 
 def goellnitz_compositions(i: int, j: int, k: int) -> Iterator[GoellnitzComposition]:
@@ -384,15 +390,13 @@ def _lhs_63(L: int, M: int, i: int, j: int, k: int) -> LaurentPoly:
     total = ZERO
     for c in goellnitz_compositions(i, j, k):
         s = c.s
-        shift = (triangular(s) + triangular(c.delta)
-                 + triangular(c.epsilon) + triangular(c.phi - 1))
         common = (qbinom(L - s + c.beta, c.beta) * qbinom(M - s + c.gamma, c.gamma)
                   * qbinom(L - s, c.delta) * qbinom(M - s, c.epsilon))
         if not common:
             continue
         first = (qbinom(L - s + c.alpha, c.alpha) * qbinom(M - s, c.phi)).shifted(c.phi)
         second = qbinom(L - s + c.alpha - 1, c.alpha - 1) * qbinom(M - s, c.phi - 1)
-        total = total + (common * (first + second)).shifted(shift)
+        total = total + (common * (first + second)).shifted(c.shift)
     return total
 
 
@@ -494,14 +498,12 @@ def _cell_61(i: int, j: int, k: int, q_cap: int) -> LaurentPoly:
     truncated at q_cap."""
     total = ZERO
     for c in goellnitz_compositions(i, j, k):
-        shift = (triangular(c.s) + triangular(c.delta)
-                 + triangular(c.epsilon) + triangular(c.phi - 1))
-        if shift > q_cap:
+        if c.shift > q_cap:
             continue
         factors = [inv_poch_trunc(n, q_cap) for n in
                    (c.alpha, c.beta, c.gamma, c.delta, c.epsilon, c.phi)]
         factors.append(ONE - qpow(c.alpha) + qpow(c.alpha + c.phi))
-        total = total + _capped_product(factors, q_cap, shift)
+        total = total + _capped_product(factors, q_cap, c.shift)
     return total
 
 

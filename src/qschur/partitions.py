@@ -356,64 +356,49 @@ def iter_schur_gap(n: int, largest_cap: int) -> Iterator[tuple[int, ...]]:
     return _gap_walk(n, (largest_cap,) * 3, by_weight=False)
 
 
-@lru_cache(maxsize=None)
-def _count_schur_gap(n: int, bound: int) -> int:
-    if n == 0:
-        return 1
-    if bound <= 0:
-        return 0
-    return sum(_count_schur_gap(n - p, min(n - p, _schur_next_bound(p)))
-               for p in range(1, min(n, bound) + 1))
+def _goellnitz_next_bound(p: int) -> int:
+    return p - 6 - (1 if p % 6 in (0, 1, 3) else 0)
+
+
+# Each side of the two classical theorems as (modulus, residues, excluded,
+# next_bound): a part p may occur when p % modulus is in residues and p is
+# not in excluded, and the part below p is at most next_bound(p).  Per
+# theorem: (distinct side, gap side).
+_CLASSICAL_SIDES = {
+    "S": ((3, (1, 2), (), lambda p: p - 1), (3, (0, 1, 2), (), _schur_next_bound)),
+    "G": ((6, (2, 4, 5), (), lambda p: p - 1),
+          (6, (0, 1, 2, 3, 4, 5), (1, 3), _goellnitz_next_bound)),
+}
 
 
 @lru_cache(maxsize=None)
-def _count_distinct_residue(n: int, residues: tuple[int, ...], modulus: int,
-                            bound: int) -> int:
-    """Distinct parts <= bound, all congruent to one of ``residues``."""
+def _count_parts(n: int, bound: int, side: tuple) -> int:
+    """Partitions of n into parts <= bound that ``side`` allows."""
     if n == 0:
         return 1
-    if bound <= 0:
-        return 0
-    total = 0
-    for p in range(1, min(n, bound) + 1):
-        if p % modulus in residues:
-            total += _count_distinct_residue(n - p, residues, modulus, p - 1)
-    return total
+    modulus, residues, excluded, next_bound = side
+    return sum(_count_parts(n - p, min(n - p, next_bound(p)), side)
+               for p in range(1, min(n, bound) + 1)
+               if p % modulus in residues and p not in excluded)
+
+
+def _classical_counts(theorem: str, n: int) -> tuple[int, ...]:
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return tuple(_count_parts(n, n, side) for side in _CLASSICAL_SIDES[theorem])
 
 
 def schur_counts(n: int) -> tuple[int, int]:
     """Both sides of Schur's theorem at n: (distinct parts congruent to 1
     or 2 mod 3, gap partitions)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return (_count_distinct_residue(n, (1, 2), 3, n), _count_schur_gap(n, n))
-
-
-def _goellnitz_next_bound(p: int) -> int:
-    return p - 6 - (1 if p % 6 in (0, 1, 3) else 0)
-
-
-@lru_cache(maxsize=None)
-def _count_goellnitz_gap(n: int, bound: int) -> int:
-    if n == 0:
-        return 1
-    if bound <= 1:
-        return 0
-    total = 0
-    for p in range(2, min(n, bound) + 1):
-        if p == 3:
-            continue
-        total += _count_goellnitz_gap(n - p, min(n - p, _goellnitz_next_bound(p)))
-    return total
+    return _classical_counts("S", n)
 
 
 def goellnitz_counts(n: int) -> tuple[int, int]:
     """Both sides of the three-residue difference theorem at n: (distinct
     parts congruent to 2, 4 or 5 mod 6, gap-6 partitions avoiding 1 and 3
     with strict gaps at parts congruent to 0, 1, 3 mod 6)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return (_count_distinct_residue(n, (2, 4, 5), 6, n), _count_goellnitz_gap(n, n))
+    return _classical_counts("G", n)
 
 
 # --------------------------------------------------------------------------

@@ -24,7 +24,7 @@ import io
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .partitions import (
     color_counts,
@@ -228,23 +228,18 @@ def check_theorem3(n: int, i: int, j: int, L: int, M: int) -> CountReport:
                        sum(breakdown.values()), breakdown)
 
 
-def check_schur(n_max: int) -> list[CountReport]:
-    """Classical two-residue theorem checked for every n <= n_max."""
+def _classical(theorem: str, counts: Callable, n_max: int) -> list[CountReport]:
+    """``counts(n)``, the distinct side then the gap side, for every n <= n_max."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    reports = []
-    for n in range(0, n_max + 1):
-        distinct, gap = schur_counts(n)
-        reports.append(CountReport("S", dict(n=n), distinct, gap))
-    return reports
+    return [CountReport(theorem, dict(n=n), *counts(n)) for n in range(0, n_max + 1)]
+
+
+def check_schur(n_max: int) -> list[CountReport]:
+    """Classical two-residue theorem checked for every n <= n_max."""
+    return _classical("S", schur_counts, n_max)
 
 
 def check_goellnitz(n_max: int) -> list[CountReport]:
     """Three-residue difference theorem checked for every n <= n_max."""
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    reports = []
-    for n in range(0, n_max + 1):
-        distinct, gap = goellnitz_counts(n)
-        reports.append(CountReport("G", dict(n=n), distinct, gap))
-    return reports
+    return _classical("G", goellnitz_counts, n_max)

@@ -148,6 +148,14 @@ class TestVerifyCommand:
         assert payload["summary"]["skipped"] > 0
         assert payload["failures"] == []
 
+    def test_a_grid_outside_the_domain_is_a_usage_error(self, capsys):
+        assert main(["verify", "rec55", "--L", "0..1"]) == 2
+        assert capsys.readouterr().err == \
+            "error: identity rec55: no cell of the grid is in its domain\n"
+        assert main(["verify", "rec55", "--L", "0..2"]) == 0
+        assert capsys.readouterr().out == \
+            "identity rec55: 1 cells evaluated, 2 skipped, all hold\n"
+
     def test_caps_are_accepted(self):
         code, out, _ = run_cli("verify", "eq26", "--i", "0..2", "--j", "0..2",
                                "--qmax", "20")
@@ -214,11 +222,14 @@ class TestCountCommand:
         ("count_T2_n0-4_L1_M2.csv",
          ["count", "T2", "--n", "0..4", "--L", "1", "--M", "2", "--format", "csv"]),
     ])
-    def test_json_matches_the_recorded_bytes(self, golden, argv, capsys):
-        # pins the JSON contract, breakdown key order included
+    def test_json_matches_the_recorded_bytes(self, golden, argv, capsys, tmp_path):
+        # pins the JSON contract, breakdown key order included, on stdout
+        # and in the --out file
         assert main(argv) == 0
         out, _ = capsys.readouterr()
         assert out.encode() == (GOLDEN / golden).read_bytes()
+        assert main([*argv, "--out", str(tmp_path / golden)]) == 0
+        assert (tmp_path / golden).read_bytes() == (GOLDEN / golden).read_bytes()
 
     @pytest.mark.parametrize("golden,argv", [
         ("verify_eq11_a2_b2_q8_perturb.json",
@@ -237,11 +248,15 @@ class TestCountCommand:
         ("verify_rec59_L1-3_im1-2_j0-2_perturb.json",
          ["verify", "rec59", "--L", "1..3", "--i", "-1..2", "--j", "0..2"]),
     ])
-    def test_perturbed_verify_json_matches_the_recorded_bytes(self, golden, argv, capsys):
+    def test_perturbed_verify_json_matches_the_recorded_bytes(self, golden, argv, capsys,
+                                                              tmp_path):
         # both sides, witness and summary of a failing sweep, byte for byte
         assert main([*argv, "--perturb", "--format", "json"]) == 1
         out, _ = capsys.readouterr()
         assert out.encode() == (GOLDEN / golden).read_bytes()
+        target = tmp_path / golden
+        assert main([*argv, "--perturb", "--format", "json", "--out", str(target)]) == 1
+        assert target.read_bytes() == (GOLDEN / golden).read_bytes()
 
     @pytest.mark.parametrize("argv", [
         ["verify", "eq21", "--L", "0..12", "--M", "0..12", "--i", "0..6", "--j", "0..6",
@@ -285,6 +300,10 @@ class TestCountCommand:
         ["gf", "trinomialRHS", "--L", "0"],
         ["bijection", "forward", "a1"],
         ["bijection", "inverse", "zz9"],
+        # grids with no cell in the identity's domain
+        ["verify", "rec55", "--L", "0..1"],
+        ["verify", "eq516", "--L", "0"],
+        ["verify", "eq63lm", "--L", "-1", "--i", "0", "--j", "0", "--k", "0"],
     ], ids=" ".join)
     def test_a_command_usage_error_leaves_the_out_file_untouched(self, argv, tmp_path,
                                                                  capsys):
