@@ -1,11 +1,11 @@
 """In-process timings of the partition, bijection, identity, ring and
 marker-series layers: both enumerators, the gap test, the T1/T2/T3
-census builds, the classical S and G counts, the one-color components,
-the bounded bijection round trips, the truncated and Durfee-rectangle
-identity checks, warm eq21 cells, called directly and through the sweep
-harness, cold multinomial and trinomial tables, the G_L / P_L series with
-the checks built on them, and the canonical text of the failing sides of
-a perturbed eq21 sweep.
+census builds, the T2 vector-partition counts, the classical S and G
+counts, the one-color components, the bounded bijection round trips, the
+truncated and Durfee-rectangle identity checks, warm eq21 cells, called
+directly and through the sweep harness, cold multinomial and trinomial
+tables, the G_L / P_L series with the checks built on them, and the
+canonical text of the failing sides of a perturbed eq21 sweep.
 
 Run from a checkout, importing that checkout's sources:
 
@@ -123,6 +123,17 @@ def _census_T3():
                 theorems._s_census(L, M, m)
 
 
+def _count_V():
+    # the count_V calls of perfbench's partition-census T2 ops
+    for L in range(0, 9):
+        for M in range(0, 9):
+            top = min(L, M)
+            for i in range(0, top + 1):
+                for j in range(0, top - i + 1):
+                    for n in range(0, 17):
+                        partitions.count_V(n, i, j, L, M)
+
+
 def _classical():
     theorems.check_schur(60)
     theorems.check_goellnitz(60)
@@ -229,6 +240,9 @@ LAYERS = {
     "census_T3_build_s": (_census_T3, "_s_census at the undilated weights (N+2i+j)/3 of "
                                       "0 <= L <= M <= 5, i+j <= L and dilated weight "
                                       "N <= 45, cold"),
+    "count_V_s": (_count_V, "count_V(n, i, j, L, M) for L, M <= 8, i + j <= min(L, M) "
+                            "and n <= 16 (the calls of the partition-census T2 ops), "
+                            "cold"),
     "classical_s": (_classical, "check_schur(60) then check_goellnitz(60), cold"),
     "colored_s": (_colored, "ColoredPartition.colored for both components of each "
                             "pair of the bijection_s grid"),

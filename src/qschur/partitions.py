@@ -26,6 +26,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache, total_ordering
 from typing import Iterable, Iterator, Optional, Sequence
 
+from .coefficients import qbinom, triangular
+from .qseries import LaurentPoly
+
 __all__ = [
     "COLORS",
     "ColoredPartition",
@@ -35,7 +38,6 @@ __all__ = [
     "NoValidStatistic",
     "color_counts",
     "count_V",
-    "count_distinct_parts",
     "durfee_decompose",
     "goellnitz_counts",
     "is_type1",
@@ -324,15 +326,11 @@ def nu_statistics(partition: ColoredPartition, L: int, M: int) -> tuple[int, int
 
 
 @lru_cache(maxsize=None)
-def count_distinct_parts(n: int, k: int, cap: int) -> int:
-    """Partitions of n into exactly k distinct parts, each in [1, cap]."""
-    if k == 0:
-        return 1 if n == 0 else 0
-    if k < 0 or n < k * (k + 1) // 2 or cap < k:
-        return 0
-    # largest part p, remaining parts distinct and < p
-    return sum(count_distinct_parts(n - p, k - 1, p - 1)
-               for p in range(k, min(n, cap) + 1))
+def _vector_gf(i: int, j: int, L: int, M: int) -> LaurentPoly:
+    """q^{T_i+T_j} [max(M-j, 0); i] [max(L, 0); j]: i distinct parts <= M-j
+    and j distinct parts <= L, each a staircase plus a box partition."""
+    return (qbinom(max(M - j, 0), i) * qbinom(max(L, 0), j)).shifted(
+        triangular(i) + triangular(j))
 
 
 def count_V(n: int, i: int, j: int, L: int, M: int) -> int:
@@ -340,9 +338,7 @@ def count_V(n: int, i: int, j: int, L: int, M: int) -> int:
     b-parts <= L."""
     if n < 0 or i < 0 or j < 0:
         return 0
-    return sum(count_distinct_parts(m, i, max(M - j, 0))
-               * count_distinct_parts(n - m, j, max(L, 0))
-               for m in range(0, n + 1))
+    return _vector_gf(i, j, L, M).coeff(n)
 
 
 # -- ordinary-integer (dilated) enumerations --------------------------------

@@ -1,8 +1,9 @@
 """End-to-end count equalities binding the enumerators to the theorems.
 
-Each check pairs an independently enumerated left side (vector partitions)
-with the bucketed gap-partition counts on the right, and reports both
-totals plus the per-bucket breakdown.
+Each check pairs a closed-form left side, the vector partitions counted
+as one coefficient of a q-binomial product (``partitions.count_V``), with
+the enumerated, bucketed gap-partition counts on the right, and reports
+both totals plus the per-bucket breakdown.
 
 The bucketed counts are built through cached censuses, one per bound
 pair and exact weight n: a single enumeration of the gap partitions of n

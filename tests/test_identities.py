@@ -594,6 +594,40 @@ class TestSweep:
             expected = identities._verdict(tag + "+perturbed", v.params, v.lhs, v.rhs + 1)
             assert failure.to_json_dict() == expected.to_json_dict()
 
+    @pytest.mark.parametrize("offset", [-1, 0], ids=["below-support", "at-lowest"])
+    @pytest.mark.parametrize("tag", sorted(TINY_GRIDS))
+    def test_the_witness_is_the_first_of_two_perturbations(self, tag, offset, monkeypatch):
+        # c1 q^e1 goes into the right side, then a second perturbation after
+        # it: at a higher exponent of a polynomial, or at a later marker of
+        # a series (there at a lower exponent, so only the marker order
+        # makes it second)
+        ranges, caps = self.TINY_GRIDS[tag]
+        spec = IDENTITIES[tag]
+        cell = tuple(ranges[p][-1] for p in spec.range_params)
+        params = cell + tuple(caps[c] for c in spec.cap_params)
+        lhs, rhs = spec.fn(*params)
+        assert lhs == rhs
+        c1 = 3
+        if isinstance(rhs, LaurentPoly):
+            marker, e1 = None, rhs.min_exp + offset
+            bump = LaurentPoly({e1: c1, rhs.max_exp + 1: -5})
+        else:
+            assert len(rhs) >= 2
+            (marker, first), *_, (last, _) = rhs.terms()
+            e1 = first.min_exp + offset
+            bump = MarkerSeries(rhs.arity, {marker: LaurentPoly({e1: c1, e1 + 2: 7}),
+                                            last: LaurentPoly({e1 - 1: -5})})
+
+        def perturbed(*args):
+            l, r = spec.fn(*args)
+            return l, r + bump
+
+        monkeypatch.setitem(IDENTITIES, tag, dataclasses.replace(spec, fn=perturbed))
+        w = verify(tag, *params).witness
+        assert (w.marker, w.q_exp, w.rhs_coeff - w.lhs_coeff) == (marker, e1, c1)
+        [failure] = sweep(tag, {p: [v] for p, v in zip(spec.range_params, cell)}, caps).failures
+        assert failure.witness == w
+
     def test_a_broken_cell_is_the_one_failure_and_the_one_verdict(self, monkeypatch):
         real_rhs, real_verdict = identities.rhs_21, identities._verdict
         built = []

@@ -12,7 +12,6 @@ from qschur.partitions import (
     ColoredSymbol,
     NoValidStatistic,
     count_V,
-    count_distinct_parts,
     durfee_decompose,
     goellnitz_counts,
     is_type1,
@@ -25,7 +24,7 @@ from qschur.coefficients import qbinom
 from qschur.qseries import LaurentPoly
 from qschur.theorems import _s_census, check_theorem3
 
-from oracles import _gap_needed, fitting_buckets, s_profile, schur_gap_literal, type1_upto
+from oracles import _distinct_parts, _gap_needed, fitting_buckets, s_profile, schur_gap_literal, type1_upto
 
 P = ColoredPartition.from_text
 
@@ -240,10 +239,15 @@ class TestNuStatistics:
 
 
 class TestCounts:
-    def test_count_distinct_parts(self):
-        assert count_distinct_parts(0, 0, 5) == 1
-        assert count_distinct_parts(5, 2, 4) == 2  # 4+1, 3+2
-        assert count_distinct_parts(5, 2, 3) == 1  # 3+2
+    def test_count_V_against_enumeration(self):
+        # pairs (a-parts, b-parts) of distinct-part sets, counted literally;
+        # the grid has M < j and L < 0, where both caps clamp at 0
+        for n, L, M, i, j in itertools.product(range(13), range(-1, 6), range(-1, 7),
+                                               range(5), range(5)):
+            want = sum(1 for m in range(n + 1)
+                       for w1 in _distinct_parts(m, max(M - j, 0)) if len(w1) == i
+                       for w2 in _distinct_parts(n - m, max(L, 0)) if len(w2) == j)
+            assert count_V(n, i, j, L, M) == want, (n, i, j, L, M)
 
     @pytest.mark.parametrize("args,expected", [
         ((3, 1, 1, 2, 2), 1),
