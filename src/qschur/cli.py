@@ -174,41 +174,37 @@ def cmd_verify(args) -> int:
     return 0 if result.holds else 1
 
 
-def _count_reports(args) -> list[CountReport]:
-    theorem, n_range = args.theorem, args.n
-    if theorem in ("S", "G"):
-        reports = check_schur(max(n_range)) if theorem == "S" \
-            else check_goellnitz(max(n_range))
-        return [r for r in reports if r.params["n"] >= n_range[0]]
-
-    reports = []
-    if theorem == "T1":
-        top = max(n_range)
+def _count_cells(args):
+    """The (check, arguments) pairs of a T1, T2 or T3 request, in report
+    order: every cell of the flags' grid in the theorem's domain."""
+    if args.theorem == "T1":
+        top = max(args.n)
         every = range(0, (math.isqrt(8 * top + 1) - 1) // 2 + 1)  # b with T_b <= top
-        for n in n_range:
-            for i in args.i or every:
-                for j in args.j or every:
-                    if i * (i + 1) // 2 + j * (j + 1) // 2 <= n:
-                        reports.append(check_theorem1(n, i, j))
-        return reports
-
-    if theorem == "T2":
+        return ((check_theorem1, (n, i, j)) for n in args.n
+                for i in args.i or every for j in args.j or every
+                if i * (i + 1) // 2 + j * (j + 1) // 2 <= n)
+    if args.theorem == "T2":
         check, in_domain = check_theorem2, lambda L, M, ij: ij <= min(L, M)
     else:
         check, in_domain = check_theorem3, lambda L, M, ij: M >= L >= ij
-    for L in args.L:
-        for M in args.M:
-            every = range(0, max(L, M) + 1)
-            for i in args.i or every:
-                for j in args.j or every:
-                    if in_domain(L, M, i + j):
-                        reports.extend(check(n, i, j, L, M) for n in n_range)
-    return reports
+    return ((check, (n, i, j, L, M)) for L in args.L for M in args.M
+            for i in args.i or range(0, max(L, M) + 1)
+            for j in args.j or range(0, max(L, M) + 1)
+            if in_domain(L, M, i + j) for n in args.n)
+
+
+def _count_reports(args) -> list[CountReport]:
+    if args.theorem in ("S", "G"):
+        check = check_schur if args.theorem == "S" else check_goellnitz
+        return check(max(args.n))[args.n[0]:]  # the report of n is at index n
+    return [check(*cell) for check, cell in _count_cells(args)]
 
 
 def _count_usage(args):
     _flags(args, f"count {args.theorem}", THEOREMS[args.theorem],
            ("L", "M") if args.theorem in ("T2", "T3") else ())
+    if args.theorem not in ("S", "G") and next(_count_cells(args), None) is None:
+        raise UsageError(f"count {args.theorem}: no cell of the grid is in its domain")
 
 
 def cmd_count(args) -> int:

@@ -44,8 +44,12 @@ def poch_qpow(m: int, n: int) -> LaurentPoly:
     """
     if n < 0:
         raise ValueError("poch_qpow needs n >= 0")
+    if m <= 0 <= m + n - 1:
+        return ZERO
     if n == 0:
         return ONE
+    for k in range(1, n):  # the prefixes in ascending order: no deep recursion
+        poch_qpow(m, k)
     return poch_qpow(m, n - 1) * (ONE - qpow(m + n - 1))
 
 

@@ -447,6 +447,8 @@ def inv_poch_trunc(n: int, q_cap: int) -> LaurentPoly:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return ONE
+    for k in range(1, n):  # the prefixes in ascending order: no deep recursion
+        inv_poch_trunc(k, q_cap)
     geom = LaurentPoly({t: 1 for t in range(0, q_cap + 1, n)})
     return _capped_product((inv_poch_trunc(n - 1, q_cap), geom), q_cap)
 

@@ -27,7 +27,7 @@ from functools import lru_cache, total_ordering
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .coefficients import qbinom, triangular
-from .qseries import LaurentPoly
+from .qseries import ONE, LaurentPoly
 
 __all__ = [
     "COLORS",
@@ -367,34 +367,34 @@ _CLASSICAL_SIDES = {
 }
 
 
-@lru_cache(maxsize=None)
-def _count_parts(n: int, bound: int, side: tuple) -> int:
-    """Partitions of n into parts <= bound that ``side`` allows."""
-    if n == 0:
-        return 1
-    modulus, residues, excluded, next_bound = side
-    return sum(_count_parts(n - p, min(n - p, next_bound(p)), side)
-               for p in range(1, min(n, bound) + 1)
-               if p % modulus in residues and p not in excluded)
-
-
-def _classical_counts(theorem: str, n: int) -> tuple[int, ...]:
-    if n < 0:
+def classical_rows(theorem: str, n_max: int) -> list[tuple[int, ...]]:
+    """(distinct side, gap side) of ``theorem`` for every n <= n_max.  Per
+    side, S[b], the partitions into allowed parts <= b truncated at
+    q^n_max, is S[b-1] + q^b S[max(next_bound(b), 0)] when b is allowed
+    and S[b-1] otherwise, from S[0] = 1 (Stanley, EC1 4.7)."""
+    if n_max < 0:
         raise ValueError("n must be nonnegative")
-    return tuple(_count_parts(n, n, side) for side in _CLASSICAL_SIDES[theorem])
+    sides = []
+    for modulus, residues, excluded, next_bound in _CLASSICAL_SIDES[theorem]:
+        S = [ONE]
+        for b in range(1, n_max + 1):
+            S.append(S[b - 1] + S[max(next_bound(b), 0)].truncated(n_max - b).shifted(b)
+                     if b % modulus in residues and b not in excluded else S[b - 1])
+        sides.append(S[n_max])
+    return [tuple(side.coeff(n) for side in sides) for n in range(0, n_max + 1)]
 
 
 def schur_counts(n: int) -> tuple[int, int]:
     """Both sides of Schur's theorem at n: (distinct parts congruent to 1
     or 2 mod 3, gap partitions)."""
-    return _classical_counts("S", n)
+    return classical_rows("S", n)[n]
 
 
 def goellnitz_counts(n: int) -> tuple[int, int]:
     """Both sides of the three-residue difference theorem at n: (distinct
     parts congruent to 2, 4 or 5 mod 6, gap-6 partitions avoiding 1 and 3
     with strict gaps at parts congruent to 0, 1, 3 mod 6)."""
-    return _classical_counts("G", n)
+    return classical_rows("G", n)[n]
 
 
 # --------------------------------------------------------------------------

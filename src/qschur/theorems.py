@@ -25,15 +25,14 @@ import io
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .partitions import (
+    classical_rows,
     color_counts,
     count_V,
-    goellnitz_counts,
     iter_type1_dilated,
     scan_statistic,
-    schur_counts,
 )
 
 __all__ = [
@@ -229,18 +228,17 @@ def check_theorem3(n: int, i: int, j: int, L: int, M: int) -> CountReport:
                        sum(breakdown.values()), breakdown)
 
 
-def _classical(theorem: str, counts: Callable, n_max: int) -> list[CountReport]:
-    """``counts(n)``, the distinct side then the gap side, for every n <= n_max."""
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    return [CountReport(theorem, dict(n=n), *counts(n)) for n in range(0, n_max + 1)]
+def _classical(theorem: str, n_max: int) -> list[CountReport]:
+    """The distinct side then the gap side of ``theorem``, for every n <= n_max."""
+    return [CountReport(theorem, dict(n=n), *row)
+            for n, row in enumerate(classical_rows(theorem, n_max))]
 
 
 def check_schur(n_max: int) -> list[CountReport]:
     """Classical two-residue theorem checked for every n <= n_max."""
-    return _classical("S", schur_counts, n_max)
+    return _classical("S", n_max)
 
 
 def check_goellnitz(n_max: int) -> list[CountReport]:
     """Three-residue difference theorem checked for every n <= n_max."""
-    return _classical("G", goellnitz_counts, n_max)
+    return _classical("G", n_max)

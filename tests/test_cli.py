@@ -114,6 +114,10 @@ class TestBadInput:
         ["bijection", "sideways", "a1"],
         ["count"],
         pytest.param([], id="(no arguments)"),
+        # count grids with no check in the theorem's domain
+        ["count", "T1", "--n", "0", "--i", "1"],
+        ["count", "T2", "--n", "0..3", "--L", "1", "--M", "1", "--i", "1", "--j", "1"],
+        ["count", "T3", "--n", "0..3", "--L", "3", "--M", "2"],
         # an --out path that cannot be written: a directory, and a path
         # under a regular file; neither creates anything
         pytest.param(["verify", "eq21", "--L", "0", "--M", "0", "--i", "0", "--j", "0",
@@ -156,6 +160,19 @@ class TestVerifyCommand:
         assert capsys.readouterr().out == \
             "identity rec55: 1 cells evaluated, 2 skipped, all hold\n"
 
+    @pytest.mark.parametrize("argv", [
+        # [0; j] = (q^{1-j})_j / (q)_j holds the factor 1 - q^0
+        ["verify", "eq21", "--L", "0", "--M", "0", "--i", "0", "--j", "600"],
+        ["verify", "eq21", "--L", "0", "--M", "0", "--i", "0", "--j", "400"],
+        # 1/(q)_500 truncated at q^3, from a cold table
+        ["verify", "eq26", "--i", "500", "--j", "0", "--qmax", "3"],
+    ], ids=" ".join)
+    def test_long_products_neither_recurse_nor_stall(self, argv):
+        proc = subprocess.run([sys.executable, "-m", "qschur", *argv],
+                              capture_output=True, text=True, timeout=20)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.endswith(": 1 cells evaluated, 0 skipped, all hold\n")
+
     def test_caps_are_accepted(self):
         code, out, _ = run_cli("verify", "eq26", "--i", "0..2", "--j", "0..2",
                                "--qmax", "20")
@@ -176,6 +193,13 @@ class TestVerifyCommand:
 
 
 class TestCountCommand:
+    def test_a_grid_outside_the_domain_is_a_usage_error(self, capsys):
+        assert main(["count", "T3", "--n", "0..3", "--L", "3", "--M", "2"]) == 2
+        assert capsys.readouterr().err == \
+            "error: count T3: no cell of the grid is in its domain\n"
+        assert main(["count", "T1", "--n", "0..1", "--i", "1"]) == 0
+        assert capsys.readouterr().out.endswith("\n1 checks, 0 failed\n")
+
     def test_schur_rows(self):
         code, out, _ = run_cli("count", "S", "--n", "0..40")
         assert code == 0
@@ -304,6 +328,10 @@ class TestCountCommand:
         ["verify", "rec55", "--L", "0..1"],
         ["verify", "eq516", "--L", "0"],
         ["verify", "eq63lm", "--L", "-1", "--i", "0", "--j", "0", "--k", "0"],
+        # count grids with no check in the theorem's domain
+        ["count", "T1", "--n", "0", "--i", "1"],
+        ["count", "T2", "--n", "0..3", "--L", "1", "--M", "1", "--i", "1", "--j", "1"],
+        ["count", "T3", "--n", "0..3", "--L", "3", "--M", "2"],
     ], ids=" ".join)
     def test_a_command_usage_error_leaves_the_out_file_untouched(self, argv, tmp_path,
                                                                  capsys):

@@ -56,6 +56,14 @@ class TestPochhammer:
     def test_vanishing_factor(self):
         assert poch_qpow(-1, 2) == ZERO
 
+    def test_every_small_product_matches_its_factors(self):
+        # the product is ZERO exactly when m <= 0 <= m + n - 1
+        for m, n in itertools.product(range(-6, 4), range(0, 9)):
+            literal = ONE
+            for j in range(n):
+                literal = literal * (ONE - qpow(m + j))
+            assert poch_qpow(m, n) == literal, (m, n)
+
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
             poch_qpow(1, -1)

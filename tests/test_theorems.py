@@ -1,6 +1,7 @@
 """Theorem-level count equalities and their serializations."""
 
 import json
+import time
 from collections import Counter
 
 import pytest
@@ -242,6 +243,17 @@ class TestClassicalTheorems:
     def test_goellnitz_values(self):
         reports = check_goellnitz(10)
         assert reports[10].lhs_count == 2 and all(r.holds for r in reports)
+
+    def test_both_theorems_hold_to_400_in_under_a_second(self):
+        start = time.perf_counter()
+        schur, goellnitz = check_schur(400), check_goellnitz(400)
+        elapsed = time.perf_counter() - start
+        assert all(r.holds for r in schur + goellnitz)
+        assert [len(schur), len(goellnitz)] == [401, 401]
+        # frozen values at n = 400
+        assert schur[400].lhs_count == 19507588976
+        assert goellnitz[400].lhs_count == 271659146
+        assert elapsed < 1.0
 
     def test_schur_is_the_marginal_dilated_image(self):
         # total gap partitions of n equal colored gap partitions of the
