@@ -21,9 +21,9 @@ one table keyed (M-j, i, k), _ksum_head, so a term costs one ring
 product: that head times [L-i; j-k].
 
 The generating function G_L of gap partitions with parts bounded by b_L
-is always built twice, by a transfer-matrix count of the partitions and
-from the k-sum formula, and the two constructions are asserted equal
-before either is used.
+is always built twice, over dilated values, with the gap from
+_schur_next_bound (partitions.gap_series), and from the k-sum formula;
+the two are asserted equal before either is used.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from functools import lru_cache
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .coefficients import qbinom, qmultinomial3, qtrinomial, triangular
+from .partitions import gap_series
 from .qseries import LaurentPoly, MarkerSeries, Truncation, ONE, ZERO, qpow
 
 __all__ = [
@@ -214,30 +215,8 @@ def _sides_46(L: int, M: int) -> Sides:
 
 
 def _series_from_transfer(L: int) -> MarkerSeries:
-    """G_L by the transfer-matrix method (Stanley, EC1 4.7).
-
-    The gap condition links only consecutive parts, so the series F(x) of
-    gap partitions whose largest part is x follows from the parts below
-    it.  With S[w] = 1 (the empty partition) + every F of weight <= w,
-    and S[-1] = 1,
-
-        F(ab_w) = AB q^w S[w-2]                           (w >= 2)
-        F(a_w)  = A q^w (S[w-2] + F(a_{w-1}) + F(ab_{w-1}))
-        F(b_w)  = B q^w S[w-1]
-
-    since below ab_w the next part weighs at most w-2, below a_w it is
-    any part of weight <= w-2 or a_{w-1} or ab_{w-1}, and below b_w any
-    part of weight <= w-1.  The parts <= b_L are the symbols of weight
-    <= L, so G_L = S[L]; the count takes O(L) series additions.
-    """
-    below2 = below1 = MarkerSeries.one(2)  # S[w-2], S[w-1]
-    f_a = f_ab = MarkerSeries.zero(2)      # F(a_{w-1}), F(ab_{w-1})
-    for w in range(1, L + 1):
-        f_a = (below2 + f_a + f_ab) * MarkerSeries.term((1, 0), qpow(w))
-        f_ab = below2 * MarkerSeries.term((1, 1), qpow(w)) if w >= 2 else f_ab
-        f_b = below1 * MarkerSeries.term((0, 1), qpow(w))
-        below2, below1 = below1, below1 + f_ab + f_a + f_b
-    return below1
+    """G_L by the transfer-matrix count of its partitions, partitions.gap_series."""
+    return gap_series(L)
 
 
 def _series_from_sum(L: int) -> MarkerSeries:
@@ -251,12 +230,10 @@ def _series_from_sum(L: int) -> MarkerSeries:
 
 @lru_cache(maxsize=None)
 def build_GL(L: int) -> MarkerSeries:
-    """The generating function of gap partitions with parts <= b_L.
-
-    Computed independently by a transfer-matrix count of the partitions
-    and by the k-sum formula; the two must agree exactly
-    (InternalMismatch otherwise).  The k-sum series is returned.
-    """
+    """The generating function of gap partitions with parts <= b_L, built
+    over dilated values, with the gap from _schur_next_bound
+    (partitions.gap_series), and by the k-sum formula; the two must agree
+    exactly (InternalMismatch otherwise).  The k-sum series is returned."""
     if L < 0:
         raise ValueError("L must be nonnegative")
     counted = _series_from_transfer(L)

@@ -24,10 +24,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache, total_ordering
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .coefficients import qbinom, triangular
-from .qseries import ONE, LaurentPoly
+from .qseries import ONE, LaurentPoly, MarkerSeries, qpow
 
 __all__ = [
     "COLORS",
@@ -356,6 +356,32 @@ def _goellnitz_next_bound(p: int) -> int:
     return p - 6 - (1 if p % 6 in (0, 1, 3) else 0)
 
 
+def _transfer(top: int, one, next_bound: Callable[[int], int], term: Callable):
+    """S[top] by the transfer-matrix method (Stanley, EC1 4.7): S[0] = one
+    and S[b] = S[b-1] + term(b, S[max(next_bound(b), 0)]), where term is
+    None when b may not occur.  Only S from the last bound read onward is
+    kept, so next_bound must not decrease: a decrease raises ValueError."""
+    kept, low = [one], 0  # S[low], ..., S[b-1]
+    for b in range(1, top + 1):
+        read = max(next_bound(b), 0)
+        if read < low:
+            raise ValueError(f"next_bound decreases at {b}: {read} < {low}")
+        del kept[:read - low]
+        low, t = read, term(b, kept[0])
+        kept.append(kept[-1] if t is None else kept[-1] + t)
+    return kept[-1]
+
+
+def gap_series(L: int) -> MarkerSeries:
+    """G_L, the gap partitions with parts <= b_L, by _transfer over dilated
+    values d <= 3L-1 with the gap from _schur_next_bound: d adds q^(d//3+1)
+    and one marker A per 'a', one B per 'b' in the name of its color."""
+    def term(d: int, below: MarkerSeries) -> MarkerSeries:
+        color = _COLOR_OF_RESIDUE[d % 3]
+        return below * MarkerSeries.term((color.count("a"), color.count("b")), qpow(d // 3 + 1))
+    return _transfer(3 * L - 1, MarkerSeries.one(2), _schur_next_bound, term)
+
+
 # Each side of the two classical theorems as (modulus, residues, excluded,
 # next_bound): a part p may occur when p % modulus is in residues and p is
 # not in excluded, and the part below p is at most next_bound(p).  Per
@@ -368,19 +394,16 @@ _CLASSICAL_SIDES = {
 
 
 def classical_rows(theorem: str, n_max: int) -> list[tuple[int, ...]]:
-    """(distinct side, gap side) of ``theorem`` for every n <= n_max.  Per
-    side, S[b], the partitions into allowed parts <= b truncated at
-    q^n_max, is S[b-1] + q^b S[max(next_bound(b), 0)] when b is allowed
-    and S[b-1] otherwise, from S[0] = 1 (Stanley, EC1 4.7)."""
+    """(distinct side, gap side) of ``theorem`` for every n <= n_max, each
+    side by _transfer: an allowed part b adds q^b, truncated at q^n_max."""
     if n_max < 0:
         raise ValueError("n must be nonnegative")
     sides = []
     for modulus, residues, excluded, next_bound in _CLASSICAL_SIDES[theorem]:
-        S = [ONE]
-        for b in range(1, n_max + 1):
-            S.append(S[b - 1] + S[max(next_bound(b), 0)].truncated(n_max - b).shifted(b)
-                     if b % modulus in residues and b not in excluded else S[b - 1])
-        sides.append(S[n_max])
+        def term(b: int, below: LaurentPoly) -> Optional[LaurentPoly]:
+            if b % modulus in residues and b not in excluded:
+                return below.truncated(n_max - b).shifted(b)
+        sides.append(_transfer(n_max, ONE, next_bound, term))
     return [tuple(side.coeff(n) for side in sides) for n in range(0, n_max + 1)]
 
 

@@ -1,8 +1,12 @@
 """Theorem-level count equalities and their serializations."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,9 +15,11 @@ from hypothesis import strategies as st
 from qschur.partitions import (
     ColoredPartition,
     NoValidStatistic,
+    _transfer,
     iter_type1,
     nu_statistics,
 )
+from qschur.qseries import ONE
 from qschur.theorems import (
     _g3_census,
     _s_census,
@@ -254,6 +260,30 @@ class TestClassicalTheorems:
         assert schur[400].lhs_count == 19507588976
         assert goellnitz[400].lhs_count == 271659146
         assert elapsed < 1.0
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                        reason="reads the peak resident set from /proc")
+    def test_both_theorems_hold_to_1500_in_bounded_memory(self):
+        # a fresh interpreter, so the peak is this check's alone.  VmHWM,
+        # not ru_maxrss: a child's ru_maxrss keeps the peak of the process
+        # that spawned it, here the whole test session's
+        script = ("import re\n"
+                  "from qschur.theorems import check_goellnitz, check_schur\n"
+                  "reports = check_schur(1500) + check_goellnitz(1500)\n"
+                  "assert len(reports) == 3002 and all(r.holds for r in reports)\n"
+                  "status = open('/proc/self/status').read()\n"
+                  "print(re.search(r'VmHWM:\\s*(\\d+) kB', status).group(1))\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert int(proc.stdout) / 1024 < 48
+
+    def test_a_decreasing_next_bound_raises(self):
+        # b = 4 would read S[0] after S[0..1] were dropped at b = 3
+        with pytest.raises(ValueError, match="decreases at 4"):
+            _transfer(6, ONE, lambda b: b - 1 if b < 4 else 0,
+                      lambda b, below: below.shifted(b))
 
     def test_schur_is_the_marginal_dilated_image(self):
         # total gap partitions of n equal colored gap partitions of the
