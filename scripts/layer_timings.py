@@ -2,7 +2,8 @@
 marker-series layers: both enumerators, the gap test, the T1/T2/T3
 census builds, the T2 vector-partition counts, the classical S and G
 counts, the one-color components, the bounded bijection round trips, the
-truncated and Durfee-rectangle identity checks, warm eq21 cells, called
+truncated and Durfee-rectangle identity checks, the three-color eq61
+and eq63 checks of the large-degree workload, warm eq21 cells, called
 directly and through the sweep harness, cold multinomial and trinomial
 tables, the G_L / P_L series with the checks built on them, and the
 canonical text of the failing sides of a perturbed eq21 sweep.
@@ -18,10 +19,11 @@ fixed probe (``_probe`` in perfbench/child.py, loaded from there) runs
 before the first run and after every run, and each run's time is
 multiplied by ``PROBE_REF_S`` over the median of the probes on either
 side of it, so two checkouts timed minutes apart on a shared host can be
-compared.  Census, counter and coefficient tables are cleared before
-each run, so every build is cold.  The counter tables are every
-``lru_cache`` at the top level of ``qschur.partitions``, found by
-introspection, so checkouts with different counters are cleared alike.
+compared.  Every table is cleared before each run, so every build is
+cold: the tables are every ``lru_cache`` at the top level of
+``qschur.coefficients``, ``identities``, ``partitions`` and
+``theorems``, found by introspection, so checkouts with different tables
+are cleared alike.
 A layer listed in ``WARM`` then runs its warm-up untimed, so that only
 its ring arithmetic is timed.  The inputs some layers read (parsed
 partitions, the bijection grid, the failing sides) are built once by
@@ -37,6 +39,7 @@ from __future__ import annotations
 import argparse
 import functools
 import importlib.util
+import itertools
 import json
 import platform
 import statistics
@@ -47,13 +50,10 @@ from qschur import coefficients, identities, partitions, theorems
 from qschur.bijection import forward_bounded, inverse
 from qschur.partitions import ColoredPartition, is_type1, iter_schur_gap, iter_type1
 
-# the tables cleared before every run
-CACHES = [getattr(theorems, name) for name in
-          ("_type1_census", "_s_census", "_s_census_mirrored", "_g3_census")] + \
-    [coefficients.poch_qpow, coefficients.qbinom, coefficients.qmultinomial3,
-     identities.inv_poch_trunc,
-     identities.build_GL, identities.build_PL, identities.build_RL, identities._ksum_head] + \
-    [obj for obj in vars(partitions).values() if hasattr(obj, "cache_clear")]
+# the tables cleared before every run (a table imported by another module
+# is listed once)
+CACHES = list(dict.fromkeys(obj for module in (coefficients, identities, partitions, theorems)
+                            for obj in vars(module).values() if hasattr(obj, "cache_clear")))
 
 
 def _perfbench(name: str):
@@ -175,6 +175,15 @@ def _identities():
                 identities.verify("eq32", L, i, j)
 
 
+def _goellnitz():
+    # large-degree's three-color ops: eq61 at caps (4, 4, 4) and q^40, and
+    # eq63 on L, M in 10..12 and i, j, k in 0..4
+    identities.verify("eq61", 4, 4, 4, 40)
+    for L, M in itertools.product(range(10, 13), repeat=2):
+        for i, j, k in itertools.product(range(0, 5), repeat=3):
+            identities._sides_63(L, M, i, j, k)
+
+
 # one L-slice of the signed grid [-5..10]^4, the one with the largest L
 SIGNED = range(-5, 11)
 
@@ -252,6 +261,9 @@ LAYERS = {
     "identities_s": (_identities, "verify('eq11', 4, 4, 30), verify('eq61', 3, 3, 3, 30) "
                                   "and verify('eq32', L, i, j) on every 0 <= i, j with "
                                   "i + j <= L <= 12, cold"),
+    "goellnitz_s": (_goellnitz, "verify('eq61', 4, 4, 4, 40), then both sides of eq63 "
+                                "for L, M in 10..12 and i, j, k in 0..4 (large-degree's "
+                                "three-color ops), cold"),
     "ring_s": (_ring, "verify('eq21', 10, M, i, j) for M, i, j in -5..10, q-binomial "
                       "tables and the k-sum head table, warmed by one untimed pass"),
     "sweep_s": (_sweep, "identities.sweep('eq21') over the ring_s slice, L = 10 and "

@@ -14,11 +14,16 @@ Each shape of computation has one route: every triple-q-binomial k-sum
 (eq21, eq32, eq44, G_L) is _ksum, the triangular-exponent ones (eq44,
 G_L) shifted by T_i + T_j, both truncated marker identities
 (eq11, eq61) are _cellwise, every product of (1 + X q^m) factors (eq46,
-eq11, eq61) is _marker_product, and the G_L recurrence step shared by
-P_L and rec55 is _convergent_step.  The two factors of a k-sum term that
-do not depend on L, [M-i-j+k; k] [M-j; i-k], come as one product from
-one table keyed (M-j, i, k), _ksum_head, so a term costs one ring
-product: that head times [L-i; j-k].
+eq11, eq61) is _marker_product, every truncated product of 1/(q)_n
+factors (eq26, eq61) is _inv_poch_product, and the G_L recurrence step
+shared by P_L and rec55 is _convergent_step.  A product whose inputs
+repeat is formed once: _ksum_head holds the two L-free factors of a
+k-sum term, [M-i-j+k; k] [M-j; i-k], so a term costs one ring product;
+_bound_pair the one-bound factor pairs of an eq63 term; and
+_inv_poch_product's table one product per multiset of parts.
+_marker_product multiplies each marker's own factors before crossing
+the markers.  The ring commutes and no truncated factor has a negative
+q-exponent, so no reordering or cut at the q-cap changes a byte.
 
 The generating function G_L of gap partitions with parts bounded by b_L
 is always built twice, over dilated values, with the gap from
@@ -185,14 +190,16 @@ def _sides_48(L: int, M: int, i: int, j: int) -> Sides:
 def _marker_product(tops: Sequence[int],
                     trunc: Optional[Truncation] = None) -> MarkerSeries:
     """The product over the markers X of prod_{m=1..top}(1 + X q^m), one
-    top per marker, with every factor capped at ``trunc``."""
+    top per marker, capped at ``trunc``: each marker's own factors are
+    multiplied first, then the markers are crossed once."""
     arity = len(tops)
     product = MarkerSeries.one(arity, trunc)
     for pos, top in enumerate(tops):
         unit = tuple(int(p == pos) for p in range(arity))
+        own = MarkerSeries.one(arity, trunc)
         for m in range(1, top + 1):
-            factor = MarkerSeries(arity, {(0,) * arity: ONE, unit: qpow(m)}, trunc)
-            product = product * factor
+            own = own * MarkerSeries(arity, {(0,) * arity: ONE, unit: qpow(m)}, trunc)
+        product = product * own
     return product
 
 
@@ -363,12 +370,18 @@ def goellnitz_compositions(i: int, j: int, k: int) -> Iterator[GoellnitzComposit
                     delta=delta, epsilon=epsilon, phi=phi)
 
 
+@lru_cache(maxsize=None)
+def _bound_pair(top: int, x: int, y: int) -> LaurentPoly:
+    """[top+x; x] [top; y], the factors of an eq63 term that read one bound."""
+    a, b = qbinom(top + x, x), qbinom(top, y)
+    return a * b if a and b else ZERO
+
+
 def _lhs_63(L: int, M: int, i: int, j: int, k: int) -> LaurentPoly:
     total = ZERO
     for c in goellnitz_compositions(i, j, k):
         s = c.s
-        common = (qbinom(L - s + c.beta, c.beta) * qbinom(M - s + c.gamma, c.gamma)
-                  * qbinom(L - s, c.delta) * qbinom(M - s, c.epsilon))
+        common = _bound_pair(L - s, c.beta, c.delta) * _bound_pair(M - s, c.gamma, c.epsilon)
         if not common:
             continue
         first = (qbinom(L - s + c.alpha, c.alpha) * qbinom(M - s, c.phi)).shifted(c.phi)
@@ -406,14 +419,13 @@ def _sides_63lm(L: int, i: int, j: int, k: int) -> Sides:
 # truncated infinite identities
 
 
-def _capped_product(factors: Sequence[LaurentPoly], q_cap: int,
-                    shift: int = 0) -> LaurentPoly:
-    """q^shift times the product of ``factors``, truncated at q^q_cap
-    after every factor so no intermediate product outgrows the cap."""
-    product, *rest = factors
-    for factor in rest:
+def _capped_product(factors: Sequence[LaurentPoly], q_cap: int) -> LaurentPoly:
+    """The product of ``factors``, truncated at q^q_cap after every factor
+    so no intermediate product outgrows the cap."""
+    product = ONE
+    for factor in factors:
         product = (product * factor).truncated(q_cap)
-    return product.shifted(shift).truncated(q_cap)
+    return product
 
 
 @lru_cache(maxsize=None)
@@ -430,17 +442,29 @@ def inv_poch_trunc(n: int, q_cap: int) -> LaurentPoly:
     return _capped_product((inv_poch_trunc(n - 1, q_cap), geom), q_cap)
 
 
+@lru_cache(maxsize=None)
+def _inv_poch_table(parts: tuple[int, ...], q_cap: int) -> LaurentPoly:
+    """The product of 1/(q)_n over ``parts`` (sorted, nonzero), truncated
+    at q^q_cap: one entry per multiset of parts."""
+    return _capped_product([inv_poch_trunc(n, q_cap) for n in parts], q_cap)
+
+
+def _inv_poch_product(parts: Sequence[int], q_cap: int, shift: int = 0) -> LaurentPoly:
+    """q^shift / prod (q)_n over ``parts``, truncated at q^q_cap, from the
+    table keyed by the sorted nonzero parts (1/(q)_0 = 1)."""
+    product = _inv_poch_table(tuple(sorted(n for n in parts if n)), q_cap)
+    return product.shifted(shift).truncated(q_cap)
+
+
 def _sides_26(i: int, j: int, qmax: int) -> Sides:
     """Termwise limit identity at one (i, j): the k-sum of
     q^{T_{i+j-k}+T_k} / ((q)_{i-k} (q)_{j-k} (q)_k) equals
     q^{T_i+T_j} / ((q)_i (q)_j), both truncated at qmax."""
     lhs = ZERO
     for k in range(0, min(i, j) + 1):
-        lhs = lhs + _capped_product(
-            [inv_poch_trunc(n, qmax) for n in (i - k, j - k, k)], qmax,
-            triangular(i + j - k) + triangular(k))
-    rhs = _capped_product((inv_poch_trunc(i, qmax), inv_poch_trunc(j, qmax)), qmax,
-                          triangular(i) + triangular(j))
+        lhs = lhs + _inv_poch_product((i - k, j - k, k), qmax,
+                                      triangular(i + j - k) + triangular(k))
+    rhs = _inv_poch_product((i, j), qmax, triangular(i) + triangular(j))
     return lhs, rhs
 
 
@@ -451,7 +475,7 @@ def _cellwise(caps: Sequence[int], qmax: int,
     tuple within ``caps``.  The first cell whose sides differ gives the
     sides, as one-term series at its marker; when every cell holds, they
     are the sum of the left sides and the product of (1 + X q^m) over the
-    markers X."""
+    markers X, each marker's factors multiplied first (_marker_product)."""
     trunc = Truncation(tuple(caps), qmax)
     arity = len(caps)
     cells: dict[tuple[int, ...], LaurentPoly] = {}
@@ -474,15 +498,15 @@ def _sides_11(amax: int, bmax: int, qmax: int) -> Sides:
 
 def _cell_61(i: int, j: int, k: int, q_cap: int) -> LaurentPoly:
     """The composition sum with the (1 - q^alpha + q^{alpha+phi}) factor,
-    truncated at q_cap."""
+    truncated at q_cap: one table read per composition, and the last
+    factor applied as two shifts and two additions."""
     total = ZERO
     for c in goellnitz_compositions(i, j, k):
         if c.shift > q_cap:
             continue
-        factors = [inv_poch_trunc(n, q_cap) for n in
-                   (c.alpha, c.beta, c.gamma, c.delta, c.epsilon, c.phi)]
-        factors.append(ONE - qpow(c.alpha) + qpow(c.alpha + c.phi))
-        total = total + _capped_product(factors, q_cap, c.shift)
+        p = _inv_poch_product((c.alpha, c.beta, c.gamma, c.delta, c.epsilon, c.phi), q_cap)
+        total = total + (p - p.shifted(c.alpha) + p.shifted(c.alpha + c.phi)).shifted(
+            c.shift).truncated(q_cap)
     return total
 
 
@@ -492,9 +516,8 @@ def _sides_61(amax: int, bmax: int, cmax: int, qmax: int) -> Sides:
     (q)_k), and summed against the markers it must equal the triple
     product."""
     def cell(i: int, j: int, k: int) -> tuple[LaurentPoly, LaurentPoly]:
-        return _cell_61(i, j, k, qmax), _capped_product(
-            [inv_poch_trunc(n, qmax) for n in (i, j, k)], qmax,
-            triangular(i) + triangular(j) + triangular(k))
+        return _cell_61(i, j, k, qmax), _inv_poch_product(
+            (i, j, k), qmax, triangular(i) + triangular(j) + triangular(k))
     return _cellwise((amax, bmax, cmax), qmax, cell)
 
 
@@ -608,7 +631,5 @@ def sweep(identity: str, ranges: dict[str, Sequence[int]],
         if perturb:
             rhs = rhs + 1
         if lhs != rhs:
-            verdict = _verdict(tag, dict(zip(names, combo + cap_values)), lhs, rhs)
-            if not verdict.holds:
-                failures.append(verdict)
+            failures.append(_verdict(tag, dict(zip(names, combo + cap_values)), lhs, rhs))
     return SweepResult(identity, cells, skipped, failures)

@@ -395,16 +395,18 @@ _CLASSICAL_SIDES = {
 
 def classical_rows(theorem: str, n_max: int) -> list[tuple[int, ...]]:
     """(distinct side, gap side) of ``theorem`` for every n <= n_max, each
-    side by _transfer: an allowed part b adds q^b, truncated at q^n_max."""
+    side by _transfer: an allowed part b adds q^b, truncated at q^n_max.
+    Each side is decoded once, into a dense row."""
     if n_max < 0:
         raise ValueError("n must be nonnegative")
-    sides = []
+    rows = []
     for modulus, residues, excluded, next_bound in _CLASSICAL_SIDES[theorem]:
         def term(b: int, below: LaurentPoly) -> Optional[LaurentPoly]:
             if b % modulus in residues and b not in excluded:
                 return below.truncated(n_max - b).shifted(b)
-        sides.append(_transfer(n_max, ONE, next_bound, term))
-    return [tuple(side.coeff(n) for side in sides) for n in range(0, n_max + 1)]
+        side = dict(_transfer(n_max, ONE, next_bound, term).terms())
+        rows.append([side.get(n, 0) for n in range(0, n_max + 1)])
+    return list(zip(*rows))
 
 
 def schur_counts(n: int) -> tuple[int, int]:

@@ -18,8 +18,14 @@ q-binomials, with no table, the reference for the library's k-sum, which
 reads the two L-free factors from a table.  ``multinomial_literal``
 divides (q)_L by the three Pochhammer products of the slots, the
 definition, and the reference for the library's multinomial, which is a
-product of two q-binomials.  ``lhs_63_literal`` sums the
-eq63 left side over the compositions under either the part-count
+product of two q-binomials.  ``marker_product_literal`` multiplies the
+(1 + X q^m) factors one at a time into the whole series, the reference
+for the library's product, which multiplies each marker's factors first;
+``capped_product_literal`` multiplies 1/(q)_n factors, each from its own
+geometric series, and ``cell_61_literal`` forms each eq61 composition
+term as the seven-factor product, the references for the library's
+table of 1/(q)_n products keyed by part multiset.  ``lhs_63_literal``
+sums the eq63 left side over the compositions under either the part-count
 statistic or the rejected alternative one, the reference for the
 library's left side and the record of the bookkeeping that fails.
 ``bijection_literal`` and ``bijection_literal_inverse`` walk the
@@ -36,7 +42,7 @@ from qschur.bijection import BijectionTrace, InvalidInput
 from qschur.coefficients import poch_qpow, qbinom, triangular
 from qschur.identities import goellnitz_compositions
 from qschur.partitions import ColoredPartition, ColoredSymbol, color_counts, iter_type1_dilated
-from qschur.qseries import ZERO, LaurentPoly, MarkerSeries, Truncation
+from qschur.qseries import ONE, ZERO, LaurentPoly, MarkerSeries, Truncation, qpow
 
 
 def _gap_needed(upper, lower_color) -> int:
@@ -368,4 +374,43 @@ def lhs_63_literal(L, M, i, j, k, alt_s=False) -> LaurentPoly:
         total = total + (qbinom(L - s + c.beta, c.beta) * qbinom(M - s + c.gamma, c.gamma)
                          * qbinom(L - s, c.delta) * qbinom(M - s, c.epsilon)
                          * (first + second)).shifted(shift)
+    return total
+
+
+def marker_product_literal(tops, trunc=None) -> MarkerSeries:
+    """prod over the markers X of prod_{m=1..top}(1 + X q^m), one factor
+    at a time into the whole series, every factor capped at ``trunc``."""
+    arity = len(tops)
+    product = MarkerSeries.one(arity, trunc)
+    for pos, top in enumerate(tops):
+        unit = tuple(int(p == pos) for p in range(arity))
+        for m in range(1, top + 1):
+            product = product * MarkerSeries(arity, {(0,) * arity: ONE, unit: qpow(m)}, trunc)
+    return product
+
+
+def capped_product_literal(factors, q_cap, shift=0) -> LaurentPoly:
+    """q^shift times the product of ``factors``, each an int n >= 0 for
+    1/(q)_n or a LaurentPoly, truncated at q^q_cap after every factor;
+    1/(q)_n is the product of the geometric series of 1/(1 - q^m), m <= n."""
+    product = ONE.truncated(q_cap)
+    for factor in factors:
+        if isinstance(factor, int):
+            for m in range(1, factor + 1):
+                geom = LaurentPoly({t: 1 for t in range(0, q_cap + 1, m)})
+                product = (product * geom).truncated(q_cap)
+        else:
+            product = (product * factor).truncated(q_cap)
+    return product.shifted(shift).truncated(q_cap)
+
+
+def cell_61_literal(i, j, k, q_cap) -> LaurentPoly:
+    """The eq61 composition sum at (i, j, k), each term the product of its
+    six 1/(q)_n factors and (1 - q^alpha + q^{alpha+phi}), truncated at
+    q_cap."""
+    total = ZERO
+    for c in goellnitz_compositions(i, j, k):
+        factors = [c.alpha, c.beta, c.gamma, c.delta, c.epsilon, c.phi,
+                   ONE - qpow(c.alpha) + qpow(c.alpha + c.phi)]
+        total = total + capped_product_literal(factors, q_cap, c.shift)
     return total

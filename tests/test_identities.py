@@ -22,7 +22,14 @@ from qschur.identities import (
 )
 from qschur.qseries import LaurentPoly, MarkerSeries, ONE, Truncation, ZERO, qpow
 
-from oracles import gl_by_enumeration, ksum_literal, lhs_63_literal
+from oracles import (
+    capped_product_literal,
+    cell_61_literal,
+    gl_by_enumeration,
+    ksum_literal,
+    lhs_63_literal,
+    marker_product_literal,
+)
 
 
 class TestKeyIdentity:
@@ -508,6 +515,45 @@ class TestTruncated:
         assert lhs == rhs
         with pytest.raises(KeyError):
             sweep("eq99", {}, {"qmax": 5})
+
+
+class TestProductsWithoutRepeats:
+    """The three-color sides functions read each repeated product once: the
+    marker product multiplies each marker's own factors first, eq26 and
+    eq61 read products of 1/(q)_n from one table keyed by the part
+    multiset, and eq63 reads its one-bound factor pairs from a table.
+    Each is compared with the literal product it replaces."""
+
+    @pytest.mark.parametrize("arity, tops", [(2, range(0, 7)), (3, (0, 1, 2, 4, 6))])
+    def test_marker_product_is_the_factor_by_factor_product(self, arity, tops):
+        for top in itertools.product(tops, repeat=arity):
+            below = tuple(t // 2 for t in top)
+            for trunc in (None, Truncation(below), Truncation(None, 9), Truncation(below, 7)):
+                got, want = identities._marker_product(top, trunc), marker_product_literal(top, trunc)
+                assert got == want and got.truncation == want.truncation, (top, trunc)
+
+    @pytest.mark.parametrize("q_cap", [0, 1, 5, 40])
+    def test_eq61_cells_are_the_literal_products(self, q_cap):
+        for i, j, k in itertools.product(range(0, 5), repeat=3):
+            assert identities._cell_61(i, j, k, q_cap) == cell_61_literal(i, j, k, q_cap)
+            assert identities._inv_poch_product((i, j, k), q_cap, 5) == \
+                capped_product_literal((i, j, k), q_cap, 5)
+
+    @pytest.mark.parametrize("q_cap", [0, 1, 5, 40])
+    def test_eq26_sides_are_the_literal_products(self, q_cap):
+        for i, j in itertools.product(range(0, 5), repeat=2):
+            lhs = ZERO
+            for k in range(0, min(i, j) + 1):
+                lhs = lhs + capped_product_literal(
+                    (i - k, j - k, k), q_cap, triangular(i + j - k) + triangular(k))
+            rhs = capped_product_literal((i, j), q_cap, triangular(i) + triangular(j))
+            assert identities._sides_26(i, j, q_cap) == (lhs, rhs)
+
+    def test_eq63_lhs_is_the_six_product_term_on_signed_tops(self):
+        for L, M in itertools.product(range(-3, 9), repeat=2):
+            for i, j, k in itertools.product(range(0, 4), repeat=3):
+                assert identities._lhs_63(L, M, i, j, k) == lhs_63_literal(L, M, i, j, k), \
+                    (L, M, i, j, k)
 
 
 class TestSweep:
