@@ -4,7 +4,8 @@ census builds, the T2 vector-partition counts, the classical S and G
 counts, the one-color components, the bounded bijection round trips, the
 truncated and Durfee-rectangle identity checks, the three-color eq61
 and eq63 checks of the large-degree workload, warm eq21 cells, called
-directly and through the sweep harness, cold multinomial and trinomial
+directly and through the sweep harness, the cold eq21 k-sums of the
+signed grid's widest slice, cold multinomial and trinomial
 tables, the G_L / P_L series with the checks built on them, and the
 canonical text of the failing sides of a perturbed eq21 sweep.
 
@@ -199,6 +200,15 @@ def _sweep():
     assert identities.sweep("eq21", {"L": [10], "M": SIGNED, "i": SIGNED, "j": SIGNED}).holds
 
 
+def _ksum_wide():
+    # the L = -5 slice of the signed grid, where the most k-sums need
+    # 64-bit digits
+    for M in SIGNED:
+        for i in SIGNED:
+            for j in SIGNED:
+                identities._ksum(-5, M, i, j)
+
+
 @functools.cache
 def _sides():
     # both sides of every failing cell of the perturbed eq21 sweep on
@@ -269,6 +279,9 @@ LAYERS = {
     "sweep_s": (_sweep, "identities.sweep('eq21') over the ring_s slice, L = 10 and "
                         "M, i, j in -5..10, with the same tables warmed by one untimed "
                         "pass"),
+    "ksum_wide_s": (_ksum_wide, "identities._ksum(-5, M, i, j) for M, i, j in -5..10, the "
+                                "slice of the signed grid with the most 64-bit k-sums, "
+                                "cold"),
     "multinomial_s": (_multinomial, "qmultinomial3(M, M - i, i - k) for M in 16..18 and "
                                     "0 <= k <= i <= 16 (the keys of large-degree's eq48 "
                                     "ops), then qtrinomial(L, tau) for L <= 12 and "

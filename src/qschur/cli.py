@@ -19,6 +19,7 @@ import json
 import math
 import re
 import sys
+from functools import lru_cache
 from typing import Optional, Sequence, TextIO
 
 from .bijection import BijectionTrace, InvalidInput, forward, inverse
@@ -316,7 +317,11 @@ def cmd_gf(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: parsing
+    leaves it unchanged, and each command's function reads the module's
+    names when it runs."""
     parser = _Parser(
         prog="qschur",
         description="exact checks for bounded Schur-type partition identities")

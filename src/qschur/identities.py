@@ -18,7 +18,8 @@ eq11, eq61) is _marker_product, every truncated product of 1/(q)_n
 factors (eq26, eq61) is _inv_poch_product, and the G_L recurrence step
 shared by P_L and rec55 is _convergent_step.  A product whose inputs
 repeat is formed once: _ksum_head holds the two L-free factors of a
-k-sum term, [M-i-j+k; k] [M-j; i-k], so a term costs one ring product;
+k-sum term, [M-i-j+k; k] [M-j; i-k], so a term costs one ring product,
+and the terms are summed on packed integers at one width;
 _bound_pair the one-bound factor pairs of an eq63 term; and
 _inv_poch_product's table one product per multiset of parts.
 _marker_product multiplies each marker's own factors before crossing
@@ -141,13 +142,17 @@ def _ksum_head(d: int, i: int, k: int) -> LaurentPoly:
 def _ksum(L: int, M: int, i: int, j: int) -> LaurentPoly:
     """Sum over k of q^{(i-k)(j-k)} [M-i-j+k; k] [M-j; i-k] [L-i; j-k].
     The first two factors, which do not depend on L, are read from one
-    table keyed (M-j, i, k), so each term takes one ring product."""
-    total = ZERO
+    table keyed (M-j, i, k), so each term takes one ring product.  The
+    nonzero terms are summed on packed integers at one width, the width
+    their summed bound needs (LaurentPoly.sum_of_products, which carries
+    the proof): each operand is read at that width once, through the form
+    it keeps, and the sum builds one LaurentPoly."""
+    terms = []
     for k in range(0, min(i, j) + 1):
         head, c = _ksum_head(M - j, i, k), qbinom(L - i, j - k)
         if head and c:
-            total = total + (head * c).shifted((i - k) * (j - k))
-    return total
+            terms.append((head, c, (i - k) * (j - k)))
+    return LaurentPoly.sum_of_products(terms)
 
 
 def rhs_21(L: int, M: int, i: int, j: int) -> LaurentPoly:

@@ -15,7 +15,11 @@ result before forming it (a sum adds the bounds, a product multiplies
 them by the shorter operand's length) and widens B when the bound would
 not fit, so no digit can carry into the next: sums, products, shifts,
 truncations and equality are single big-integer operations, and terms
-are decoded only where they are read.
+are decoded only where they are read.  Widening has one route, _at: a
+value keeps its last widened form, so a value read again and again at
+one wider width, such as a table entry, is re-laid out once.  A sum of
+products, sum_of_products, is formed as one packed integer at the one
+width its summed bound needs.
 
 Exact division divides the packed values too.  Evaluating at q = 2^B is
 a ring map, so a remainder at any width disproves a quotient.  An exact
@@ -120,14 +124,17 @@ class LaurentPoly:
     Stored packed as (lo, V, width, bound); see the module docstring.
     Exponents may be negative and coefficients are Python ints of any
     size.  Instances are immutable: every operation returns a new value,
-    so polynomials can be shared freely and used as cache values.
+    so polynomials can be shared freely and used as cache values.  The
+    one slot that changes, _wide, keeps V at the last wider width it was
+    read at; it holds the same polynomial, so no value, text or hash
+    depends on it.
 
     Storage is dense: a value takes B/8 bytes (4 or more) for every
     exponent between its lowest and highest term, zero or not, so a
     sparse value such as 1 + q^(10^10) needs 40 GB or more.
     """
 
-    __slots__ = ("_lo", "_v", "_width", "_bound")
+    __slots__ = ("_lo", "_v", "_width", "_bound", "_wide")
 
     def __init__(self, terms: Union[Mapping[int, int], Iterable[tuple[int, int]]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -143,6 +150,7 @@ class LaurentPoly:
         packed = LaurentPoly._raw(acc)
         self._lo, self._v = packed._lo, packed._v
         self._width, self._bound = packed._width, packed._bound
+        self._wide = None
 
     @classmethod
     def _raw(cls, terms: dict) -> "LaurentPoly":
@@ -170,6 +178,7 @@ class LaurentPoly:
         self._v = v
         self._width = width
         self._bound = bound
+        self._wide = None
         return self
 
     @classmethod
@@ -177,6 +186,17 @@ class LaurentPoly:
         if not c:
             return ZERO
         return cls._packed(0, c, _width(abs(c)), abs(c))
+
+    def _at(self, width: int) -> int:
+        """V packed at ``width``, no narrower than the value's own width.
+        The last widened form is kept, so a value read again and again at
+        one wider width, such as a table entry, is re-laid out once."""
+        if width == self._width:
+            return self._v
+        wide = self._wide
+        if wide is None or wide[0] != width:
+            wide = self._wide = (width, _widened(self._v, self._width, width))
+        return wide[1]
 
     # -- inspection ---------------------------------------------------------
 
@@ -230,15 +250,7 @@ class LaurentPoly:
         if gap < 0:
             return LaurentPoly._packed(other._lo, (a << -width * gap) + b, width, bound)
         # equal lowest exponents: the lowest digits may cancel
-        v = a + b
-        if not v:
-            return ZERO
-        lo = self._lo
-        if not v & ((1 << width) - 1):
-            k = ((v & -v).bit_length() - 1) // width
-            v >>= width * k
-            lo += k
-        return LaurentPoly._packed(lo, v, width, bound)
+        return _stripped(self._lo, a + b, width, bound)
 
     __radd__ = __add__
 
@@ -274,6 +286,54 @@ class LaurentPoly:
         return LaurentPoly._packed(self._lo + other._lo, a * b, width, bound)
 
     __rmul__ = __mul__
+
+    @classmethod
+    def sum_of_products(cls, terms: Sequence[tuple["LaurentPoly", "LaurentPoly", int]]
+                        ) -> "LaurentPoly":
+        """The sum of q^e a b over the (a, b, e) of ``terms``, a and b
+        nonzero, formed as one packed integer at one width W.  It is the
+        value, in the same packed state, that adding the products
+        (a * b).shifted(e) one at a time to ZERO reaches.
+
+        The bound is the products' bounds added, as + adds them, and W is
+        the widest operand's width, or _width(bound) when the bound does
+        not fit it: the width those additions reach.  Each operand is read
+        at W once, through _at.  Evaluation at q = 2^W is a ring map, so
+        V = sum (a b)(2^W) 2^(W (e - lo)) is the sum evaluated there, and
+        Python's integer sums are exact, so no intermediate digit needs a
+        bound.  Every coefficient of the sum is at most the bound, below
+        2^(W-1), so V's balanced digits are those coefficients, and a
+        partial sum is zero exactly when its V is.  Adding one at a time
+        restarts from ZERO, bound and width too, after a partial sum that
+        cancels, so the sum is formed again over the terms after the last
+        such cancellation."""
+        while terms:
+            width = bound = 0
+            lows = []
+            for a, b, e in terms:
+                # a product's bound, as * derives it
+                wa, wb = a._width, b._width
+                na, nb = a._v.bit_length() // wa, b._v.bit_length() // wb
+                bound += ((na if na < nb else nb) + 1) * a._bound * b._bound
+                if wa > width:
+                    width = wa
+                if wb > width:
+                    width = wb
+                lows.append(a._lo + b._lo + e)
+            if bound >> (width - 1):
+                width = _width(bound)
+            lo = min(lows)
+            v = cancelled = n = 0
+            for (a, b, _), low in zip(terms, lows):
+                n += 1
+                v += ((a._v if a._width == width else a._at(width))
+                      * (b._v if b._width == width else b._at(width))) << width * (low - lo)
+                if not v:
+                    cancelled = n
+            if not cancelled:
+                return _stripped(lo, v, width, bound)
+            terms = terms[cancelled:]
+        return ZERO
 
     def shifted(self, k: int) -> "LaurentPoly":
         """Multiply by q^k."""
@@ -440,9 +500,21 @@ def _aligned(a: LaurentPoly, b: LaurentPoly, bound: int) -> tuple[int, int, int]
     width = a._width if a._width >= b._width else b._width
     if bound >> (width - 1):
         width = _width(bound)
-    va = a._v if a._width == width else _widened(a._v, a._width, width)
-    vb = b._v if b._width == width else _widened(b._v, b._width, width)
+    va = a._v if a._width == width else a._at(width)
+    vb = b._v if b._width == width else b._at(width)
     return width, va, vb
+
+
+def _stripped(lo: int, v: int, width: int, bound: int) -> LaurentPoly:
+    """The value q^lo V, whose lowest digits may have cancelled: they are
+    dropped and lo raised past them."""
+    if not v:
+        return ZERO
+    if not v & ((1 << width) - 1):
+        k = ((v & -v).bit_length() - 1) // width
+        v >>= width * k
+        lo += k
+    return LaurentPoly._packed(lo, v, width, bound)
 
 
 ZERO = LaurentPoly._packed(0, 0, _WORD, 0)

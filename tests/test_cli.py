@@ -435,3 +435,48 @@ class TestInProcessMain:
         assert main(["verify", "eq53", "--L", "0..3"]) == 0
         assert main(["verify", "nope"]) == 2
         capsys.readouterr()
+
+    def test_the_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_one_process_prints_what_separate_runs_print(self, tmp_path):
+        # main reuses the parser from call to call; each call must still
+        # print the bytes and return the code of a run of its own
+        argvs = [["verify", "eq21", "--L", "-2..1", "--M", "0..2", "--i", "0..2", "--j", "0..2"],
+                 ["verify", "eq53", "--L", "5..1"],
+                 ["count", "T2", "--n", "0..4", "--L", "2", "--M", "3"],
+                 ["gf", "GL", "--L", "3", "--format", "json", "--out", "{out}"],
+                 ["verify", "eq21", "--L", "0..2", "--M", "0..2", "--i", "0..1", "--j", "0..1",
+                  "--perturb"]]
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from qschur.cli import main\n"
+            "runs = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    out, err = io.StringIO(), io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+            "        code = main(argv)\n"
+            "    runs.append([code, out.getvalue(), err.getvalue()])\n"
+            "print(json.dumps(runs))\n")
+        together = [[arg.format(out=tmp_path / "together.json") for arg in argv]
+                    for argv in argvs]
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(together)],
+                              capture_output=True, text=True, check=True)
+        runs = json.loads(proc.stdout)
+        for argv, (code, out, err) in zip(argvs, runs):
+            alone = run_cli(*(arg.format(out=tmp_path / "alone.json") for arg in argv))
+            assert (code, out, err) == alone, argv
+        assert [code for code, _, _ in runs] == [0, 2, 0, 0, 1]
+        assert (tmp_path / "together.json").read_bytes() == \
+            (tmp_path / "alone.json").read_bytes()
+
+    def test_a_patched_sweep_is_called_by_the_built_parser(self, monkeypatch, capsys):
+        assert main(["verify", "eq53", "--L", "0..1"]) == 0
+
+        def fails(*args, **kwargs):
+            raise RuntimeError("patched sweep")
+
+        monkeypatch.setattr(cli, "sweep", fails)
+        with pytest.raises(RuntimeError, match="patched sweep"):
+            main(["verify", "eq53", "--L", "0..1"])
+        capsys.readouterr()

@@ -166,6 +166,29 @@ class TestKsumTable:
             want = ksum_literal(L, M, i, j, triangular_exponents)
             assert _bits(cold) == _bits(warm) == _bits(want), (L, M, i, j)
 
+    def test_wide_sums_keep_the_term_by_term_state(self):
+        # the packed sum picks one width for all terms; the cells whose
+        # term-by-term sum is stored at 64 bits pin that choice.  On the
+        # signed grid [-5..10]^4 all 485 of them have L <= -1.
+        window = range(-5, 11)
+        wide = 0
+        for L, M, i, j in itertools.product(range(-5, 0), window, window, window):
+            want = ksum_literal(L, M, i, j)
+            if want._width == 32:
+                continue
+            wide += 1
+            assert _bits(identities._ksum(L, M, i, j)) == _bits(want), (L, M, i, j)
+        assert wide == 485
+
+    @pytest.mark.parametrize("cell", [(0, -5, 1, 1), (0, -5, 1, 10), (2, -3, 3, 3)])
+    def test_a_sum_that_cancels_is_zero(self, cell):
+        # several nonzero terms whose sum cancels to zero at the last one
+        L, M, i, j = cell
+        terms = [k for k in range(0, min(i, j) + 1)
+                 if qbinom(M - i - j + k, k) and qbinom(M - j, i - k) and qbinom(L - i, j - k)]
+        assert len(terms) >= 2
+        assert _bits(identities._ksum(*cell)) == _bits(ksum_literal(*cell)) == _bits(ZERO)
+
     def test_the_table_is_keyed_by_M_minus_j_i_and_k(self):
         # L - i < 0 on this grid, so no [L-i; j-k] vanishes and every
         # term reads the table.  Each (M - j) is reached by several

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qschur import qseries
 from qschur.qseries import (
     LaurentPoly,
     MarkerSeries,
@@ -273,6 +274,109 @@ class TestPackedRing:
             p, n = p + p, n * 2
         assert _terms(p) == {-3: n, 5: -n}
         assert _terms(p * p) == {-6: n * n, 2: -2 * n * n, 10: n * n}
+
+
+def _state(p: LaurentPoly) -> tuple:
+    """The packed state of a value: equal states are the same bits."""
+    return p._lo, p._v, p._width, p._bound
+
+
+class TestWidenedForm:
+    """A value keeps its last widened form, read through _at."""
+
+    @given(st.one_of(small_polys, big_polys, edge_polys))
+    @settings(max_examples=60)
+    def test_the_kept_form_is_the_widened_one(self, a):
+        state, text, digest = _state(a), str(a), hash(a)
+        for width in (64, 96, 128, 256):
+            if width < a._width:
+                continue
+            want = qseries._widened(a._v, a._width, width) if width > a._width else a._v
+            assert a._at(width) == want
+            assert a._at(width) == want  # read again, from the kept form
+        assert (_state(a), str(a), hash(a)) == (state, text, digest)
+
+    def test_a_repeat_read_does_not_widen_again(self, monkeypatch):
+        calls = []
+        widened = qseries._widened
+
+        def counted(*args):
+            calls.append(args[1:])
+            return widened(*args)
+
+        monkeypatch.setattr(qseries, "_widened", counted)
+        a = lp((0, 3), (2, -5), (7, 1))
+        for width in (64, 64, 96, 96, 96, 128, 128):
+            a._at(width)
+        assert calls == [(32, 64), (32, 96), (32, 128)]
+        assert a._at(32) == a._v and len(calls) == 3  # its own width is no widening
+        # a product and a sum at 64 bits read the kept form of each operand
+        wide = lp((0, 2**40), (1, 1))
+        a._at(64)
+        calls.clear()
+        for _ in range(3):
+            a * wide
+            a + wide
+        assert calls == []
+
+    @given(st.one_of(small_polys, edge_polys), st.one_of(big_polys, edge_polys),
+           st.sampled_from((64, 96, 128)))
+    @settings(max_examples=80)
+    def test_arithmetic_on_kept_forms_matches_the_oracle(self, a, b, width):
+        # operands that already keep a wider form, as table entries do
+        for p in (a, b):
+            if p._width <= width:
+                p._at(width)
+        ta, tb = _terms(a), _terms(b)
+        for _ in range(2):
+            assert _terms(a * b) == _mul_dicts(ta, tb)
+            assert _terms(a + b) == _add_dicts(ta, tb)
+            assert _terms(b - a) == _add_dicts(tb, {e: -c for e, c in ta.items()})
+            assert (a == b) == (ta == tb)
+
+
+def _one_at_a_time(terms) -> LaurentPoly:
+    total = ZERO
+    for a, b, e in terms:
+        total = total + (a * b).shifted(e)
+    return total
+
+
+nonzero_polys = st.one_of(small_polys, big_polys, edge_polys).filter(bool)
+
+
+class TestSumOfProducts:
+    """One packed sum of q^e a b against the products added one at a time
+    to ZERO: the same value, in the same packed state."""
+
+    @given(st.lists(st.tuples(nonzero_polys, nonzero_polys, st.integers(-30, 30)),
+                    max_size=5))
+    @settings(max_examples=120)
+    def test_equals_the_one_at_a_time_sum(self, terms):
+        got = LaurentPoly.sum_of_products(terms)
+        assert _state(got) == _state(_one_at_a_time(terms))
+        want: dict = {}
+        for a, b, e in terms:
+            want = _add_dicts(want, {x + e: c for x, c in _mul_dicts(_terms(a), _terms(b)).items()})
+        assert _terms(got) == want
+
+    def test_a_sum_that_cancels_part_way(self):
+        # the first two terms cancel, so adding one at a time restarts from
+        # ZERO with the last term's narrow bound and width
+        wide, small = lp((0, 2**40), (3, -7)), lp((1, 2), (2, 1))
+        terms = [(wide, wide, 0), (-wide, wide, 0), (small, small, 5)]
+        got = LaurentPoly.sum_of_products(terms)
+        assert _state(got) == _state(_one_at_a_time(terms)) == _state((small * small).shifted(5))
+        assert got._width == 32
+        # cancelling at the last term leaves zero
+        assert _state(LaurentPoly.sum_of_products(terms[:2])) == _state(ZERO)
+
+    def test_low_digits_that_cancel_are_dropped(self):
+        a = lp((0, 1), (1, 1))
+        terms = [(a, a, 0), (ONE, lp((0, -1), (1, -2)), 0), (ONE, qpow(4), 0)]
+        got = LaurentPoly.sum_of_products(terms)
+        assert _state(got) == _state(_one_at_a_time(terms))
+        assert _terms(got) == {2: 1, 4: 1} and got._lo == 2
 
 
 def _divide_dicts(a: dict, b: dict):
