@@ -371,6 +371,16 @@ class TestSumOfProducts:
         # cancelling at the last term leaves zero
         assert _state(LaurentPoly.sum_of_products(terms[:2])) == _state(ZERO)
 
+    def test_an_operand_wider_than_its_bound_sets_the_width(self):
+        # the ring builds each value at the narrowest width for its bound,
+        # but the packed sum must not rely on it
+        small = lp((0, 3), (1, -2))
+        wide = LaurentPoly._packed(small._lo, qseries._widened(small._v, 32, 96), 96, small._bound)
+        for terms in ([(small, wide, 0), (small, small, 1)], [(wide, small, 2)]):
+            got = LaurentPoly.sum_of_products(terms)
+            assert _state(got) == _state(_one_at_a_time(terms))
+            assert got._width == 96
+
     def test_low_digits_that_cancel_are_dropped(self):
         a = lp((0, 1), (1, 1))
         terms = [(a, a, 0), (ONE, lp((0, -1), (1, -2)), 0), (ONE, qpow(4), 0)]
