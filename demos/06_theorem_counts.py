@@ -9,7 +9,7 @@ from qschur import (
     check_theorem2,
     check_theorem3,
 )
-from qschur.theorems import reports_to_csv
+from qschur.theorems import count_reports, reports_to_csv
 
 # Vector partitions of n with (i, j) distinct a/b-parts match the gap
 # partitions bucketed by color counts.
@@ -33,6 +33,12 @@ print("mirrored bounds (L=6, M=3):", report.lhs_count, "=", report.rhs_count)
 report = check_theorem3(21, 1, 2, 3, 4)
 print("\ndilated refinement at (n=21, i=1, j=2, L=3, M=4):",
       report.lhs_count, "=", report.rhs_count)
+
+# A grid builds each census once, from one transfer: every T1 cell to n = 60.
+cells = [(n, i, j) for n in range(0, 61) for i in range(0, 11) for j in range(0, 11)
+         if i * (i + 1) // 2 + j * (j + 1) // 2 <= n]
+assert all(r.holds for r in count_reports("T1", cells))
+print(f"\nunbounded refinement verified on {len(cells)} cells up to n = 60")
 
 # Classical theorems at desk scale, rendered as CSV.
 schur = check_schur(12)

@@ -1,6 +1,6 @@
 """In-process timings of the partition, bijection, identity, ring and
 marker-series layers: both enumerators, the gap test, the T1/T2/T3
-census builds, the T2 vector-partition counts, the classical S and G
+census builds, the T2 left sides, the classical S and G
 counts, the one-color components, the bounded bijection round trips, the
 truncated and Durfee-rectangle identity checks, the three-color eq61
 and eq63 checks of the large-degree workload, warm eq21 cells, called
@@ -30,9 +30,10 @@ its ring arithmetic is timed.  The inputs some layers read (parsed
 partitions, the bijection grid, the failing sides) are built once by
 ``main``, untimed, and not at import; the bijection grid is
 perfbench/workloads.py's ``bijection_pairs``, loaded from there like the
-probe.  Only names the library has exposed since the registry-driven
-``identities.verify`` are used, so two checkouts can be timed with the
-same script.
+probe.  The census layers time the counted censuses (``theorems._Census``,
+``partitions.gap_prefixes``) and the left sides as the ``count`` command
+builds them; a checkout without those names is timed with its own copy
+of this script.
 """
 
 from __future__ import annotations
@@ -97,42 +98,51 @@ def _is_type1():
 
 
 def _census_T1():
-    for n in range(0, 21):
-        theorems._type1_census(n)
+    # what `count T1 --n 0..20` builds: the census from one transfer, then
+    # each pair's rows (left side, buckets, eq26 cross-check)
+    census = theorems._Census(20)
+    for i in range(0, 6):
+        for j in range(0, 6):
+            if i * (i + 1) // 2 + j * (j + 1) // 2 <= 20:
+                census.rows(i, j)
 
 
 def _census_T2():
-    # the bound pairs and weights of perfbench's partition-census T2 ops
+    # what perfbench's partition-census T2 ops build: for each bound pair
+    # L, M <= 8 the split to n <= 16, then each pair's rows (left side,
+    # buckets, eq44 cross-check), the gap prefixes once per L
     for L in range(0, 9):
+        prefixes = list(partitions.gap_prefixes(L, 16))
         for M in range(0, 9):
-            for n in range(0, 17):
-                if M >= L:
-                    theorems._s_census(L, M, n)
-                if L >= M:
-                    theorems._s_census_mirrored(L, M, n)
+            census = theorems._Census(16, (L, M), prefixes)
+            top = min(L, M)
+            for i in range(0, top + 1):
+                for j in range(0, top - i + 1):
+                    census.rows(i, j)
 
 
 def _census_T3():
-    # the undilated weights (N+2i+j)/3 that the partition-census T3 ops,
-    # 0 <= L <= M <= 5 and dilated weight N <= 45, read from the T2 tables
+    # what the partition-census T3 ops, 0 <= L <= M <= 5 and dilated weight
+    # N <= 45, build: the split to the undilated weight (45+2i+j)/3 <= 20
+    # and the rows of each pair i+j <= L
     for L in range(0, 6):
-        weights = {(N + 2 * i + j) // 3 for N in range(0, 46)
-                   for i in range(0, L + 1) for j in range(0, L - i + 1)
-                   if (N + 2 * i + j) % 3 == 0}
+        prefixes = list(partitions.gap_prefixes(L, 20))
         for M in range(L, 6):
-            for m in sorted(weights):
-                theorems._s_census(L, M, m)
+            census = theorems._Census(20, (L, M), prefixes)
+            for i in range(0, L + 1):
+                for j in range(0, L - i + 1):
+                    census.rows(i, j)
 
 
 def _count_V():
-    # the count_V calls of perfbench's partition-census T2 ops
+    # the left sides of perfbench's partition-census T2 ops: one count_V
+    # product per (i, j, L, M), decoded once
     for L in range(0, 9):
         for M in range(0, 9):
             top = min(L, M)
             for i in range(0, top + 1):
                 for j in range(0, top - i + 1):
-                    for n in range(0, 17):
-                        partitions.count_V(n, i, j, L, M)
+                    theorems._row(partitions._vector_gf(i, j, L, M).truncated(16))
 
 
 def _classical():
@@ -253,15 +263,17 @@ LAYERS = {
     "iter_schur_gap_s": (_iter_schur_gap, "iter_schur_gap(n, n) for n < 60, drained"),
     "is_type1_s": (_is_type1, "is_type1 on each gap partition of weight <= 20, "
                               "parsed from text beforehand, five passes"),
-    "census_T1_build_s": (_census_T1, "_type1_census(n), n <= 20, cold"),
-    "census_T2_build_s": (_census_T2, "_s_census / _s_census_mirrored for L, M <= 8 and "
-                                      "n <= 16 (the regime each bound pair admits), cold"),
-    "census_T3_build_s": (_census_T3, "_s_census at the undilated weights (N+2i+j)/3 of "
-                                      "0 <= L <= M <= 5, i+j <= L and dilated weight "
-                                      "N <= 45, cold"),
-    "count_V_s": (_count_V, "count_V(n, i, j, L, M) for L, M <= 8, i + j <= min(L, M) "
-                            "and n <= 16 (the calls of the partition-census T2 ops), "
-                            "cold"),
+    "census_T1_build_s": (_census_T1, "theorems._Census(20), then rows(i, j) for every "
+                                      "T_i + T_j <= 20 (count T1 --n 0..20), cold"),
+    "census_T2_build_s": (_census_T2, "theorems._Census(16, (L, M)) for L, M <= 8, then "
+                                      "rows(i, j) for i + j <= min(L, M), gap prefixes "
+                                      "once per L (the partition-census T2 ops), cold"),
+    "census_T3_build_s": (_census_T3, "theorems._Census(20, (L, M)) for 0 <= L <= M <= 5, "
+                                      "then rows(i, j) for i + j <= L (the weights "
+                                      "(N+2i+j)/3 of dilated weight N <= 45), cold"),
+    "count_V_s": (_count_V, "count_V's product q^{T_i+T_j} [M-j; i] [L; j] decoded once for "
+                            "L, M <= 8 and i + j <= min(L, M) (the left sides of the "
+                            "partition-census T2 ops), cold"),
     "classical_s": (_classical, "check_schur(60) then check_goellnitz(60), cold"),
     "colored_s": (_colored, "ColoredPartition.colored for both components of each "
                             "pair of the bijection_s grid"),

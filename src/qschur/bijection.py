@@ -99,9 +99,10 @@ def _conjugate_with_circles(weights: tuple[int, ...]) -> tuple[tuple[int, bool],
     row length c satisfies weights[c-1] == row index."""
     if not weights:
         return ()
-    rows = []
+    rows, length = [], len(weights)
     for r in range(1, weights[0] + 1):
-        length = sum(1 for w in weights if w >= r)
+        while weights[length - 1] < r:  # the weights decrease: one walk up
+            length -= 1
         rows.append((length, weights[length - 1] == r))
     return tuple(rows)
 
@@ -197,9 +198,10 @@ def forward_bounded(pi1: ColoredPartition, pi2: ColoredPartition,
     i, j = len(pi1), len(pi2)
     if max(L, M) < i + j:
         raise InvalidInput(f"need max(L, M) >= i+j = {i + j}")
-    if any(d // 3 + 1 > M - j for d in pi1.dilated()):
+    # the values decrease, so the first is the largest part
+    if i and pi1.dilated()[0] // 3 + 1 > M - j:
         raise InvalidInput(f"pi1 parts must be <= M-j = {M - j}")
-    if any(d // 3 + 1 > L for d in pi2.dilated()):
+    if j and pi2.dilated()[0] // 3 + 1 > L:
         raise InvalidInput(f"pi2 parts must be <= L = {L}")
 
     nu_l, nu_m = nu_statistics(trace.pi3, L, M)
@@ -213,9 +215,13 @@ def forward_bounded(pi1: ColoredPartition, pi2: ColoredPartition,
         raise BoundViolation(
             f"statistic map failed: expected ({i - k}, {j - k}, {k}) parts, "
             f"got ({a_count}, {b_count}, {k})")
-    for residue, bound in ((1, cert.a_bound), (2, cert.b_bound), (0, cert.ab_bound)):
-        for d in trace.pi3.dilated():
-            if d % 3 == residue and d // 3 + 1 > bound:
-                p = ColoredSymbol.from_dilated(d)
-                raise BoundViolation(f"{p.color}-part {p} exceeds certified bound {bound}")
+    values = trace.pi3.dilated()
+    by_residue = (cert.ab_bound, cert.a_bound, cert.b_bound)
+    if any(d // 3 + 1 > by_residue[d % 3] for d in values):
+        # name the first failed bound: a, then b, then ab
+        for residue, bound in ((1, cert.a_bound), (2, cert.b_bound), (0, cert.ab_bound)):
+            for d in values:
+                if d % 3 == residue and d // 3 + 1 > bound:
+                    p = ColoredSymbol.from_dilated(d)
+                    raise BoundViolation(f"{p.color}-part {p} exceeds certified bound {bound}")
     return trace, cert

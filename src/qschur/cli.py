@@ -38,9 +38,7 @@ from .theorems import (
     CountReport,
     check_goellnitz,
     check_schur,
-    check_theorem1,
-    check_theorem2,
-    check_theorem3,
+    count_reports,
     reports_to_csv,
 )
 
@@ -176,29 +174,27 @@ def cmd_verify(args) -> int:
 
 
 def _count_cells(args):
-    """The (check, arguments) pairs of a T1, T2 or T3 request, in report
-    order: every cell of the flags' grid in the theorem's domain."""
+    """The cells, (n, i, j) or (n, i, j, L, M), of a T1, T2 or T3 request
+    in report order: every cell of the flags' grid in the theorem's
+    domain."""
     if args.theorem == "T1":
         top = max(args.n)
         every = range(0, (math.isqrt(8 * top + 1) - 1) // 2 + 1)  # b with T_b <= top
-        return ((check_theorem1, (n, i, j)) for n in args.n
+        return ((n, i, j) for n in args.n
                 for i in args.i or every for j in args.j or every
                 if i * (i + 1) // 2 + j * (j + 1) // 2 <= n)
-    if args.theorem == "T2":
-        check, in_domain = check_theorem2, lambda L, M, ij: ij <= min(L, M)
-    else:
-        check, in_domain = check_theorem3, lambda L, M, ij: M >= L >= ij
-    return ((check, (n, i, j, L, M)) for L in args.L for M in args.M
+    t2 = args.theorem == "T2"
+    return ((n, i, j, L, M) for L in args.L for M in args.M
             for i in args.i or range(0, max(L, M) + 1)
             for j in args.j or range(0, max(L, M) + 1)
-            if in_domain(L, M, i + j) for n in args.n)
+            if (i + j <= min(L, M) if t2 else M >= L >= i + j) for n in args.n)
 
 
 def _count_reports(args) -> list[CountReport]:
     if args.theorem in ("S", "G"):
         check = check_schur if args.theorem == "S" else check_goellnitz
         return check(max(args.n))[args.n[0]:]  # the report of n is at index n
-    return [check(*cell) for check, cell in _count_cells(args)]
+    return count_reports(args.theorem, _count_cells(args))
 
 
 def _count_usage(args):

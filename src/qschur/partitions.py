@@ -21,13 +21,14 @@ values, so symbols are built only at the API, text and JSON boundary.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache, total_ordering
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .coefficients import qbinom, triangular
-from .qseries import ONE, LaurentPoly, MarkerSeries, qpow
+from .qseries import ONE, LaurentPoly, MarkerSeries, Truncation
 
 __all__ = [
     "COLORS",
@@ -144,7 +145,16 @@ class ColoredPartition:
         if color not in COLORS:
             raise ValueError(f"unknown color {color!r}")
         residue = _COLOR_OF_RESIDUE.index(color)
-        return cls(map(ColoredSymbol.from_dilated, (3 * w - 3 + residue for w in weights)))
+        values = [3 * w - 3 + residue for w in weights]
+        floor = 3 + residue if color == "ab" else residue  # the value of weight 2, or of 1
+        if values and min(values) < floor:
+            for d in values:
+                if d < floor:  # the first weight a symbol rejects raises its error
+                    ColoredSymbol(color, (d - residue) // 3 + 1)
+        values.sort(reverse=True)
+        if len(set(values)) < len(values):
+            raise ValueError("parts must be strictly decreasing in the symbol order")
+        return cls._of_values(values)
 
     @classmethod
     def _of_values(cls, values: Sequence[int]) -> "ColoredPartition":
@@ -277,7 +287,7 @@ def scan_statistic(parts: Sequence[int], X: int, Y: int,
     ``bounded_colors`` has weight <= X-ell.
 
     Returns None when no ell fits and raises NoValidStatistic when more
-    than one does.  nu_statistics and every bucketed census in
+    than one does.  nu_statistics and the enumerated reference censuses in
     ``qschur.theorems`` go through this one scan.
     """
     weights = [d // 3 + 1 for d in parts]
@@ -356,12 +366,15 @@ def _goellnitz_next_bound(p: int) -> int:
     return p - 6 - (1 if p % 6 in (0, 1, 3) else 0)
 
 
-def _transfer(top: int, one, next_bound: Callable[[int], int], term: Callable):
-    """S[top] by the transfer-matrix method (Stanley, EC1 4.7): S[0] = one
-    and S[b] = S[b-1] + term(b, S[max(next_bound(b), 0)]), where term is
-    None when b may not occur.  Only S from the last bound read onward is
-    kept, so next_bound must not decrease: a decrease raises ValueError."""
+def _transfer_steps(top: int, one, next_bound: Callable[[int], int],
+                    term: Callable) -> Iterator:
+    """S[0], S[1], ..., S[top] by the transfer-matrix method (Stanley, EC1
+    4.7): S[0] = one and S[b] = S[b-1] + term(b, S[max(next_bound(b), 0)]),
+    where term is None when b may not occur.  Only S from the last bound
+    read onward is kept, so next_bound must not decrease: a decrease raises
+    ValueError."""
     kept, low = [one], 0  # S[low], ..., S[b-1]
+    yield one
     for b in range(1, top + 1):
         read = max(next_bound(b), 0)
         if read < low:
@@ -369,7 +382,14 @@ def _transfer(top: int, one, next_bound: Callable[[int], int], term: Callable):
         del kept[:read - low]
         low, t = read, term(b, kept[0])
         kept.append(kept[-1] if t is None else kept[-1] + t)
-    return kept[-1]
+        yield kept[-1]
+
+
+def _transfer(top: int, one, next_bound: Callable[[int], int], term: Callable):
+    """S[top] of _transfer_steps."""
+    for last in _transfer_steps(top, one, next_bound, term):
+        pass
+    return last
 
 
 def gap_series(L: int) -> MarkerSeries:
@@ -378,8 +398,25 @@ def gap_series(L: int) -> MarkerSeries:
     and one marker A per 'a', one B per 'b' in the name of its color."""
     def term(d: int, below: MarkerSeries) -> MarkerSeries:
         color = _COLOR_OF_RESIDUE[d % 3]
-        return below * MarkerSeries.term((color.count("a"), color.count("b")), qpow(d // 3 + 1))
+        return below.shifted(d // 3 + 1, (color.count("a"), color.count("b")))
     return _transfer(3 * L - 1, MarkerSeries.one(2), _schur_next_bound, term)
+
+
+# the (a, b, ab)-part count of a dilated value d, by d % 3
+_COLOR_MARKER = ((0, 0, 1), (1, 0, 0), (0, 1, 0))
+
+
+def gap_prefixes(w_max: int, n_max: int) -> Iterator[MarkerSeries]:
+    """D_0, D_1, ..., D_w_max: D_w counts the gap partitions whose parts
+    all weigh at most w, with q^weight and markers (A, B, C) counting the
+    a-, b- and ab-parts, cut at q^n_max.  One _transfer over dilated values
+    d <= 3 w_max - 1, read at each d = 3w - 1, the largest value of weight w."""
+    def term(d: int, below: MarkerSeries) -> MarkerSeries:
+        return below.shifted(d // 3 + 1, _COLOR_MARKER[d % 3])
+    steps = _transfer_steps(3 * w_max - 1, MarkerSeries.one(3, Truncation(None, n_max)),
+                            _schur_next_bound, term)
+    yield next(steps)
+    yield from itertools.islice(steps, 1, None, 3)
 
 
 # Each side of the two classical theorems as (modulus, residues, excluded,

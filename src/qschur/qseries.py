@@ -729,6 +729,13 @@ class MarkerSeries:
             return MarkerSeries(self._arity, {(0,) * self._arity: poly})
         return NotImplemented
 
+    def shifted(self, k: int, exps: Sequence[int]) -> "MarkerSeries":
+        """The series times q^k and the marker monomial of exponents
+        ``exps``, within the caps."""
+        return MarkerSeries._raw(self._arity, _kept(
+            ((tuple(map(add, e, exps)), poly.shifted(k)) for e, poly in self._coeffs.items()),
+            self._trunc), self._trunc)
+
     def with_truncation(self, truncation: Optional[Truncation]) -> "MarkerSeries":
         """Re-cap the series (terms beyond the new caps are dropped)."""
         return MarkerSeries(self._arity, self._coeffs, truncation)

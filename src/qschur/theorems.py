@@ -1,39 +1,90 @@
 """End-to-end count equalities binding the enumerators to the theorems.
 
-Each check pairs a closed-form left side, the vector partitions counted
-as one coefficient of a q-binomial product (``partitions.count_V``), with
-the enumerated, bucketed gap-partition counts on the right, and reports
-both totals plus the per-bucket breakdown.
+Each check pairs a closed-form left side with a counted census of gap
+partitions on the right, and reports both totals plus the per-bucket
+breakdown.  T1's left side is q^{T_i+T_j} / ((q)_i (q)_j), the pairs of
+i distinct a-parts and j distinct b-parts; T2's and T3's is count_V's
+product q^{T_i+T_j} [M-j; i] [L; j].
 
-The bucketed counts are built through cached censuses, one per bound
-pair and exact weight n: a single enumeration of the gap partitions of n
-classifies each by its color counts and its boundary statistic, and all
-later lookups at that n are O(1).  The double-bounded census is the one
-bounded census, and the dilated refinement is the double-bounded one read
-through the dilation a_n -> 3n-2, b_n -> 3n-1, ab_n -> 3n-3: it takes a
-gap partition of weight n with color counts (r, s, t) to a Schur-gap
-partition of 3n-2r-s-3t, so every count of dilated weight N with r+t = i
-and s+t = j sits at the one weight (N+2i+j)/3.  Every census buckets
-through the shared scan ``partitions.scan_statistic``, which asserts the
-statistic's uniqueness on each partition it classifies.
+Censuses are counted, not enumerated.  Markers (A, B, C) count the a-,
+b- and ab-parts, q the weight, and every series is cut at the largest
+weight read.  D_w, the gap partitions whose parts all weigh at most w,
+are prefixes of one transfer over dilated values
+(``partitions.gap_prefixes``).  T1's census is D_{n_max}.
+
+T2's census splits at the boundary statistic's empty weight.  The
+statistic is taken at (X, Y, bounded colors) = (L, M, {b}) when M >= L
+and (M, L, {a, ab}) when L > M; the census caps the bounded colors at X
+and the others at Y.  A gap partition within the caps has statistic l
+exactly when
+
+  (i) its parts of weight >= X-l+2 are exactly l parts, all of unbounded
+      colors;
+ (ii) no part has weight X-l+1;
+(iii) every other part weighs at most X-l.
+
+Proof: the statistic asks for exactly l parts in [X-l+2, Y], none at
+X-l+1 and the bounded colors at most X-l.  Under the caps no part
+exceeds Y, and a bounded part of weight X-l+2 or more would break the
+last condition, so (i)-(iii) follow; conversely (i)-(iii) give the three
+conditions and the caps, since X-l <= X <= Y.  Weights on either side of
+the empty weight X-l+1 differ by at least 2, so the dilated values
+differ by at least 4, which meets every gap condition: the two sides are
+independent.  So bucket l is the product U_l D_{X-l}, where U_l counts
+the sets of exactly l parts of unbounded colors with weights in
+[X-l+2, Y] and Schur's gaps (a short walk), and D_{X-l} is the empty
+partition alone when X-l <= 0.
+
+The split counts a partition once for each l that fits, so uniqueness
+of the statistic is not asserted partition by partition; one cross-check
+per census stands in its place, and a failure raises InternalMismatch,
+as build_GL does.  For T2, on its domain min(L, M) >= i+j and in both
+regimes, the buckets (i-t, j-t, t, l) summed over l equal eq44's k = t
+term, q^{T_{i+j-t}+T_t} [M-i-j+t; t] [M-j; i-t] [L-i; j-t], up to the
+cut; a partition counted under two statistics would exceed it.  For T1
+the bucket (r, s, t) equals eq26's k = t term,
+q^{T_{r+s+t}+T_t} / ((q)_r (q)_s (q)_t).  So each census bucket is one
+term of the k-sum of the key identity.
+
+The dilated refinement T3 is T2 read through the dilation a_n -> 3n-2,
+b_n -> 3n-1, ab_n -> 3n-3: it takes a gap partition of weight n with
+color counts (r, s, t) to a Schur-gap partition of 3n-2r-s-3t, so every
+count of dilated weight N with r+t = i and s+t = j sits at the one
+weight (N+2i+j)/3.
+
+``count_reports`` checks a grid of cells: it builds each census once,
+up to the largest weight read (T1's once, T2's and T3's once per run of
+cells with one bound pair, dropped after the run), and decodes each
+pair's rows once.  A single-cell check reads a census cut at a power of
+two, of which the last few are kept.  The enumerated censuses
+(``_type1_census``, ``_s_census``, ``_s_census_mirrored``, ``_g3_census``,
+``_vector_census``) are the reference the counted ones are tested
+against; no check reads them.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Optional
 
+from .coefficients import qbinom, triangular
+from .identities import InternalMismatch, _inv_poch_product, _ksum_head
 from .partitions import (
+    _schur_next_bound,
+    _vector_gf,
     classical_rows,
     color_counts,
     count_V,
+    gap_prefixes,
     iter_type1_dilated,
     scan_statistic,
 )
+from .qseries import ZERO, LaurentPoly, MarkerSeries, Truncation
 
 __all__ = [
     "CountReport",
@@ -42,6 +93,7 @@ __all__ = [
     "check_theorem1",
     "check_theorem2",
     "check_theorem3",
+    "count_reports",
     "reports_to_csv",
 ]
 
@@ -87,7 +139,115 @@ def reports_to_csv(reports: list[CountReport]) -> str:
 
 
 # --------------------------------------------------------------------------
-# censuses
+# counted censuses
+
+
+def _row(poly: LaurentPoly) -> dict[int, int]:
+    """The nonzero coefficients of ``poly`` by exponent, decoded once."""
+    return dict(poly.terms())
+
+
+def _upper_sets(X: int, Y: int, residues: tuple[int, ...], n_max: int) -> dict:
+    """l -> U_l: the sets of exactly l parts whose dilated values have a
+    residue mod 3 in ``residues`` and whose weights lie in [X-l+2, Y], with
+    Schur's gaps, by q^weight and the (a, b, ab)-part markers, cut at
+    q^n_max.  One walk down from the largest value of weight Y: a set whose
+    least weight w and size l have w + l >= X+2 is in U_l, and adding a
+    smaller part lowers w by at least 1 as it raises l by 1, so a set that
+    fails has no extension that passes."""
+    counts: Counter = Counter()
+
+    def extend(bound: int, l: int, weight: int, values: tuple[int, ...]):
+        counts[l, color_counts(values), weight] += 1
+        for d in range(bound, 0, -1):
+            w = d // 3 + 1
+            if w + l + 1 < X + 2:
+                break
+            if d % 3 in residues and weight + w <= n_max:
+                extend(_schur_next_bound(d), l + 1, weight + w, values + (d,))
+
+    extend(3 * Y - 1, 0, 0, ())
+    polys: dict = {}
+    for (l, markers, weight), c in counts.items():
+        polys.setdefault(l, {}).setdefault(markers, {})[weight] = c
+    return {l: MarkerSeries(3, {m: LaurentPoly(p) for m, p in by_markers.items()},
+                            Truncation(None, n_max))
+            for l, by_markers in sorted(polys.items())}
+
+
+def _split(L: int, M: int, n_max: int,
+           prefixes: list[MarkerSeries]) -> list[tuple[int, MarkerSeries]]:
+    """(l, U_l * D_{X-l}) for every l with U_l nonzero, in ascending l: the
+    bucket l of the bound pair's census, by q^weight and the (a, b,
+    ab)-part markers, cut at q^n_max.  ``prefixes`` holds D_0, ..., D_X,
+    X = min(L, M)."""
+    X, Y, residues = (L, M, (1, 0)) if M >= L else (M, L, (2,))
+    return [(l, upper * prefixes[max(X - l, 0)])
+            for l, upper in _upper_sets(X, Y, residues, n_max).items()]
+
+
+def _eq44_term(L: int, M: int, i: int, j: int, t: int) -> LaurentPoly:
+    """The k = t term of eq44's k-sum, q^{T_{i+j-t}+T_t} [M-i-j+t; t]
+    [M-j; i-t] [L-i; j-t]: its first two factors from the k-sum's table."""
+    head, c = _ksum_head(M - j, i, t), qbinom(L - i, j - t)
+    if not (head and c):
+        return ZERO
+    return (head * c).shifted(triangular(i + j - t) + triangular(t))
+
+
+def _limit_term(r: int, s: int, t: int, n_max: int) -> LaurentPoly:
+    """q^{T_{r+s+t}+T_t} / ((q)_r (q)_s (q)_t), cut at q^n_max: the k = t
+    term of eq26's k-sum at i = r+t, j = s+t."""
+    return _inv_poch_product((r, s, t), n_max, triangular(r + s + t) + triangular(t))
+
+
+class _Census:
+    """T1's census, every gap partition of weight <= n_max, or the buckets
+    of the bound pair ``bounds`` = (L, M), cut at q^n_max.  A pair (i, j)
+    is decoded into rows, and checked against its k-sum terms, on its
+    first read."""
+
+    def __init__(self, n_max: int, bounds: tuple[int, ...] = (),
+                 prefixes: Optional[list[MarkerSeries]] = None):
+        self.n_max, self.bounds, self._pairs = n_max, bounds, {}
+        if not bounds:
+            for census in gap_prefixes(n_max, n_max):
+                pass
+            self.buckets = [(None, census)]
+        else:
+            if prefixes is None:
+                prefixes = list(gap_prefixes(min(bounds), n_max))
+            self.buckets = _split(*bounds, n_max, prefixes)
+
+    def rows(self, i: int, j: int) -> tuple[dict, list]:
+        """(left row, [(bucket, row)]) of the pair (i, j), buckets by t and
+        then l; a row maps a weight to its nonzero count.  The buckets
+        summed over l must equal the k = t term of eq26 (T1) or of eq44
+        (T2) up to q^n_max, else InternalMismatch.  The left side is
+        q^{T_i+T_j} / ((q)_i (q)_j) for T1 and count_V's product for T2."""
+        if (i, j) in self._pairs:
+            return self._pairs[i, j]
+        n_max, bounds, breakdown = self.n_max, self.bounds, []
+        for t in range(0, min(i, j) + 1):
+            key, total = (i - t, j - t, t), ZERO
+            for l, series in self.buckets:
+                poly = series.coeff(key)
+                if poly:
+                    breakdown.append(((*key, l) if bounds else key, _row(poly)))
+                    total = total + poly
+            term = _eq44_term(*bounds, i, j, t) if bounds else _limit_term(*key, n_max)
+            if total != term.truncated(n_max):
+                raise InternalMismatch(
+                    f"census and k-sum term k = {t} disagree at (i, j) = ({i}, {j}), "
+                    f"bounds {bounds}, up to q^{n_max}")
+        lhs = (_vector_gf(i, j, *bounds).truncated(n_max) if bounds else
+               _inv_poch_product((i, j), n_max, triangular(i) + triangular(j)))
+        rows = self._pairs[i, j] = (_row(lhs), breakdown)
+        return rows
+
+
+# --------------------------------------------------------------------------
+# enumerated censuses: the reference the counted ones are tested against
 
 
 @lru_cache(maxsize=None)
@@ -159,35 +319,86 @@ def _g3_census(L: int, M: int, N: int) -> Counter:
 # theorem checks
 
 
+def _read(theorem: str, cell: tuple[int, ...]) -> tuple[dict, Optional[int]]:
+    """The cell's parameters, once they are in the theorem's domain, and
+    the weight its census is read at: n, or for T3 the undilated weight
+    (n+2i+j)/3, None when 3 does not divide n+2i+j."""
+    if theorem == "T1":
+        n, i, j = cell
+        params = {"n": n, "i": i, "j": j}
+    else:
+        n, i, j, L, M = cell
+        params = {"n": n, "i": i, "j": j, "L": L, "M": M}
+    if min(n, i, j) < 0:
+        raise ValueError("n, i, j must be nonnegative")
+    if theorem == "T1":
+        return params, n
+    if theorem == "T2":
+        if min(L, M) < i + j:
+            raise ValueError("needs min(L, M) >= i+j")
+        return params, n
+    if not (M >= L >= i + j):
+        raise ValueError("needs M >= L >= i+j")
+    m, rest = divmod(n + 2 * i + j, 3)
+    return params, None if rest else m
+
+
+def _report(theorem: str, params: dict, m: Optional[int], census: _Census) -> CountReport:
+    """The report of the cell ``params`` read from the census at the weight
+    m (None: both sides are 0)."""
+    if m is None:
+        return CountReport(theorem, params, 0, 0, {})
+    lhs_row, buckets = census.rows(params["i"], params["j"])
+    breakdown = {key: row[m] for key, row in buckets if m in row}
+    return CountReport(theorem, params, lhs_row.get(m, 0), sum(breakdown.values()), breakdown)
+
+
+def _bounds(read: tuple[dict, Optional[int]]) -> tuple[int, int]:
+    """The bound pair (L, M) of a read cell."""
+    return read[0]["L"], read[0]["M"]
+
+
+def count_reports(theorem: str, cells: Iterable[tuple[int, ...]]) -> list[CountReport]:
+    """The reports of T1 ((n, i, j) cells) or of T2 or T3 ((n, i, j, L, M)
+    cells), in the cells' order.  Each census is built once, up to the
+    largest weight read: for T1 once for all cells, for T2 and T3 once per
+    run of cells with one bound pair, and dropped after the run; the gap
+    prefixes D_w are built once for all cells."""
+    if theorem not in ("T1", "T2", "T3"):
+        raise ValueError(f"unknown theorem {theorem!r}")
+    reads = [_read(theorem, tuple(cell)) for cell in cells]
+    n_max = max((m for _, m in reads if m is not None), default=0)
+    if theorem == "T1":
+        census = _Census(n_max)
+        return [_report(theorem, params, n, census) for params, n in reads]
+    prefixes = list(gap_prefixes(max((min(_bounds(read)) for read in reads), default=0), n_max))
+    reports = []
+    for bounds, run in itertools.groupby(reads, key=_bounds):
+        run = list(run)
+        census = _Census(max((m for _, m in run if m is not None), default=0), bounds, prefixes)
+        reports += [_report(theorem, params, m, census) for params, m in run]
+    return reports
+
+
+@lru_cache(maxsize=8)
+def _cell_census(n_max: int, bounds: tuple[int, ...]) -> _Census:
+    """The census a single-cell check reads, the last few kept."""
+    return _Census(n_max, bounds)
+
+
+def _check_cell(theorem: str, cell: tuple[int, ...]) -> CountReport:
+    """One cell's report.  Its census is cut at the least power of two at
+    or above the weight read, so a loop over growing n builds O(log n)
+    censuses per bound pair."""
+    params, m = _read(theorem, cell)
+    horizon = 1 << (max(m or 0, 1) - 1).bit_length()
+    return _report(theorem, params, m, _cell_census(horizon, cell[3:]))
+
+
 def check_theorem1(n: int, i: int, j: int) -> CountReport:
     """Unbounded refinement: vector-partition count V(n; i, j) equals the
     gap-partition count summed over color splits r+t = i, s+t = j."""
-    if min(n, i, j) < 0:
-        raise ValueError("n, i, j must be nonnegative")
-    lhs = _vector_census(n).get((i, j), 0)
-    breakdown = {}
-    rhs = 0
-    census = _type1_census(n)
-    for t in range(0, min(i, j) + 1):
-        r, s = i - t, j - t
-        c = census.get((r, s, t), 0)
-        if c:
-            breakdown[(r, s, t)] = c
-            rhs += c
-    return CountReport("T1", dict(n=n, i=i, j=j), lhs, rhs, breakdown)
-
-
-def _buckets(census: Counter, i: int, j: int) -> dict:
-    """The nonzero (r, s, t, l) buckets of ``census`` with r+t = i and
-    s+t = j, by t and then l.  Since l parts lie in the statistic's
-    interval, l <= r+s+t."""
-    breakdown = {}
-    for t in range(0, min(i, j) + 1):
-        for l in range(0, i + j - t + 1):
-            c = census.get((i - t, j - t, t, l), 0)
-            if c:
-                breakdown[(i - t, j - t, t, l)] = c
-    return breakdown
+    return _check_cell("T1", (n, i, j))
 
 
 def check_theorem2(n: int, i: int, j: int, L: int, M: int) -> CountReport:
@@ -197,14 +408,7 @@ def check_theorem2(n: int, i: int, j: int, L: int, M: int) -> CountReport:
     boundary statistic l: at the bound L when M >= L, and otherwise at the
     bound M, with the two bounds' roles swapped per the mirrored statement.
     """
-    if min(n, i, j) < 0:
-        raise ValueError("n, i, j must be nonnegative")
-    if min(L, M) < i + j:
-        raise ValueError("needs min(L, M) >= i+j")
-    census = _s_census(L, M, n) if M >= L else _s_census_mirrored(L, M, n)
-    breakdown = _buckets(census, i, j)
-    return CountReport("T2", dict(n=n, i=i, j=j, L=L, M=M), count_V(n, i, j, L, M),
-                       sum(breakdown.values()), breakdown)
+    return _check_cell("T2", (n, i, j, L, M))
 
 
 def check_theorem3(n: int, i: int, j: int, L: int, M: int) -> CountReport:
@@ -216,16 +420,7 @@ def check_theorem3(n: int, i: int, j: int, L: int, M: int) -> CountReport:
     with r+t = i, s+t = j to the Schur-gap partitions of n, so both sides
     are read at m; both are 0 when 3 does not divide n+2i+j.
     """
-    if min(n, i, j) < 0:
-        raise ValueError("n, i, j must be nonnegative")
-    if not (M >= L >= i + j):
-        raise ValueError("needs M >= L >= i+j")
-    lhs, breakdown = 0, {}
-    m, rest = divmod(n + 2 * i + j, 3)
-    if not rest:
-        lhs, breakdown = count_V(m, i, j, L, M), _buckets(_s_census(L, M, m), i, j)
-    return CountReport("T3", dict(n=n, i=i, j=j, L=L, M=M), lhs,
-                       sum(breakdown.values()), breakdown)
+    return _check_cell("T3", (n, i, j, L, M))
 
 
 def _classical(theorem: str, n_max: int) -> list[CountReport]:

@@ -245,6 +245,16 @@ class TestCountCommand:
         ("gf_trinomialRHS_L3.txt", ["gf", "trinomialRHS", "--L", "3"]),
         ("count_T2_n0-4_L1_M2.csv",
          ["count", "T2", "--n", "0..4", "--L", "1", "--M", "2", "--format", "csv"]),
+        # recorded from the enumerated censuses, before they were counted
+        ("count_T1_n0-30.csv", ["count", "T1", "--n", "0..30", "--format", "csv"]),
+        ("count_T1_n28-30_i2-3_j1-3.json",
+         ["count", "T1", "--n", "28..30", "--i", "2..3", "--j", "1..3", "--format", "json"]),
+        ("count_T2_n22-24_L11_M9-11_i1-2_j0-3.json",
+         ["count", "T2", "--n", "22..24", "--L", "11", "--M", "9..11", "--i", "1..2",
+          "--j", "0..3", "--format", "json"]),
+        ("count_T3_n40-45_L4_M4-5_i1-2.json",
+         ["count", "T3", "--n", "40..45", "--L", "4", "--M", "4..5", "--i", "1..2",
+          "--format", "json"]),
     ])
     def test_json_matches_the_recorded_bytes(self, golden, argv, capsys, tmp_path):
         # pins the JSON contract, breakdown key order included, on stdout
@@ -292,7 +302,7 @@ class TestCountCommand:
         def computes(*args, **kwargs):
             raise AssertionError("computed before opening --out")
 
-        for name in ("sweep", "check_theorem2", "build_GL"):
+        for name in ("sweep", "count_reports", "build_GL"):
             monkeypatch.setattr(cli, name, computes)
         assert main([*argv, "--out", str(GOLDEN / "gf_GL_L4.txt" / "x.json")]) == 2
         out, err = capsys.readouterr()

@@ -589,3 +589,13 @@ class TestMarkerSeriesModel:
         result = x.with_truncation(t)
         assert model_of(result) == series_model(list(model_of(x).items()), t)
         assert result.truncation == t
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.sampled_from((2, 3)), st.integers(-3, 5))
+    def test_shifted_is_the_product_with_a_monomial(self, data, arity, k):
+        # a monomial X^exps q^k whose truncation leaves the series' own caps
+        _, t, x = _draw_series(data, arity)
+        exps = data.draw(st.tuples(*[st.integers(0, 2)] * arity))
+        result = x.shifted(k, exps)
+        assert model_of(result) == model_product(model_of(x), {exps: {k: 1}}, t)
+        assert result.truncation == t

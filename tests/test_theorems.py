@@ -12,23 +12,33 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qschur import theorems
+from qschur.cli import main
+from qschur.identities import InternalMismatch
 from qschur.partitions import (
     ColoredPartition,
     NoValidStatistic,
     _transfer,
+    _transfer_steps,
+    color_counts,
+    gap_prefixes,
     iter_type1,
+    iter_type1_dilated,
     nu_statistics,
 )
-from qschur.qseries import ONE
+from qschur.qseries import ONE, qpow
 from qschur.theorems import (
+    _Census,
     _g3_census,
     _s_census,
     _s_census_mirrored,
+    _type1_census,
     check_goellnitz,
     check_schur,
     check_theorem1,
     check_theorem2,
     check_theorem3,
+    count_reports,
     reports_to_csv,
 )
 
@@ -237,6 +247,91 @@ class TestCensusOracle:
             else:
                 with pytest.raises(NoValidStatistic):
                     nu_statistics(partition, L, M)
+
+
+def _counted(census, n):
+    """bucket -> count at the weight n of a counted census: (r, s, t, l)
+    for a bound pair's, (r, s, t) for T1's."""
+    return {key if l is None else (*key, l): poly.coeff(n)
+            for l, series in census.buckets for key, poly in series.terms()
+            if poly.coeff(n)}
+
+
+class TestCountedCensus:
+    """The censuses counted by the split and by one transfer, against the
+    enumerated ones (which TestCensusOracle holds to the profile oracle)."""
+
+    @pytest.mark.parametrize("L", range(0, 7))
+    def test_split_matches_the_enumeration(self, L):
+        for M in range(0, 7):
+            census = _Census(16, (L, M))
+            for n in range(0, 17):
+                expected = _s_census(L, M, n) if M >= L else _s_census_mirrored(L, M, n)
+                assert _counted(census, n) == dict(expected), (L, M, n)
+
+    @pytest.mark.parametrize("L", range(0, 6))
+    def test_split_matches_the_enumeration_at_T3s_weights(self, L):
+        # T3 on dilated weights N <= 45 reads the undilated weights up to
+        # (45 + 2i + j)/3 <= 20 for 0 <= L <= M <= 5
+        for M in range(L, 6):
+            census = _Census(20, (L, M))
+            for n in range(17, 21):
+                assert _counted(census, n) == dict(_s_census(L, M, n)), (L, M, n)
+
+    def test_type1_rows_match_the_enumeration(self):
+        census = _Census(30)
+        for n in range(0, 31):
+            assert _counted(census, n) == dict(_type1_census(n)), n
+
+    def test_gap_prefixes_are_the_capped_enumerations(self):
+        for w, prefix in enumerate(gap_prefixes(5, 12)):
+            for n in range(0, 13):
+                expected = Counter(map(color_counts, iter_type1_dilated(n, w, w, w)))
+                assert {key: poly.coeff(n) for key, poly in prefix.terms()
+                        if poly.coeff(n)} == dict(expected), (w, n)
+
+    def test_transfer_steps_end_at_the_transfer(self):
+        steps = list(_transfer_steps(9, ONE, lambda b: b - 2, lambda b, below: below.shifted(b)))
+        assert len(steps) == 10 and steps[0] == ONE
+        assert steps[-1] == _transfer(9, ONE, lambda b: b - 2, lambda b, below: below.shifted(b))
+
+    def test_grid_reports_are_the_single_cell_reports(self):
+        # out of order, bound pairs interleaved: each run of one pair is
+        # built on its own
+        cells = [(n, i, j, L, M) for L, M in ((3, 5), (4, 2), (3, 5), (2, 2))
+                 for n in (9, 0, 4, 13) for i in range(0, 2) for j in range(0, 2)]
+        assert count_reports("T2", cells) == [check_theorem2(*cell) for cell in cells]
+        cells = [(n, i, j, L, M) for L, M in ((2, 4), (3, 3)) for n in (20, 7, 30)
+                 for i in range(0, 2) for j in range(0, 2)]
+        assert count_reports("T3", cells) == [check_theorem3(*cell) for cell in cells]
+        cells = [(n, i, j) for n in (12, 3, 25) for i in range(0, 4) for j in range(0, 3)]
+        assert count_reports("T1", cells) == [check_theorem1(*cell) for cell in cells]
+        with pytest.raises(ValueError, match="unknown theorem 'S'"):
+            count_reports("S", [(3,)])
+
+    def test_a_wrong_eq44_term_raises(self, monkeypatch):
+        true_term = theorems._eq44_term
+        monkeypatch.setattr(theorems, "_eq44_term", lambda L, M, i, j, t: (
+            true_term(L, M, i, j, t) + qpow(5) if t == 1 else true_term(L, M, i, j, t)))
+        with pytest.raises(InternalMismatch, match="k = 1"):
+            count_reports("T2", [(5, 1, 1, 3, 4)])
+        count_reports("T2", [(5, 1, 0, 3, 4)])  # no t = 1 term is read
+
+    def test_a_wrong_eq26_term_raises(self, monkeypatch):
+        true_term = theorems._limit_term
+        monkeypatch.setattr(theorems, "_limit_term", lambda r, s, t, n_max: (
+            true_term(r, s, t, n_max) + qpow(n_max) if (r, s, t) == (0, 2, 1) else
+            true_term(r, s, t, n_max)))
+        with pytest.raises(InternalMismatch, match="k = 1"):
+            count_reports("T1", [(8, 1, 3)])
+
+    def test_count_T1_to_60_in_under_two_seconds(self, capsys):
+        start = time.perf_counter()
+        assert main(["count", "T1", "--n", "0..60"]) == 0
+        elapsed = time.perf_counter() - start
+        out, _ = capsys.readouterr()
+        assert out.endswith(" checks, 0 failed\n")
+        assert elapsed < 2.0
 
 
 class TestClassicalTheorems:
