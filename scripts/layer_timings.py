@@ -287,7 +287,7 @@ LAYERS = {
                                 "for L, M in 10..12 and i, j, k in 0..4 (large-degree's "
                                 "three-color ops), cold"),
     "ring_s": (_ring, "verify('eq21', 10, M, i, j) for M, i, j in -5..10, q-binomial "
-                      "tables and the k-sum head table, warmed by one untimed pass"),
+                      "tables and the k-sum row tables, warmed by one untimed pass"),
     "sweep_s": (_sweep, "identities.sweep('eq21') over the ring_s slice, L = 10 and "
                         "M, i, j in -5..10, with the same tables warmed by one untimed "
                         "pass"),

@@ -110,39 +110,46 @@ def _conjugate_with_circles(weights: tuple[int, ...]) -> tuple[tuple[int, bool],
 def forward(pi1: ColoredPartition, pi2: ColoredPartition) -> BijectionTrace:
     """Run steps 1-6 on (pi1, pi2); raises InvalidInput on wrong colors
     (same-colored parts of a partition are distinct by construction)."""
-    ones, twos = pi1.dilated(), pi2.dilated()
-    if any(d % 3 != 1 for d in ones):
-        raise InvalidInput("pi1 must have only a-parts")
-    if any(d % 3 != 2 for d in twos):
-        raise InvalidInput("pi2 must have only b-parts")
+    ones, twos = pi1._values, pi2._values
+    for d in ones:
+        if d % 3 != 1:
+            raise InvalidInput("pi1 must have only a-parts")
+    for d in twos:
+        if d % 3 != 2:
+            raise InvalidInput("pi2 must have only b-parts")
 
-    # step 1: split pi2 at threshold i = |pi1| (weight <= i is value < 3i)
-    pi4 = tuple(d for d in twos if d < 3 * len(ones))
-    pi5 = twos[:len(twos) - len(pi4)]
+    # step 1: split pi2 at threshold i = |pi1| (weight <= i is value < 3i);
+    # the values decrease, so pi4 is the run below 3i at the end
+    cut, floor = len(twos), 3 * len(ones)
+    while cut and twos[cut - 1] < floor:
+        cut -= 1
+    pi4, pi5 = twos[cut:], twos[:cut]
 
     # step 2: conjugate pi4 with circled column bottoms, add row-wise to pi1;
     # a circled row turns a_w into ab_w, one value lower
-    star = _conjugate_with_circles(tuple(d // 3 + 1 for d in pi4))
+    star = _conjugate_with_circles(tuple([d // 3 + 1 for d in pi4]))
     pi6 = list(ones)
     for r, (extra, circled) in enumerate(star):
         pi6[r] += 3 * extra - circled
 
     # steps 3-4: stack pi5 over pi6, subtract the staircase
-    column = pi5 + tuple(pi6)
+    column = [*pi5, *pi6]
     c2 = tuple(range(len(column) - 1, -1, -1))
-    c1 = tuple(d - 3 * k for d, k in zip(column, c2))
+    c1 = [d - 3 * k for d, k in zip(column, c2)]
 
     # step 5: stable decreasing reorder of C1 (equal values are equal symbols)
-    c1r = tuple(sorted(c1, reverse=True))
+    c1r = sorted(c1, reverse=True)
 
     # step 6: add back
-    pi3 = tuple(d + 3 * k for d, k in zip(c1r, c2))
+    pi3 = [d + 3 * k for d, k in zip(c1r, c2)]
 
+    # weight is conserved: a value d weighs d // 3 + 1
+    assert (sum([d // 3 + 1 for d in pi3])
+            == sum([d // 3 + 1 for d in ones]) + sum([d // 3 + 1 for d in twos]))
     symbol_of, of_values = ColoredSymbol.from_dilated, ColoredPartition._of_values
     trace = BijectionTrace(pi1, pi2, of_values(pi4), of_values(pi5), star, of_values(pi6),
                            tuple(map(symbol_of, c1)), c2, tuple(map(symbol_of, c1r)),
                            of_values(pi3))
-    assert trace.pi3.sigma == pi1.sigma + pi2.sigma
     assert is_type1(trace.pi3)
     return trace
 
@@ -195,17 +202,18 @@ def forward_bounded(pi1: ColoredPartition, pi2: ColoredPartition,
     BoundViolation naming the first failed bound.
     """
     trace = forward(pi1, pi2)  # checks the colors before the bounds
-    i, j = len(pi1), len(pi2)
+    i, j = len(pi1._values), len(pi2._values)
     if max(L, M) < i + j:
         raise InvalidInput(f"need max(L, M) >= i+j = {i + j}")
     # the values decrease, so the first is the largest part
-    if i and pi1.dilated()[0] // 3 + 1 > M - j:
+    if i and pi1._values[0] // 3 + 1 > M - j:
         raise InvalidInput(f"pi1 parts must be <= M-j = {M - j}")
-    if j and pi2.dilated()[0] // 3 + 1 > L:
+    if j and pi2._values[0] // 3 + 1 > L:
         raise InvalidInput(f"pi2 parts must be <= L = {L}")
 
+    values = trace.pi3._values
     nu_l, nu_m = nu_statistics(trace.pi3, L, M)
-    a_count, b_count, k = color_counts(trace.pi3.dilated())
+    a_count, b_count, k = color_counts(values)
     cert = BoundCertificate(
         L=L, M=M, nu_l=nu_l, nu_m=nu_m,
         a_count=a_count, b_count=b_count, ab_count=k,
@@ -215,13 +223,13 @@ def forward_bounded(pi1: ColoredPartition, pi2: ColoredPartition,
         raise BoundViolation(
             f"statistic map failed: expected ({i - k}, {j - k}, {k}) parts, "
             f"got ({a_count}, {b_count}, {k})")
-    values = trace.pi3.dilated()
     by_residue = (cert.ab_bound, cert.a_bound, cert.b_bound)
-    if any(d // 3 + 1 > by_residue[d % 3] for d in values):
-        # name the first failed bound: a, then b, then ab
-        for residue, bound in ((1, cert.a_bound), (2, cert.b_bound), (0, cert.ab_bound)):
-            for d in values:
-                if d % 3 == residue and d // 3 + 1 > bound:
-                    p = ColoredSymbol.from_dilated(d)
-                    raise BoundViolation(f"{p.color}-part {p} exceeds certified bound {bound}")
+    for d in values:
+        if d // 3 + 1 > by_residue[d % 3]:
+            # name the first failed bound: a, then b, then ab
+            for residue, bound in ((1, cert.a_bound), (2, cert.b_bound), (0, cert.ab_bound)):
+                for v in values:
+                    if v % 3 == residue and v // 3 + 1 > bound:
+                        p = ColoredSymbol.from_dilated(v)
+                        raise BoundViolation(f"{p.color}-part {p} exceeds certified bound {bound}")
     return trace, cert

@@ -271,8 +271,10 @@ def iter_type1(n: int,
 
 def color_counts(parts: Iterable[int]) -> tuple[int, int, int]:
     """(r, s, t): the numbers of a-, b- and ab-parts among dilated values."""
-    residues = [d % 3 for d in parts]
-    return residues.count(1), residues.count(2), residues.count(0)
+    counts = [0, 0, 0]
+    for d in parts:
+        counts[d % 3] += 1
+    return counts[1], counts[2], counts[0]
 
 
 # --------------------------------------------------------------------------

@@ -72,8 +72,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Optional
 
-from .coefficients import qbinom, triangular
-from .identities import InternalMismatch, _inv_poch_product, _ksum_head
+from .coefficients import triangular
+from .identities import InternalMismatch, _inv_poch_product, _rows
 from .partitions import (
     _schur_next_bound,
     _vector_gf,
@@ -188,8 +188,8 @@ def _split(L: int, M: int, n_max: int,
 
 def _eq44_term(L: int, M: int, i: int, j: int, t: int) -> LaurentPoly:
     """The k = t term of eq44's k-sum, q^{T_{i+j-t}+T_t} [M-i-j+t; t]
-    [M-j; i-t] [L-i; j-t]: its first two factors from the k-sum's table."""
-    head, c = _ksum_head(M - j, i, t), qbinom(L - i, j - t)
+    [M-j; i-t] [L-i; j-t]: its factors from the k-sum's rows."""
+    head, c = (row[t] for row in _rows(L, M, i, j))
     if not (head and c):
         return ZERO
     return (head * c).shifted(triangular(i + j - t) + triangular(t))

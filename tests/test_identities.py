@@ -132,8 +132,9 @@ def _bits(poly):
 
 
 class TestKsumTable:
-    """_ksum reads the L-free head of each term from one table; the plain
-    three-q-binomial term loop is the reference."""
+    """_ksum reads the factors of its terms from two rows, the L-free heads
+    and the [L-i; j-k] binomials; the plain three-q-binomial term loop is
+    the reference."""
 
     GRID = list(itertools.product(range(-4, 9), repeat=4))
 
@@ -158,13 +159,22 @@ class TestKsumTable:
                 return verify("eq44", L, M, i, j).lhs
             return identities._ksum(L, M, i, j)
 
-        head = identities._ksum_head
         for L, M, i, j in self.GRID:
-            head.cache_clear()
+            identities._head_row.cache_clear()
+            identities._binom_row.cache_clear()
             cold = read(L, M, i, j)
             warm = read(L, M, i, j)
             want = ksum_literal(L, M, i, j, triangular_exponents)
             assert _bits(cold) == _bits(warm) == _bits(want), (L, M, i, j)
+
+    def test_every_signed_cell_has_the_literal_bits(self):
+        # the rows start empty and are extended as the sweep order reads
+        # them, on the whole signed grid [-5..10]^4
+        identities._head_row.cache_clear()
+        identities._binom_row.cache_clear()
+        for L, M, i, j in itertools.product(range(-5, 11), repeat=4):
+            got = identities._ksum(L, M, i, j)
+            assert _bits(got) == _bits(ksum_literal(L, M, i, j)), (L, M, i, j)
 
     def test_wide_sums_keep_the_term_by_term_state(self):
         # the packed sum picks one width for all terms; the cells whose
@@ -189,18 +199,27 @@ class TestKsumTable:
         assert len(terms) >= 2
         assert _bits(identities._ksum(*cell)) == _bits(ksum_literal(*cell)) == _bits(ZERO)
 
-    def test_the_table_is_keyed_by_M_minus_j_i_and_k(self):
+    def test_the_rows_are_keyed_by_M_minus_j_i_and_by_L_minus_i_j(self):
         # L - i < 0 on this grid, so no [L-i; j-k] vanishes and every
-        # term reads the table.  Each (M - j) is reached by several
-        # (M, j) pairs, and there are two values of L, so a key that
-        # also holds L, or holds M and j apart, outgrows the bound.
+        # term reads both rows.  Each (M - j) is reached by several
+        # (M, j) pairs and each (L - i) by several (L, i) pairs, so a key
+        # that also holds L, or holds M and j or L and i apart, outgrows
+        # the bound.  A row holds the terms its cells read and no more.
         Ls, Ms, Is, Js = (-3, -2), range(-2, 4), range(-1, 4), range(-1, 4)
-        triples = {(M - j, i, k) for M in Ms for i in Is for j in Js
-                   for k in range(0, min(i, j) + 1)}
-        identities._ksum_head.cache_clear()
+        heads, binoms = {}, {}
+        for L, M, i, j in itertools.product(Ls, Ms, Is, Js):
+            if min(i, j) >= 0:
+                n = min(i, j) + 1
+                heads[M - j, i] = max(heads.get((M - j, i), 0), n)
+                binoms[L - i, j] = max(binoms.get((L - i, j), 0), n)
+        identities._head_row.cache_clear()
+        identities._binom_row.cache_clear()
         result = sweep("eq21", {"L": Ls, "M": Ms, "i": Is, "j": Js})
         assert result.holds and result.cells == 2 * 6 * 5 * 5
-        assert 0 < identities._ksum_head.cache_info().currsize <= len(triples)
+        assert identities._head_row.cache_info().currsize == len(heads)
+        assert identities._binom_row.cache_info().currsize == len(binoms)
+        assert {key: len(identities._head_row(*key)) for key in heads} == heads
+        assert {key: len(identities._binom_row(*key)) for key in binoms} == binoms
 
 
 class TestMultinomialKernel:
