@@ -1,10 +1,11 @@
 """In-process timings of the partition, bijection, identity, ring and
 marker-series layers: both enumerators, the gap test, the T1/T2/T3
-census builds, the T2 left sides, the classical S and G
-counts, the one-color components, the bounded bijection round trips, the
-truncated and Durfee-rectangle identity checks, the three-color eq61
-and eq63 checks of the large-degree workload, warm eq21 cells, called
-directly and through the sweep harness, the cold eq21 k-sums of the
+census builds, the T2 left sides, the per-cell reads and text lines of
+the T2 counts, the classical S and G counts, the one-color components,
+the bounded bijection round trips, the truncated and Durfee-rectangle
+identity checks, the three-color eq61 and eq63 checks of the
+large-degree workload, warm eq21 cells, called directly and through the
+sweep harness, the cold eq21 k-sums of the
 signed grid's widest slice, cold multinomial and trinomial
 tables, the G_L / P_L series with the checks built on them, and the
 canonical text of the failing sides of a perturbed eq21 sweep.
@@ -32,7 +33,9 @@ partitions, the bijection grid, the failing sides) are built once by
 perfbench/workloads.py's ``bijection_pairs``, loaded from there like the
 probe.  The census layers time the counted censuses (``theorems._Census``,
 ``partitions.gap_prefixes``) and the left sides as the ``count`` command
-builds them; a checkout without those names is timed with its own copy
+builds them, and ``count_render_s`` the per-cell work left once they are
+built: each cell's domain check, its read of the census rows and its
+text line; a checkout without those names is timed with its own copy
 of this script.
 """
 
@@ -48,7 +51,7 @@ import statistics
 import time
 from pathlib import Path
 
-from qschur import coefficients, identities, partitions, theorems
+from qschur import cli, coefficients, identities, partitions, theorems
 from qschur.bijection import forward_bounded, inverse
 from qschur.partitions import ColoredPartition, is_type1, iter_schur_gap, iter_type1
 
@@ -132,6 +135,36 @@ def _census_T3():
             for i in range(0, L + 1):
                 for j in range(0, L - i + 1):
                     census.rows(i, j)
+
+
+@functools.cache
+def _t2_censuses():
+    # the censuses of perfbench's partition-census T2 ops, every pair's rows
+    # decoded: per op (one L, M <= 8), each bound pair's census and its cells
+    # (n, i, j, L, M) in the command's order, n <= 16
+    ops = []
+    for L in range(0, 9):
+        prefixes = list(partitions.gap_prefixes(L, 16))
+        op = []
+        for M in range(0, 9):
+            census = theorems._Census(16, (L, M), prefixes)
+            cells = [(n, i, j, L, M) for i in range(0, max(L, M) + 1)
+                     for j in range(0, max(L, M) + 1) if i + j <= min(L, M)
+                     for n in range(0, 17)]
+            for _, i, j, _, _ in cells:
+                census.rows(i, j)
+            op.append((census, cells))
+        ops.append(op)
+    return ops
+
+
+def _count_render():
+    # each op's text as the count command writes it: every cell checked
+    # against the domain, its counts read from the census, then the lines
+    for op in _t2_censuses():
+        counts = [theorems._count(census, cell, theorems._weight("T2", cell))
+                  for census, cells in op for cell in cells]
+        cli._count_text("T2", counts)
 
 
 def _count_V():
@@ -274,6 +307,9 @@ LAYERS = {
     "count_V_s": (_count_V, "count_V's product q^{T_i+T_j} [M-j; i] [L; j] decoded once for "
                             "L, M <= 8 and i + j <= min(L, M) (the left sides of the "
                             "partition-census T2 ops), cold"),
+    "count_render_s": (_count_render, "the text of the partition-census T2 ops (L, M <= 8, "
+                                      "n <= 16), each cell's counts read from a census "
+                                      "built and decoded beforehand"),
     "classical_s": (_classical, "check_schur(60) then check_goellnitz(60), cold"),
     "colored_s": (_colored, "ColoredPartition.colored for both components of each "
                             "pair of the bijection_s grid"),
@@ -308,7 +344,7 @@ LAYERS = {
 WARM = {"ring_s": _ring, "sweep_s": _ring}
 
 # the inputs some layers read, built once by main before any timing
-INPUTS = (_partitions, _grid, _components, _sides)
+INPUTS = (_partitions, _grid, _components, _sides, _t2_censuses)
 
 
 def main() -> None:

@@ -34,20 +34,12 @@ from .identities import (
 )
 from .partitions import ColoredPartition
 from .qseries import Truncation
-from .theorems import (
-    CountReport,
-    check_goellnitz,
-    check_schur,
-    count_reports,
-    reports_to_csv,
-)
+from .theorems import THEOREMS, CountReport, cell_counts, counts_to_csv
 
 _RANGE_RE = re.compile(r"^(-?\d+)(?:\.\.(-?\d+))?$")
 
-# the flags of 'count', and the ones each theorem takes
-_COUNT_FLAGS = ("n", "i", "j", "L", "M")
-THEOREMS = {"S": ("n",), "T1": ("n", "i", "j"), "T2": _COUNT_FLAGS, "T3": _COUNT_FLAGS,
-            "G": ("n",)}
+# the flags of 'count': every parameter of a theorem's cells
+_COUNT_FLAGS = tuple(dict.fromkeys(name for names in THEOREMS.values() for name in names))
 GF_KINDS = {"GL": build_GL, "RL": build_RL, "PL": build_PL, "trinomialRHS": trinomial_rhs}
 # the parameter flags of 'verify': every range parameter of the registry,
 # of which each identity takes a subset
@@ -174,9 +166,10 @@ def cmd_verify(args) -> int:
 
 
 def _count_cells(args):
-    """The cells, (n, i, j) or (n, i, j, L, M), of a T1, T2 or T3 request
-    in report order: every cell of the flags' grid in the theorem's
-    domain."""
+    """The cells, (n,), (n, i, j) or (n, i, j, L, M), of a count request in
+    report order: every cell of the flags' grid in the theorem's domain."""
+    if args.theorem in ("S", "G"):
+        return ((n,) for n in args.n)
     if args.theorem == "T1":
         top = max(args.n)
         every = range(0, (math.isqrt(8 * top + 1) - 1) // 2 + 1)  # b with T_b <= top
@@ -190,36 +183,37 @@ def _count_cells(args):
             if (i + j <= min(L, M) if t2 else M >= L >= i + j) for n in args.n)
 
 
-def _count_reports(args) -> list[CountReport]:
-    if args.theorem in ("S", "G"):
-        check = check_schur if args.theorem == "S" else check_goellnitz
-        return check(max(args.n))[args.n[0]:]  # the report of n is at index n
-    return count_reports(args.theorem, _count_cells(args))
-
-
 def _count_usage(args):
     _flags(args, f"count {args.theorem}", THEOREMS[args.theorem],
            ("L", "M") if args.theorem in ("T2", "T3") else ())
-    if args.theorem not in ("S", "G") and next(_count_cells(args), None) is None:
+    if next(_count_cells(args), None) is None:
         raise UsageError(f"count {args.theorem}: no cell of the grid is in its domain")
 
 
+def _count_text(theorem: str, counts: list) -> str:
+    """A line per cell, its parameters, both sides and ok or FAIL, then the
+    summary line."""
+    line = " ".join([theorem, *(f"{name}={{}}" for name in THEOREMS[theorem])])
+    line += ": {} = {} {}"
+    lines = [line.format(*cell, lhs, rhs, "ok" if lhs == rhs else "FAIL")
+             for cell, lhs, rhs, _, _ in counts]
+    failed = sum(lhs != rhs for _, lhs, rhs, _, _ in counts)
+    lines.append(f"{len(counts)} checks, {failed} failed")
+    return "\n".join(lines)
+
+
 def cmd_count(args) -> int:
-    reports = _count_reports(args)
-    failures = [r for r in reports if not r.holds]
+    # every count is made before any output, so a raise leaves --out empty
+    theorem, counts = args.theorem, list(cell_counts(args.theorem, _count_cells(args)))
     if args.format == "json":
-        _emit(json.dumps([r.to_json_dict() for r in reports], indent=2), args.out)
+        _emit(json.dumps([CountReport.from_count(theorem, count).to_json_dict()
+                          for count in counts], indent=2), args.out)
     elif args.format == "csv":
-        _emit(reports_to_csv(reports), args.out)
+        rows = ((theorem, cell, lhs, rhs) for cell, lhs, rhs, _, _ in counts)
+        _emit(counts_to_csv(THEOREMS[theorem], rows), args.out)
     else:
-        lines = []
-        for r in reports:
-            params = " ".join(f"{k}={v}" for k, v in r.params.items())
-            status = "ok" if r.holds else "FAIL"
-            lines.append(f"{r.theorem} {params}: {r.lhs_count} = {r.rhs_count} {status}")
-        lines.append(f"{len(reports)} checks, {len(failures)} failed")
-        _emit("\n".join(lines), args.out)
-    return 0 if not failures else 1
+        _emit(_count_text(theorem, counts), args.out)
+    return 1 if any(lhs != rhs for _, lhs, rhs, _, _ in counts) else 0
 
 
 def _trace_table(trace: BijectionTrace) -> str:

@@ -52,14 +52,19 @@ color counts (r, s, t) to a Schur-gap partition of 3n-2r-s-3t, so every
 count of dilated weight N with r+t = i and s+t = j sits at the one
 weight (N+2i+j)/3.
 
-``count_reports`` checks a grid of cells: it builds each census once,
-up to the largest weight read (T1's once, T2's and T3's once per run of
-cells with one bound pair, dropped after the run), and decodes each
-pair's rows once.  A single-cell check reads a census cut at a power of
-two, of which the last few are kept.  The enumerated censuses
-(``_type1_census``, ``_s_census``, ``_s_census_mirrored``, ``_g3_census``,
-``_vector_census``) are the reference the counted ones are tested
-against; no check reads them.
+``cell_counts`` checks a grid of cells and yields each cell's two
+sides: it builds each census once, up to the largest weight read (T1's
+once, T2's and T3's once per run of cells with one bound pair, dropped
+after the run), and decodes each pair's two sides once, into rows; the
+right side is the sum of the pair's buckets.  S and G cells read
+``classical_rows`` once.  A cell's breakdown is read from the buckets
+only where a report is asked for: ``count_reports`` and ``check_theorem1/2/3`` build one
+``CountReport`` per cell with it, while the ``count`` command writes its
+text and CSV straight from the counts.  A single-cell check reads a
+census cut at a power of two, of which the last few are kept.  The
+enumerated censuses (``_type1_census``, ``_s_census``,
+``_s_census_mirrored``, ``_g3_census``, ``_vector_census``) are the
+reference the counted ones are tested against; no check reads them.
 """
 
 from __future__ import annotations
@@ -70,7 +75,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .coefficients import triangular
 from .identities import InternalMismatch, _inv_poch_product, _rows
@@ -87,15 +92,22 @@ from .partitions import (
 from .qseries import ZERO, LaurentPoly, MarkerSeries, Truncation
 
 __all__ = [
+    "THEOREMS",
     "CountReport",
+    "cell_counts",
     "check_goellnitz",
     "check_schur",
     "check_theorem1",
     "check_theorem2",
     "check_theorem3",
     "count_reports",
+    "counts_to_csv",
     "reports_to_csv",
 ]
+
+# the parameters of each theorem's cells, in cell order
+THEOREMS = {"S": ("n",), "T1": ("n", "i", "j"), "T2": ("n", "i", "j", "L", "M"),
+            "T3": ("n", "i", "j", "L", "M"), "G": ("n",)}
 
 
 @dataclass(frozen=True)
@@ -105,6 +117,14 @@ class CountReport:
     lhs_count: int
     rhs_count: int
     breakdown: dict = field(default_factory=dict)
+
+    @classmethod
+    def from_count(cls, theorem: str, count: tuple) -> "CountReport":
+        """The report of one item of ``cell_counts(theorem, ...)``, its
+        breakdown each census bucket read at the cell's weight."""
+        cell, lhs, rhs, m, buckets = count
+        return cls(theorem, dict(zip(THEOREMS[theorem], cell)), lhs, rhs,
+                   {key: c for key, poly in buckets if (c := poly.coeff(m))})
 
     @property
     def holds(self) -> bool:
@@ -121,21 +141,22 @@ class CountReport:
         }
 
 
-def reports_to_csv(reports: list[CountReport]) -> str:
-    """Render reports as CSV with one parameter column each."""
-    param_names: list[str] = []
-    for r in reports:
-        for name in r.params:
-            if name not in param_names:
-                param_names.append(name)
+def counts_to_csv(param_names: Sequence[str], rows: Iterable[tuple]) -> str:
+    """Render (theorem, parameter values, lhs, rhs) rows as CSV, one column
+    per name in ``param_names``, then lhs, rhs and holds."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["theorem", *param_names, "lhs", "rhs", "holds"])
-    for r in reports:
-        writer.writerow([r.theorem,
-                         *(r.params.get(p, "") for p in param_names),
-                         r.lhs_count, r.rhs_count, r.holds])
+    writer.writerows((theorem, *params, lhs, rhs, lhs == rhs)
+                     for theorem, params, lhs, rhs in rows)
     return buf.getvalue()
+
+
+def reports_to_csv(reports: list[CountReport]) -> str:
+    """Render reports as CSV with one parameter column each."""
+    names = list(dict.fromkeys(name for r in reports for name in r.params))
+    return counts_to_csv(names, ((r.theorem, [r.params.get(p, "") for p in names],
+                                  r.lhs_count, r.rhs_count) for r in reports))
 
 
 # --------------------------------------------------------------------------
@@ -219,30 +240,32 @@ class _Census:
                 prefixes = list(gap_prefixes(min(bounds), n_max))
             self.buckets = _split(*bounds, n_max, prefixes)
 
-    def rows(self, i: int, j: int) -> tuple[dict, list]:
-        """(left row, [(bucket, row)]) of the pair (i, j), buckets by t and
-        then l; a row maps a weight to its nonzero count.  The buckets
-        summed over l must equal the k = t term of eq26 (T1) or of eq44
-        (T2) up to q^n_max, else InternalMismatch.  The left side is
+    def rows(self, i: int, j: int) -> tuple[dict, dict, list]:
+        """(left row, right row, [(bucket, series)]) of the pair (i, j),
+        buckets by t and then l, each a series in q; a row maps a weight to
+        its nonzero count, and the right row is the buckets' sum.  The
+        buckets summed over l must equal the k = t term of eq26 (T1) or of
+        eq44 (T2) up to q^n_max, else InternalMismatch.  The left side is
         q^{T_i+T_j} / ((q)_i (q)_j) for T1 and count_V's product for T2."""
         if (i, j) in self._pairs:
             return self._pairs[i, j]
-        n_max, bounds, breakdown = self.n_max, self.bounds, []
+        n_max, bounds, breakdown, rhs = self.n_max, self.bounds, [], ZERO
         for t in range(0, min(i, j) + 1):
             key, total = (i - t, j - t, t), ZERO
             for l, series in self.buckets:
                 poly = series.coeff(key)
                 if poly:
-                    breakdown.append(((*key, l) if bounds else key, _row(poly)))
+                    breakdown.append(((*key, l) if bounds else key, poly))
                     total = total + poly
             term = _eq44_term(*bounds, i, j, t) if bounds else _limit_term(*key, n_max)
             if total != term.truncated(n_max):
                 raise InternalMismatch(
                     f"census and k-sum term k = {t} disagree at (i, j) = ({i}, {j}), "
                     f"bounds {bounds}, up to q^{n_max}")
+            rhs = rhs + total
         lhs = (_vector_gf(i, j, *bounds).truncated(n_max) if bounds else
                _inv_poch_product((i, j), n_max, triangular(i) + triangular(j)))
-        rows = self._pairs[i, j] = (_row(lhs), breakdown)
+        rows = self._pairs[i, j] = (_row(lhs), _row(rhs), breakdown)
         return rows
 
 
@@ -319,65 +342,77 @@ def _g3_census(L: int, M: int, N: int) -> Counter:
 # theorem checks
 
 
-def _read(theorem: str, cell: tuple[int, ...]) -> tuple[dict, Optional[int]]:
-    """The cell's parameters, once they are in the theorem's domain, and
-    the weight its census is read at: n, or for T3 the undilated weight
-    (n+2i+j)/3, None when 3 does not divide n+2i+j."""
+def _weight(theorem: str, cell: tuple[int, ...]) -> Optional[int]:
+    """The weight a cell's counts are read at, once the cell is in the
+    theorem's domain: n, or for T3 the undilated weight (n+2i+j)/3, None
+    when 3 does not divide n+2i+j."""
+    if theorem in ("S", "G"):
+        (n,) = cell
+        if n < 0:
+            raise ValueError("n must be nonnegative")
+        return n
     if theorem == "T1":
         n, i, j = cell
-        params = {"n": n, "i": i, "j": j}
     else:
         n, i, j, L, M = cell
-        params = {"n": n, "i": i, "j": j, "L": L, "M": M}
     if min(n, i, j) < 0:
         raise ValueError("n, i, j must be nonnegative")
     if theorem == "T1":
-        return params, n
+        return n
     if theorem == "T2":
         if min(L, M) < i + j:
             raise ValueError("needs min(L, M) >= i+j")
-        return params, n
+        return n
     if not (M >= L >= i + j):
         raise ValueError("needs M >= L >= i+j")
     m, rest = divmod(n + 2 * i + j, 3)
-    return params, None if rest else m
+    return None if rest else m
 
 
-def _report(theorem: str, params: dict, m: Optional[int], census: _Census) -> CountReport:
-    """The report of the cell ``params`` read from the census at the weight
-    m (None: both sides are 0)."""
+def _count(census: Optional[_Census], cell: tuple[int, ...], m: Optional[int]) -> tuple:
+    """The count of ``cell`` read from ``census`` at the weight m (None:
+    both sides are 0, and no census is read)."""
     if m is None:
-        return CountReport(theorem, params, 0, 0, {})
-    lhs_row, buckets = census.rows(params["i"], params["j"])
-    breakdown = {key: row[m] for key, row in buckets if m in row}
-    return CountReport(theorem, params, lhs_row.get(m, 0), sum(breakdown.values()), breakdown)
+        return cell, 0, 0, None, ()
+    lhs, rhs, buckets = census.rows(cell[1], cell[2])
+    return cell, lhs.get(m, 0), rhs.get(m, 0), m, buckets
 
 
-def _bounds(read: tuple[dict, Optional[int]]) -> tuple[int, int]:
-    """The bound pair (L, M) of a read cell."""
-    return read[0]["L"], read[0]["M"]
+def cell_counts(theorem: str, cells: Iterable[tuple[int, ...]]) -> Iterator[tuple]:
+    """(cell, lhs, rhs, weight, buckets) for each cell of ``theorem``, in the
+    cells' order: the cell, whose parameters ``THEOREMS[theorem]`` names,
+    both sides of its count, and what its breakdown is read from, the
+    weight read (None for a T3 cell whose sides are 0) and the pair's
+    census buckets [(bucket, series)] (none for S and G).  Every cell is checked
+    against the theorem's domain before any is counted.  S and G read
+    ``classical_rows`` once, up to the largest n.  Each census is built
+    once, up to the largest weight read: for T1 once for all cells, for T2
+    and T3 once per run of cells with one bound pair, and dropped after the
+    run; the gap prefixes D_w are built once for all cells."""
+    if theorem not in THEOREMS:
+        raise ValueError(f"unknown theorem {theorem!r}")
+    reads = [(cell, _weight(theorem, cell)) for cell in map(tuple, cells)]
+    n_max = max((m for _, m in reads if m is not None), default=0)
+    if theorem in ("S", "G"):
+        rows = classical_rows(theorem, n_max)
+        for cell, n in reads:
+            yield (cell, *rows[n], n, ())
+        return
+    prefixes = None if theorem == "T1" else list(gap_prefixes(
+        max((min(cell[3:]) for cell, _ in reads), default=0), n_max))
+    for bounds, run in itertools.groupby(reads, key=lambda read: read[0][3:]):
+        run = list(run)
+        census = _Census(max((m for _, m in run if m is not None), default=0), bounds, prefixes)
+        for cell, m in run:
+            yield _count(census, cell, m)
 
 
 def count_reports(theorem: str, cells: Iterable[tuple[int, ...]]) -> list[CountReport]:
     """The reports of T1 ((n, i, j) cells) or of T2 or T3 ((n, i, j, L, M)
-    cells), in the cells' order.  Each census is built once, up to the
-    largest weight read: for T1 once for all cells, for T2 and T3 once per
-    run of cells with one bound pair, and dropped after the run; the gap
-    prefixes D_w are built once for all cells."""
+    cells), in the cells' order, read from ``cell_counts``."""
     if theorem not in ("T1", "T2", "T3"):
         raise ValueError(f"unknown theorem {theorem!r}")
-    reads = [_read(theorem, tuple(cell)) for cell in cells]
-    n_max = max((m for _, m in reads if m is not None), default=0)
-    if theorem == "T1":
-        census = _Census(n_max)
-        return [_report(theorem, params, n, census) for params, n in reads]
-    prefixes = list(gap_prefixes(max((min(_bounds(read)) for read in reads), default=0), n_max))
-    reports = []
-    for bounds, run in itertools.groupby(reads, key=_bounds):
-        run = list(run)
-        census = _Census(max((m for _, m in run if m is not None), default=0), bounds, prefixes)
-        reports += [_report(theorem, params, m, census) for params, m in run]
-    return reports
+    return [CountReport.from_count(theorem, count) for count in cell_counts(theorem, cells)]
 
 
 @lru_cache(maxsize=8)
@@ -389,10 +424,10 @@ def _cell_census(n_max: int, bounds: tuple[int, ...]) -> _Census:
 def _check_cell(theorem: str, cell: tuple[int, ...]) -> CountReport:
     """One cell's report.  Its census is cut at the least power of two at
     or above the weight read, so a loop over growing n builds O(log n)
-    censuses per bound pair."""
-    params, m = _read(theorem, cell)
-    horizon = 1 << (max(m or 0, 1) - 1).bit_length()
-    return _report(theorem, params, m, _cell_census(horizon, cell[3:]))
+    censuses per bound pair; a cell whose sides are 0 reads none."""
+    m = _weight(theorem, cell)
+    census = None if m is None else _cell_census(1 << (max(m, 1) - 1).bit_length(), cell[3:])
+    return CountReport.from_count(theorem, _count(census, cell, m))
 
 
 def check_theorem1(n: int, i: int, j: int) -> CountReport:
@@ -425,8 +460,10 @@ def check_theorem3(n: int, i: int, j: int, L: int, M: int) -> CountReport:
 
 def _classical(theorem: str, n_max: int) -> list[CountReport]:
     """The distinct side then the gap side of ``theorem``, for every n <= n_max."""
-    return [CountReport(theorem, dict(n=n), *row)
-            for n, row in enumerate(classical_rows(theorem, n_max))]
+    if n_max < 0:
+        raise ValueError("n must be nonnegative")
+    return [CountReport.from_count(theorem, count)
+            for count in cell_counts(theorem, [(n,) for n in range(0, n_max + 1)])]
 
 
 def check_schur(n_max: int) -> list[CountReport]:

@@ -34,6 +34,10 @@ reference for the library's walk on dilated values.  Each profile filter
 states one bucket's defining conditions literally, for one partition and
 one candidate bucket at a time; the census tests compare the library's
 scan-bucketed censuses against counts built from these.
+``count_text_literal`` renders ``count``'s text report from report
+objects, a line per report with its parameters joined from the report's
+dict, the reference for the command's writer, which formats each cell's
+counts with no report object.
 """
 
 from functools import lru_cache
@@ -414,3 +418,16 @@ def cell_61_literal(i, j, k, q_cap) -> LaurentPoly:
                    ONE - qpow(c.alpha) + qpow(c.alpha + c.phi)]
         total = total + capped_product_literal(factors, q_cap, c.shift)
     return total
+
+
+def count_text_literal(reports) -> str:
+    """The text report of ``count`` for ``reports``: one line per report,
+    then the summary line."""
+    lines = []
+    for r in reports:
+        params = " ".join(f"{k}={v}" for k, v in r.params.items())
+        status = "ok" if r.holds else "FAIL"
+        lines.append(f"{r.theorem} {params}: {r.lhs_count} = {r.rhs_count} {status}")
+    failures = [r for r in reports if not r.holds]
+    lines.append(f"{len(reports)} checks, {len(failures)} failed")
+    return "\n".join(lines)

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, output formats, round trips."""
 
+import itertools
 import json
 import subprocess
 import sys
@@ -7,9 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from qschur import cli
+from qschur import cli, theorems
 from qschur.cli import main
-from qschur.qseries import MarkerSeries
+from qschur.qseries import ZERO, MarkerSeries, qpow
+from qschur.theorems import check_goellnitz, check_schur, count_reports, reports_to_csv
+
+from oracles import count_text_literal
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -192,6 +196,33 @@ class TestVerifyCommand:
         assert params == sorted(params, key=lambda p: (p["L"], p["M"], p["i"], p["j"]))
 
 
+def _span(text):
+    lo, _, hi = text.partition("..")
+    return range(int(lo), int(hi or lo) + 1)
+
+
+def _reports(theorem, flags):
+    """The library's reports for ``count theorem flags``, in the order the
+    command documents: n for S and G; n, i, j for T1; L, M, i, j, n for T2
+    and T3, over every cell of the flags' grid in the theorem's domain."""
+    ranges = {name[2:]: _span(value) for name, value in zip(flags[::2], flags[1::2])}
+    ns = ranges["n"]
+    if theorem in ("S", "G"):
+        return (check_schur if theorem == "S" else check_goellnitz)(max(ns))[ns[0]:]
+    if theorem == "T1":
+        every = range(0, max(ns) + 1)
+        cells = [(n, i, j) for n in ns for i in ranges.get("i", every)
+                 for j in ranges.get("j", every) if i * (i + 1) // 2 + j * (j + 1) // 2 <= n]
+        return count_reports(theorem, cells)
+    cells = []
+    for L, M in itertools.product(ranges["L"], ranges["M"]):
+        every = range(0, max(L, M) + 1)
+        for i, j in itertools.product(ranges.get("i", every), ranges.get("j", every)):
+            if (i + j <= min(L, M)) if theorem == "T2" else (M >= L >= i + j):
+                cells += [(n, i, j, L, M) for n in ns]
+    return count_reports(theorem, cells)
+
+
 class TestCountCommand:
     def test_a_grid_outside_the_domain_is_a_usage_error(self, capsys):
         assert main(["count", "T3", "--n", "0..3", "--L", "3", "--M", "2"]) == 2
@@ -231,6 +262,69 @@ class TestCountCommand:
         assert code == 0
         lines = out.strip().splitlines()
         assert all(" i=1 " in line for line in lines[:-1])
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    @pytest.mark.parametrize("theorem", ["S", "T2"])
+    def test_a_failing_cell_is_reported(self, theorem, fmt, monkeypatch, capsys):
+        # one left side made one too large: S at n = 3 through the classical
+        # rows, T2 at (n, i, j) = (4, 1, 1) through count_V's product
+        if theorem == "S":
+            true_rows = theorems.classical_rows
+
+            def classical_rows(name, n_max):
+                rows = true_rows(name, n_max)
+                rows[3] = (rows[3][0] + 1, rows[3][1])
+                return rows
+
+            monkeypatch.setattr(theorems, "classical_rows", classical_rows)
+            argv, checks = ["count", "S", "--n", "0..5"], 6
+            line, csv_row, params = "S n=3: 2 = 1 FAIL", "S,3,2,1,False", {"n": 3}
+        else:
+            true_gf = theorems._vector_gf
+            monkeypatch.setattr(theorems, "_vector_gf", lambda i, j, L, M: true_gf(i, j, L, M)
+                                + (qpow(4) if (i, j) == (1, 1) else ZERO))
+            argv, checks = ["count", "T2", "--n", "0..4", "--L", "2", "--M", "3"], 30
+            line = "T2 n=4 i=1 j=1 L=2 M=3: 2 = 1 FAIL"
+            csv_row = "T2,4,1,1,2,3,2,1,False"
+            params = {"n": 4, "i": 1, "j": 1, "L": 2, "M": 3}
+        assert main([*argv, "--format", fmt]) == 1
+        out = capsys.readouterr().out
+        if fmt == "text":
+            lines = out.splitlines()
+            assert [row for row in lines if row.endswith(" FAIL")] == [line]
+            assert lines[-1] == f"{checks} checks, 1 failed"
+        elif fmt == "csv":
+            rows = out.splitlines()[1:-1]
+            assert len(rows) == checks
+            assert [row for row in rows if not row.endswith(",True")] == [csv_row]
+        else:
+            reports = json.loads(out)
+            assert len(reports) == checks
+            failing = [report for report in reports if report["holds"] is not True]
+            assert [(r["params"], r["lhs"], r["rhs"], r["holds"]) for r in failing] == \
+                [(params, 2, 1, False)]
+
+    @pytest.mark.parametrize("theorem,flags", [
+        ("S", ["--n", "3..9"]),
+        ("G", ["--n", "0..12"]),
+        ("T1", ["--n", "0..7"]),
+        ("T1", ["--n", "5..8", "--i", "2", "--j", "0..1"]),
+        ("T2", ["--n", "0..6", "--L", "1..2", "--M", "2..3"]),
+        ("T2", ["--n", "2..7", "--L", "3", "--M", "2", "--i", "0..1", "--j", "1"]),
+        # dilated weights n with 3 not dividing n+2i+j read 0 = 0
+        ("T3", ["--n", "0..14", "--L", "1..2", "--M", "2..3"]),
+        ("T3", ["--n", "5..12", "--L", "2", "--M", "3", "--i", "1", "--j", "0..1"]),
+    ])
+    def test_every_format_is_the_reports_rendered(self, theorem, flags, capsys):
+        # the command writes from the counts; the same bytes must come from
+        # the report objects of the library's grid and classical checks
+        reports = _reports(theorem, flags)
+        expected = {"text": count_text_literal(reports),
+                    "csv": reports_to_csv(reports),
+                    "json": json.dumps([r.to_json_dict() for r in reports], indent=2)}
+        for fmt, text in expected.items():
+            assert main(["count", theorem, *flags, "--format", fmt]) == 0
+            assert capsys.readouterr().out.encode() == (text + "\n").encode(), fmt
 
     @pytest.mark.parametrize("golden,argv", [
         ("count_T2_n0-6_L2_M3.json",
@@ -302,7 +396,7 @@ class TestCountCommand:
         def computes(*args, **kwargs):
             raise AssertionError("computed before opening --out")
 
-        for name in ("sweep", "count_reports", "build_GL"):
+        for name in ("sweep", "cell_counts", "build_GL"):
             monkeypatch.setattr(cli, name, computes)
         assert main([*argv, "--out", str(GOLDEN / "gf_GL_L4.txt" / "x.json")]) == 2
         out, err = capsys.readouterr()

@@ -33,6 +33,7 @@ from qschur.theorems import (
     _s_census,
     _s_census_mirrored,
     _type1_census,
+    cell_counts,
     check_goellnitz,
     check_schur,
     check_theorem1,
@@ -158,8 +159,10 @@ class TestTheorem3:
 
     def test_weight_map(self):
         # P(n) can only be nonzero when n + 2i + j is divisible by 3
+        builds = theorems._cell_census.cache_info().misses
         report = check_theorem3(4, 1, 1, 2, 2)  # 4 + 2 + 1 = 7, not divisible
         assert report.lhs_count == 0 and report.holds
+        assert theorems._cell_census.cache_info().misses == builds  # no census read
 
     def test_lhs_is_the_residue_class_count(self):
         # the left side is read at the undilated weight (n+2i+j)/3; the
@@ -305,9 +308,22 @@ class TestCountedCensus:
                  for i in range(0, 2) for j in range(0, 2)]
         assert count_reports("T3", cells) == [check_theorem3(*cell) for cell in cells]
         cells = [(n, i, j) for n in (12, 3, 25) for i in range(0, 4) for j in range(0, 3)]
-        assert count_reports("T1", cells) == [check_theorem1(*cell) for cell in cells]
+        reports = count_reports("T1", cells)
+        assert reports == [check_theorem1(*cell) for cell in cells]
+        # the right side is read from its own row, the breakdown from the buckets'
+        assert all(r.rhs_count == sum(r.breakdown.values()) for r in reports)
         with pytest.raises(ValueError, match="unknown theorem 'S'"):
             count_reports("S", [(3,)])
+
+    def test_every_cell_is_checked_before_any_is_counted(self, monkeypatch):
+        monkeypatch.setattr(theorems, "_Census", None)  # building one would raise
+        monkeypatch.setattr(theorems, "classical_rows", None)
+        with pytest.raises(ValueError, match=r"needs M >= L >= i\+j"):
+            next(cell_counts("T3", [(3, 0, 0, 2, 2), (3, 1, 1, 2, 1)]))
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            next(cell_counts("S", [(2,), (-1,)]))
+        with pytest.raises(ValueError, match="unknown theorem 'T4'"):
+            next(cell_counts("T4", [(3,)]))
 
     def test_a_wrong_eq44_term_raises(self, monkeypatch):
         true_term = theorems._eq44_term
