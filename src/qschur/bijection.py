@@ -18,6 +18,14 @@ b-parts with i = |pi1|:
 Each step is invertible; ``inverse`` reverses them exactly.  Both run on
 dilated values, where the staircase entry k is 3k (the color stays) and
 step 5 is a descending sort; symbols are built once, interned, at the end.
+
+Each step and each check runs once: ``forward`` builds pi3's partition
+once and runs the gap check on it, and ``inverse`` undoes steps 6 and 5
+in one pass over pi3 and checks each recovered block once.  The frozen
+records ``BijectionTrace`` and ``BoundCertificate`` are built through one
+trusted constructor, ``_record``, which fills the instance's fields in
+one update instead of one ``object.__setattr__`` per field; their public
+constructors still work for tests, oracles and library use.
 """
 
 from __future__ import annotations
@@ -93,6 +101,14 @@ class BoundCertificate:
     ab_bound: int
 
 
+def _record(cls, *values):
+    """Trusted: the frozen dataclass ``cls`` with ``values`` as its fields,
+    in declaration order."""
+    self = object.__new__(cls)
+    self.__dict__.update(zip(cls.__match_args__, values))
+    return self
+
+
 def _conjugate_with_circles(weights: tuple[int, ...]) -> tuple[tuple[int, bool], ...]:
     """Conjugate Ferrers graph of a distinct-part partition; a row is
     flagged when its last node is the bottom of its column, i.e. when the
@@ -141,39 +157,42 @@ def forward(pi1: ColoredPartition, pi2: ColoredPartition) -> BijectionTrace:
     c1r = sorted(c1, reverse=True)
 
     # step 6: add back
-    pi3 = [d + 3 * k for d, k in zip(c1r, c2)]
+    of_values = ColoredPartition._of_values
+    pi3 = of_values([d + 3 * k for d, k in zip(c1r, c2)])
 
     # weight is conserved: a value d weighs d // 3 + 1
-    assert (sum([d // 3 + 1 for d in pi3])
+    assert (sum([d // 3 + 1 for d in pi3._values])
             == sum([d // 3 + 1 for d in ones]) + sum([d // 3 + 1 for d in twos]))
-    symbol_of, of_values = ColoredSymbol.from_dilated, ColoredPartition._of_values
-    trace = BijectionTrace(pi1, pi2, of_values(pi4), of_values(pi5), star, of_values(pi6),
-                           tuple(map(symbol_of, c1)), c2, tuple(map(symbol_of, c1r)),
-                           of_values(pi3))
-    assert is_type1(trace.pi3)
-    return trace
+    assert is_type1(pi3)
+    symbol_of = ColoredSymbol.from_dilated
+    return _record(BijectionTrace, pi1, pi2, of_values(pi4), of_values(pi5), star,
+                   of_values(pi6), tuple(map(symbol_of, c1)), c2,
+                   tuple(map(symbol_of, c1r)), pi3)
 
 
 def inverse(pi3: ColoredPartition) -> tuple[ColoredPartition, ColoredPartition]:
     """Recover the unique (pi1, pi2) with forward(pi1, pi2).pi3 == pi3."""
     if not is_type1(pi3):
         raise InvalidInput("input violates the gap condition")
-    values = pi3.dilated()
+    values = pi3._values
     m = len(values)
 
-    # undo step 6: subtract the staircase
-    c1r = [d - 3 * (m - 1 - r) for r, d in enumerate(values)]
+    # undo step 6, subtracting the staircase, and step 5 in one pass: the
+    # b-block first, then the a/ab block, each decreasing (the staircase is
+    # a multiple of 3, so each value keeps its color)
+    b_block, rest = [], []
+    for r, d in enumerate(values):
+        d -= 3 * (m - 1 - r)
+        (b_block if d % 3 == 2 else rest).append(d)
+    b_block.sort(reverse=True)
+    rest.sort(reverse=True)
 
-    # undo step 5: b-block first, then the a/ab block, each decreasing
-    b_block = sorted((d for d in c1r if d % 3 == 2), reverse=True)
-    rest = sorted((d for d in c1r if d % 3 != 2), reverse=True)
-    c1 = b_block + rest
-
-    # undo steps 4+3: add the staircase back and split the column
-    column = [d + 3 * (m - 1 - r) for r, d in enumerate(c1)]
-    pi5, pi6 = column[:len(b_block)], column[len(b_block):]
-    i = len(pi6)
-    if any(d < 3 * i for d in pi5):
+    # undo steps 4+3: add the staircase back; the b-block is pi5, the rest pi6
+    i = len(rest)
+    pi5 = [d + 3 * (m - 1 - r) for r, d in enumerate(b_block)]
+    pi6 = [d + 3 * (i - 1 - r) for r, d in enumerate(rest)]
+    # pi5 decreases, so its last part is its least
+    if pi5 and pi5[-1] < 3 * i:
         raise InvalidInput("outside the image of the correspondence")
 
     # undo step 2: circled (ab) rows of pi6 are the parts of pi4; with c circled
@@ -184,9 +203,12 @@ def inverse(pi3: ColoredPartition) -> tuple[ColoredPartition, ColoredPartition]:
         circled = d % 3 == 0
         ones.append(d - 3 * remaining + circled)
         remaining -= circled
-    if any(d < 1 for d in ones):
+    # pi6 falls by at least 3 a row, and a row loses at most 3 more than the
+    # row below it, so the recovered values never rise: the last is the least,
+    # and a repeat is a run of equal values
+    if ones and ones[-1] < 1:
         raise InvalidInput("outside the image of the correspondence")
-    if any(upper <= lower for upper, lower in zip(ones, ones[1:])):
+    if len(set(ones)) < i:
         raise InvalidInput("recovered pi1 must have distinct parts")
     # pi5 parts exceed i >= pi4 parts and both decrease, so pi2's parts are distinct
     return ColoredPartition._of_values(ones), ColoredPartition._of_values(pi5 + pi4)
@@ -196,12 +218,14 @@ def forward_bounded(pi1: ColoredPartition, pi2: ColoredPartition,
                     L: int, M: int) -> tuple[BijectionTrace, BoundCertificate]:
     """Forward run plus certification of the double-bounded profile.
 
-    Requires pi1 parts <= M-j, pi2 parts <= L and max(L, M) >= i+j.  The
-    certificate asserts that pi3 has i-k a-parts <= M-nu(M), j-k b-parts
-    <= L-nu(L) and k ab-parts <= M-nu(M); any failure raises
-    BoundViolation naming the first failed bound.
+    Requires L, M >= 0, pi1 parts <= M-j, pi2 parts <= L and
+    max(L, M) >= i+j.  The certificate asserts that pi3 has i-k a-parts
+    <= M-nu(M), j-k b-parts <= L-nu(L) and k ab-parts <= M-nu(M); any
+    failure raises BoundViolation naming the first failed bound.
     """
     trace = forward(pi1, pi2)  # checks the colors before the bounds
+    if L < 0 or M < 0:
+        raise InvalidInput(f"need L, M >= 0, got L = {L}, M = {M}")
     i, j = len(pi1._values), len(pi2._values)
     if max(L, M) < i + j:
         raise InvalidInput(f"need max(L, M) >= i+j = {i + j}")
@@ -214,20 +238,20 @@ def forward_bounded(pi1: ColoredPartition, pi2: ColoredPartition,
     values = trace.pi3._values
     nu_l, nu_m = nu_statistics(trace.pi3, L, M)
     a_count, b_count, k = color_counts(values)
-    cert = BoundCertificate(
-        L=L, M=M, nu_l=nu_l, nu_m=nu_m,
-        a_count=a_count, b_count=b_count, ab_count=k,
-        a_bound=M - nu_m, b_bound=L - nu_l, ab_bound=M - nu_m)
+    a_bound = ab_bound = M - nu_m
+    b_bound = L - nu_l
+    cert = _record(BoundCertificate, L, M, nu_l, nu_m, a_count, b_count, k,
+                   a_bound, b_bound, ab_bound)
 
     if not (a_count == i - k and b_count == j - k):
         raise BoundViolation(
             f"statistic map failed: expected ({i - k}, {j - k}, {k}) parts, "
             f"got ({a_count}, {b_count}, {k})")
-    by_residue = (cert.ab_bound, cert.a_bound, cert.b_bound)
+    by_residue = (ab_bound, a_bound, b_bound)
     for d in values:
         if d // 3 + 1 > by_residue[d % 3]:
             # name the first failed bound: a, then b, then ab
-            for residue, bound in ((1, cert.a_bound), (2, cert.b_bound), (0, cert.ab_bound)):
+            for residue, bound in ((1, a_bound), (2, b_bound), (0, ab_bound)):
                 for v in values:
                     if v % 3 == residue and v // 3 + 1 > bound:
                         p = ColoredSymbol.from_dilated(v)

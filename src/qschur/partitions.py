@@ -211,7 +211,7 @@ def _schur_next_bound(d: int) -> int:
 
 def is_type1(partition: ColoredPartition) -> bool:
     """Check the gap condition on every consecutive pair of parts."""
-    values = partition.dilated()
+    values = partition._values
     for upper, lower in zip(values, values[1:]):
         if lower > _schur_next_bound(upper):
             return False
@@ -322,15 +322,18 @@ def nu_statistics(partition: ColoredPartition, L: int, M: int) -> tuple[int, int
     no unique) ell fits, which flags an input outside the theorem's
     partition class.
     """
-    values = partition.dilated()
-    nu = []
-    for X, Y, bounded_colors in ((L, M, ("b",)), (M, L, ("a", "ab"))):
-        ell = 0 if X >= Y else scan_statistic(values, X, Y, bounded_colors)
-        if ell is None:
-            raise NoValidStatistic(
-                f"no boundary statistic fits (bounds {X}, {Y}; partition {partition})")
-        nu.append(ell)
-    return nu[0], nu[1]
+    if L == M:
+        return 0, 0
+    # only the smaller bound's statistic can be nonzero
+    if L < M:
+        X, Y, bounded_colors = L, M, ("b",)
+    else:
+        X, Y, bounded_colors = M, L, ("a", "ab")
+    ell = scan_statistic(partition._values, X, Y, bounded_colors)
+    if ell is None:
+        raise NoValidStatistic(
+            f"no boundary statistic fits (bounds {X}, {Y}; partition {partition})")
+    return (ell, 0) if L < M else (0, ell)
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """The column-subtraction correspondence: worked example, round trips,
-weight conservation, bound certification, and the walk on dilated values
-against the literal walk on symbols."""
+weight conservation, bound certification, the trusted records, and the
+walk on dilated values against the literal walk on symbols."""
+
+import dataclasses
 
 import pytest
 from hypothesis import given, settings
@@ -8,18 +10,46 @@ from hypothesis import strategies as st
 
 import qschur.bijection as bijection
 from qschur.bijection import (
+    BijectionTrace,
+    BoundCertificate,
     BoundViolation,
     InvalidInput,
     forward,
     forward_bounded,
     inverse,
 )
-from qschur.partitions import ColoredPartition, ColoredSymbol, color_counts, is_type1
+from qschur.partitions import (
+    ColoredPartition,
+    ColoredSymbol,
+    color_counts,
+    is_type1,
+    nu_statistics,
+)
 
 from oracles import _distinct_parts, bijection_literal, bijection_literal_inverse, type1_upto
 
 P = ColoredPartition.from_text
 TRACE_FIELDS = ("pi1", "pi2", "pi4", "pi5", "pi4_star", "pi6", "c1", "c2", "c1r", "pi3")
+
+
+def pairs_upto(max_total):
+    """Every pair (distinct a-parts, distinct b-parts) of total weight <= max_total."""
+    for total in range(0, max_total + 1):
+        for n1 in range(0, total + 1):
+            for w1 in _distinct_parts(n1, n1):
+                for w2 in _distinct_parts(total - n1, total - n1):
+                    yield ColoredPartition.colored("a", w1), ColoredPartition.colored("b", w2)
+
+
+def distinct_symbol_partitions(max_total):
+    """Every partition into distinct colored symbols of total weight <= max_total,
+    gap condition or not, as decreasing dilated values."""
+    def extend(budget, below):
+        yield ()
+        for d in range(min(below, 3 * budget - 1), 0, -1):  # weight d // 3 + 1 <= budget
+            for rest in extend(budget - d // 3 - 1, d - 1):
+                yield (d,) + rest
+    return extend(max_total, 3 * max_total)
 
 
 def distinct_weight_sets(max_total):
@@ -88,6 +118,13 @@ class TestSmallCases:
         with pytest.raises(InvalidInput):
             inverse(P("a2+b1"))
 
+    def test_a_weight_gain_fails_the_conservation_assert(self, monkeypatch):
+        # one extra node in the conjugate of pi4 = b1 makes pi3 = ab3, a gap
+        # partition of weight 3 from a pair of weight 2
+        monkeypatch.setattr(bijection, "_conjugate_with_circles", lambda weights: ((2, True),))
+        with pytest.raises(AssertionError):
+            forward(P("a1"), P("b1"))
+
 
 class TestInvariants:
     def test_weight_conservation_at_every_step(self):
@@ -105,18 +142,13 @@ class TestInvariants:
 
     def test_round_trip_exhaustive_weight_10(self):
         seen_pi3 = set()
-        for total in range(0, 11):
-            for n1 in range(0, total + 1):
-                for w1 in _distinct_parts(n1, n1):
-                    for w2 in _distinct_parts(total - n1, total - n1):
-                        pi1 = ColoredPartition.colored("a", w1)
-                        pi2 = ColoredPartition.colored("b", w2)
-                        t = forward(pi1, pi2)
-                        assert is_type1(t.pi3)
-                        assert inverse(t.pi3) == (pi1, pi2)
-                        # injectivity of the forward map
-                        assert t.pi3 not in seen_pi3
-                        seen_pi3.add(t.pi3)
+        for pi1, pi2 in pairs_upto(10):
+            t = forward(pi1, pi2)
+            assert is_type1(t.pi3)
+            assert inverse(t.pi3) == (pi1, pi2)
+            # injectivity of the forward map
+            assert t.pi3 not in seen_pi3
+            seen_pi3.add(t.pi3)
 
     def test_inverse_builds_no_symbols(self, monkeypatch):
         # inverse runs on dilated values, and so do the partitions it returns
@@ -164,6 +196,18 @@ class TestBounded:
             forward_bounded(P("a1"), P("b4"), L=3, M=3)
         with pytest.raises(InvalidInput, match=r"^need max\(L, M\) >= i\+j = 2$"):
             forward_bounded(P("a1"), P("b2"), L=1, M=1)
+
+    @pytest.mark.parametrize("left, right, L, M, message", [
+        ("a1", "∅", -1, 1, "need L, M >= 0, got L = -1, M = 1"),
+        ("∅", "b1", 1, -1, "need L, M >= 0, got L = 1, M = -1"),
+        ("∅", "∅", -2, -3, "need L, M >= 0, got L = -2, M = -3"),
+        ("b1", "∅", -1, 1, "pi1 must have only a-parts"),  # colors first
+        ("∅", "a1", 1, -1, "pi2 must have only b-parts"),
+    ])
+    def test_rejects_negative_bounds(self, left, right, L, M, message):
+        with pytest.raises(InvalidInput) as excinfo:
+            forward_bounded(P(left), P(right), L=L, M=M)
+        assert str(excinfo.value) == message
 
     def test_bound_profile_on_a_grid(self):
         for L in range(0, 5):
@@ -217,6 +261,50 @@ class TestBounded:
                                       "got (2, 0, 0)")
 
 
+class TestTrustedRecords:
+    """forward and forward_bounded build their records without __init__;
+    each must be the record __init__ builds from the same fields."""
+
+    @staticmethod
+    def _assert_is_the_init_record(record, expected):
+        assert type(record) is type(expected)
+        assert record == expected and expected == record
+        assert hash(record) == hash(expected)
+        assert repr(record) == repr(expected)
+        assert vars(record) == vars(expected)
+
+    @staticmethod
+    def _assert_frozen_and_replaceable(record, name, value):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, value)
+        replaced = dataclasses.replace(record, **{name: value})
+        assert getattr(replaced, name) == value
+        assert dataclasses.replace(replaced, **{name: getattr(record, name)}) == record
+
+    def test_every_trace_of_weight_at_most_12(self):
+        pairs = 0
+        for pi1, pi2 in pairs_upto(12):
+            trace = forward(pi1, pi2)
+            self._assert_is_the_init_record(
+                trace, BijectionTrace(*(getattr(trace, name) for name in TRACE_FIELDS)))
+            pairs += 1
+        assert pairs == 598
+        self._assert_frozen_and_replaceable(trace, "pi3", P("∅"))
+
+    def test_every_certificate_of_weight_at_most_12(self):
+        for pi1, pi2 in pairs_upto(12):
+            i, j = len(pi1), len(pi2)
+            L = max([i + j, *(s.weight for s in pi2)])
+            M = max([L, *(s.weight + j for s in pi1)]) + i % 3  # L < M for some pairs
+            trace, cert = forward_bounded(pi1, pi2, L, M)
+            nu_l, nu_m = nu_statistics(trace.pi3, L, M)
+            a_count, b_count, k = color_counts(trace.pi3.dilated())
+            self._assert_is_the_init_record(cert, BoundCertificate(
+                L=L, M=M, nu_l=nu_l, nu_m=nu_m, a_count=a_count, b_count=b_count,
+                ab_count=k, a_bound=M - nu_m, b_bound=L - nu_l, ab_bound=M - nu_m))
+        self._assert_frozen_and_replaceable(cert, "nu_l", cert.nu_l + 1)
+
+
 class TestColoredComponents:
     @pytest.mark.parametrize("color, weights, message", [
         ("c", [1], "unknown color 'c'"),
@@ -255,14 +343,9 @@ class TestAgainstTheLiteralWalk:
 
     def test_every_pair_of_weight_at_most_12(self):
         pairs = 0
-        for total in range(0, 13):
-            for n1 in range(0, total + 1):
-                for w1 in _distinct_parts(n1, n1):
-                    for w2 in _distinct_parts(total - n1, total - n1):
-                        _assert_matches_the_literal_walk(
-                            ColoredPartition.colored("a", w1),
-                            ColoredPartition.colored("b", w2))
-                        pairs += 1
+        for pi1, pi2 in pairs_upto(12):
+            _assert_matches_the_literal_walk(pi1, pi2)
+            pairs += 1
         assert pairs == 598  # the coefficients of (-q; q)_oo^2 up to q^12
 
     def test_inverse_on_every_gap_partition_of_weight_at_most_12(self):
@@ -271,6 +354,26 @@ class TestAgainstTheLiteralWalk:
         for parts in gap_partitions:
             pi3 = ColoredPartition(parts)
             assert inverse(pi3) == bijection_literal_inverse(pi3)
+
+    def test_inverse_on_every_distinct_symbol_partition_of_weight_at_most_10(self):
+        # gap partitions or not: the same pair, or the same error and message
+        outcomes = {}
+        for values in distinct_symbol_partitions(10):
+            pi3 = ColoredPartition(map(ColoredSymbol.from_dilated, values))
+            try:
+                expected = bijection_literal_inverse(pi3)
+            except ValueError as error:  # InvalidInput is a ValueError
+                with pytest.raises(type(error)) as excinfo:
+                    inverse(pi3)
+                assert type(excinfo.value) is type(error)
+                assert str(excinfo.value) == str(error), str(pi3)
+                outcomes[str(error)] = outcomes.get(str(error), 0) + 1
+            else:
+                assert inverse(pi3) == expected, str(pi3)
+                outcomes["pair"] = outcomes.get("pair", 0) + 1
+        # 294 gap partitions (the coefficients of (-q; q)_oo^2 up to q^10) of the
+        # 761 partitions, the coefficients of (-q; q)_oo^3 / (1 + q) up to q^10
+        assert outcomes == {"pair": 294, "input violates the gap condition": 467}
 
     @given(distinct_weight_sets(40), distinct_weight_sets(40))
     @settings(max_examples=200)
