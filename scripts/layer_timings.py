@@ -2,13 +2,13 @@
 marker-series layers: both enumerators, the gap test, the T1/T2/T3
 census builds, the T2 left sides, the per-cell reads and text lines of
 the T2 counts, the classical S and G counts, the one-color components,
-the bounded bijection round trips, the truncated and Durfee-rectangle
-identity checks, the three-color eq61 and eq63 checks of the
-large-degree workload, warm eq21 cells, called directly and through the
-sweep harness, the cold eq21 k-sums of the
-signed grid's widest slice, cold multinomial and trinomial
-tables, the G_L / P_L series with the checks built on them, and the
-canonical text of the failing sides of a perturbed eq21 sweep.
+the forward correspondence alone and the bounded bijection round trips,
+the truncated and Durfee-rectangle identity checks, the three-color eq61
+and eq63 checks of the large-degree workload, warm eq21 cells, called
+directly and through the sweep harness, the cold eq21 k-sums of the
+signed grid's widest slice, cold multinomial and trinomial tables, the
+G_L / P_L series with the checks built on them, and the canonical text
+of the failing sides of a perturbed eq21 sweep.
 
 Run from a checkout, importing that checkout's sources:
 
@@ -52,7 +52,7 @@ import time
 from pathlib import Path
 
 from qschur import cli, coefficients, identities, partitions, theorems
-from qschur.bijection import forward_bounded, inverse
+from qschur.bijection import forward, forward_bounded, inverse
 from qschur.partitions import ColoredPartition, is_type1, iter_schur_gap, iter_type1
 
 # the tables cleared before every run (a table imported by another module
@@ -204,6 +204,11 @@ def _colored():
         ColoredPartition.colored("b", w2)
 
 
+def _forward():
+    for pi1, pi2, _, _ in _components():
+        forward(pi1, pi2)
+
+
 def _bijection():
     for pi1, pi2, L, M in _components():
         trace, _ = forward_bounded(pi1, pi2, L, M)
@@ -313,6 +318,8 @@ LAYERS = {
     "classical_s": (_classical, "check_schur(60) then check_goellnitz(60), cold"),
     "colored_s": (_colored, "ColoredPartition.colored for both components of each "
                             "pair of the bijection_s grid"),
+    "forward_s": (_forward, "forward alone on the pairs of the bijection_s grid, built "
+                            "beforehand"),
     "bijection_s": (_bijection, "forward_bounded then inverse, compared with the input, "
                                 "on the pairs of the bounded grid L <= M <= 8, "
                                 "weight <= 16, built beforehand"),

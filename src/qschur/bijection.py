@@ -21,11 +21,20 @@ step 5 is a descending sort; symbols are built once, interned, at the end.
 
 Each step and each check runs once: ``forward`` builds pi3's partition
 once and runs the gap check on it, and ``inverse`` undoes steps 6 and 5
-in one pass over pi3 and checks each recovered block once.  The frozen
-records ``BijectionTrace`` and ``BoundCertificate`` are built through one
-trusted constructor, ``_record``, which fills the instance's fields in
-one update instead of one ``object.__setattr__`` per field; their public
-constructors still work for tests, oracles and library use.
+in one pass over pi3 and checks each recovered block once.
+
+A round trip reads only pi3, so ``forward`` builds the trace's pi1, pi2,
+pi4_star, c2 and pi3 and keeps the value lists of pi4, pi5, pi6, C1 and
+C1R under one private key; the first read of any of those five fields
+builds all five (``BijectionTrace.__getattr__``) and drops the key.
+Equality, hash, repr and ``dataclasses.replace`` read every field by
+name, so they see the built values and agree with the record
+``__init__`` builds; after a read the instance's ``vars()`` are that
+record's too.  Both asserts on pi3 run before the trace is returned.
+``BoundCertificate`` is built through the trusted constructor
+``_record``, which fills the instance's fields in one update instead of
+one ``object.__setattr__`` per field; both records' public constructors
+still work for tests, oracles and library use.
 """
 
 from __future__ import annotations
@@ -59,6 +68,11 @@ class BoundViolation(RuntimeError):
     """A certified bound failed: falsifies the bound-tracking argument."""
 
 
+# the fields forward leaves unbuilt, in the order of their values under the
+# trace's private key "_unbuilt"
+_LAZY_FIELDS = ("pi4", "pi5", "pi6", "c1", "c1r")
+
+
 @dataclass(frozen=True)
 class BijectionTrace:
     """Every intermediate of the forward correspondence.
@@ -78,6 +92,21 @@ class BijectionTrace:
     c2: tuple[int, ...]
     c1r: tuple[ColoredSymbol, ...]
     pi3: ColoredPartition
+
+    def __getattr__(self, name: str):
+        # reached only for a name the instance lacks: a lazy field of a trace
+        # from forward that has not been read yet, or no attribute at all
+        state = self.__dict__
+        unbuilt = state.get("_unbuilt")
+        if unbuilt is None or name not in _LAZY_FIELDS:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}", name=name, obj=self)
+        pi4, pi5, pi6, c1, c1r = unbuilt
+        of_values, symbol_of = ColoredPartition._of_values, ColoredSymbol.from_dilated
+        state.update(pi4=of_values(pi4), pi5=of_values(pi5), pi6=of_values(pi6),
+                     c1=tuple(map(symbol_of, c1)), c1r=tuple(map(symbol_of, c1r)))
+        state.pop("_unbuilt", None)  # a concurrent first read may have dropped it
+        return state[name]
 
 
 @dataclass(frozen=True)
@@ -157,17 +186,16 @@ def forward(pi1: ColoredPartition, pi2: ColoredPartition) -> BijectionTrace:
     c1r = sorted(c1, reverse=True)
 
     # step 6: add back
-    of_values = ColoredPartition._of_values
-    pi3 = of_values([d + 3 * k for d, k in zip(c1r, c2)])
+    pi3 = ColoredPartition._of_values([d + 3 * k for d, k in zip(c1r, c2)])
 
     # weight is conserved: a value d weighs d // 3 + 1
     assert (sum([d // 3 + 1 for d in pi3._values])
             == sum([d // 3 + 1 for d in ones]) + sum([d // 3 + 1 for d in twos]))
     assert is_type1(pi3)
-    symbol_of = ColoredSymbol.from_dilated
-    return _record(BijectionTrace, pi1, pi2, of_values(pi4), of_values(pi5), star,
-                   of_values(pi6), tuple(map(symbol_of, c1)), c2,
-                   tuple(map(symbol_of, c1r)), pi3)
+    trace = object.__new__(BijectionTrace)
+    trace.__dict__.update(pi1=pi1, pi2=pi2, pi4_star=star, c2=c2, pi3=pi3,
+                          _unbuilt=(pi4, pi5, pi6, c1, c1r))
+    return trace
 
 
 def inverse(pi3: ColoredPartition) -> tuple[ColoredPartition, ColoredPartition]:

@@ -58,8 +58,9 @@ once, T2's and T3's once per run of cells with one bound pair, dropped
 after the run), and decodes each pair's two sides once, into rows; the
 right side is the sum of the pair's buckets.  S and G cells read
 ``classical_rows`` once.  A cell's breakdown is read from the buckets
-only where a report is asked for: ``count_reports`` and ``check_theorem1/2/3`` build one
-``CountReport`` per cell with it, while the ``count`` command writes its
+only where a report is asked for: ``count_reports`` (behind
+``check_schur`` and ``check_goellnitz``) and ``check_theorem1/2/3`` build
+one ``CountReport`` per cell with it, while the ``count`` command writes its
 text and CSV straight from the counts.  A single-cell check reads a
 census cut at a power of two, of which the last few are kept.  The
 enumerated censuses (``_type1_census``, ``_s_census``,
@@ -408,10 +409,8 @@ def cell_counts(theorem: str, cells: Iterable[tuple[int, ...]]) -> Iterator[tupl
 
 
 def count_reports(theorem: str, cells: Iterable[tuple[int, ...]]) -> list[CountReport]:
-    """The reports of T1 ((n, i, j) cells) or of T2 or T3 ((n, i, j, L, M)
-    cells), in the cells' order, read from ``cell_counts``."""
-    if theorem not in ("T1", "T2", "T3"):
-        raise ValueError(f"unknown theorem {theorem!r}")
+    """The reports of S or G ((n,) cells), T1 ((n, i, j) cells) or T2 or T3
+    ((n, i, j, L, M) cells), in the cells' order, read from ``cell_counts``."""
     return [CountReport.from_count(theorem, count) for count in cell_counts(theorem, cells)]
 
 
@@ -458,19 +457,15 @@ def check_theorem3(n: int, i: int, j: int, L: int, M: int) -> CountReport:
     return _check_cell("T3", (n, i, j, L, M))
 
 
-def _classical(theorem: str, n_max: int) -> list[CountReport]:
-    """The distinct side then the gap side of ``theorem``, for every n <= n_max."""
-    if n_max < 0:
-        raise ValueError("n must be nonnegative")
-    return [CountReport.from_count(theorem, count)
-            for count in cell_counts(theorem, [(n,) for n in range(0, n_max + 1)])]
-
-
 def check_schur(n_max: int) -> list[CountReport]:
     """Classical two-residue theorem checked for every n <= n_max."""
-    return _classical("S", n_max)
+    if n_max < 0:
+        raise ValueError("n must be nonnegative")
+    return count_reports("S", [(n,) for n in range(0, n_max + 1)])
 
 
 def check_goellnitz(n_max: int) -> list[CountReport]:
     """Three-residue difference theorem checked for every n <= n_max."""
-    return _classical("G", n_max)
+    if n_max < 0:
+        raise ValueError("n must be nonnegative")
+    return count_reports("G", [(n,) for n in range(0, n_max + 1)])

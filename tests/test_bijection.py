@@ -1,8 +1,11 @@
 """The column-subtraction correspondence: worked example, round trips,
-weight conservation, bound certification, the trusted records, and the
-walk on dilated values against the literal walk on symbols."""
+weight conservation, bound certification, the trusted records and the
+lazy trace fields, and the walk on dilated values against the literal
+walk on symbols."""
 
+import copy
 import dataclasses
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +33,7 @@ from oracles import _distinct_parts, bijection_literal, bijection_literal_invers
 
 P = ColoredPartition.from_text
 TRACE_FIELDS = ("pi1", "pi2", "pi4", "pi5", "pi4_star", "pi6", "c1", "c2", "c1r", "pi3")
+LAZY_FIELDS = ("pi4", "pi5", "pi6", "c1", "c1r")
 
 
 def pairs_upto(max_total):
@@ -117,6 +121,20 @@ class TestSmallCases:
     def test_rejects_non_gap_input(self):
         with pytest.raises(InvalidInput):
             inverse(P("a2+b1"))
+
+    # no gap partition reaches these guards; with the gap check waved through,
+    # these inputs of least weight reach each one
+    @pytest.mark.parametrize("text, message", [
+        ("b1+a1", "outside the image of the correspondence"),  # pi5's b1 is not above i = 1
+        ("ab2+a1", "outside the image of the correspondence"),  # pi1 would recover a0
+        ("ab3+ab2", "recovered pi1 must have distinct parts"),  # pi1 would recover a1+a1
+    ])
+    def test_the_guards_after_the_gap_check(self, monkeypatch, text, message):
+        monkeypatch.setattr(bijection, "is_type1", lambda partition: True)
+        with pytest.raises(InvalidInput) as excinfo:
+            inverse(P(text))
+        assert type(excinfo.value) is InvalidInput
+        assert str(excinfo.value) == message
 
     def test_a_weight_gain_fails_the_conservation_assert(self, monkeypatch):
         # one extra node in the conjugate of pi4 = b1 makes pi3 = ab3, a gap
@@ -243,6 +261,7 @@ class TestBounded:
         ("a3", "b5", 5, 4, (1, 1), "a-part a3 exceeds certified bound 2"),  # a before b
         ("a4+a1", "b5+b1", 5, 6, (1, 1), "b-part b4 exceeds certified bound 3"),  # b before ab
         ("a2+a1", "b3+b2", 4, 4, (1, 1), "a-part a4 exceeds certified bound 3"),
+        ("a3", "∅", 5, 4, (0, 2), "a-part a3 exceeds certified bound 2"),  # b-bound 5 above
     ])
     def test_a_statistic_one_too_large_violates_a_bound(self, monkeypatch, left, right,
                                                          L, M, bump, message):
@@ -303,6 +322,68 @@ class TestTrustedRecords:
                 L=L, M=M, nu_l=nu_l, nu_m=nu_m, a_count=a_count, b_count=b_count,
                 ab_count=k, a_bound=M - nu_m, b_bound=L - nu_l, ab_bound=M - nu_m))
         self._assert_frozen_and_replaceable(cert, "nu_l", cert.nu_l + 1)
+
+
+class TestLazyTrace:
+    """forward leaves pi4, pi5, pi6, c1 and c1r unbuilt until one is read.
+    Every trace of weight <= 12, from forward and from forward_bounded,
+    each taken unread, must act as the record __init__ builds: the
+    literal walk's."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        # (the record __init__ builds, a call returning a new unread trace)
+        out = []
+        for pi1, pi2 in pairs_upto(12):
+            expected = bijection_literal(pi1, pi2)
+            bound = pi1.sigma + pi2.sigma + len(pi2)  # L = M = bound meets every precondition
+            out.append((expected, lambda pi1=pi1, pi2=pi2: forward(pi1, pi2)))
+            out.append((expected, lambda pi1=pi1, pi2=pi2, bound=bound:
+                        forward_bounded(pi1, pi2, bound, bound)[0]))
+        assert len(out) == 2 * 598
+        return out
+
+    def test_equality_hash_and_repr(self, cases):
+        for expected, fresh in cases:
+            assert type(fresh()) is BijectionTrace
+            assert fresh() == expected and expected == fresh()
+            assert hash(fresh()) == hash(expected)
+            assert repr(fresh()) == repr(expected)
+
+    def test_replace_copy_deepcopy_and_pickle(self, cases):
+        empty = P("∅")
+        for expected, fresh in cases:
+            assert dataclasses.replace(fresh()) == expected
+            replaced = dataclasses.replace(fresh(), pi3=empty)
+            assert replaced == dataclasses.replace(expected, pi3=empty)
+            for clone in (copy.copy, copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))):
+                cloned = clone(fresh())
+                assert type(cloned) is BijectionTrace and cloned == expected
+                assert vars(cloned) == vars(expected)
+
+    def test_an_unread_field_is_frozen(self, cases):
+        for k, (expected, fresh) in enumerate(cases):
+            trace, name = fresh(), LAZY_FIELDS[k % len(LAZY_FIELDS)]
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(trace, name, getattr(expected, name))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(trace, name)
+            assert trace == expected
+
+    def test_one_read_builds_every_field_and_drops_the_private_key(self, cases):
+        for k, (expected, fresh) in enumerate(cases):
+            trace, name = fresh(), LAZY_FIELDS[k % len(LAZY_FIELDS)]
+            assert getattr(trace, name) == getattr(expected, name)
+            assert vars(trace) == vars(expected)
+
+    def test_no_other_attribute_is_made_up(self, cases):
+        for _, fresh in cases:
+            trace = fresh()
+            assert not hasattr(trace, "nope")
+            assert trace.pi4 is trace.pi4  # built once
+            assert not hasattr(trace, "nope")
+        with pytest.raises(AttributeError, match="'BijectionTrace' object has no attribute 'nope'"):
+            forward(P("a1"), P("b2")).nope
 
 
 class TestColoredComponents:

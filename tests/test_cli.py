@@ -480,6 +480,18 @@ class TestBijectionCommand:
         assert "pi1 = a6+a5+a3+a2+a1" in out
         assert "pi2 = b9+b8+b6+b4+b2+b1" in out
 
+    @pytest.mark.parametrize("golden, pair", [
+        ("bijection_forward_worked", "a6+a5+a3+a2+a1 / b9+b8+b6+b4+b2+b1"),
+        ("bijection_forward_a4a1_b5b2", "a4+a1 / b5+b2"),
+        ("bijection_forward_empty_b3b1", "∅ / b3+b1"),
+    ])
+    def test_forward_matches_the_recorded_bytes(self, golden, pair, capsys):
+        # every field of the trace, the lazily built ones included
+        for fmt, suffix in (("text", ".txt"), ("json", ".json")):
+            assert main(["bijection", "forward", pair, "--format", fmt]) == 0
+            out, _ = capsys.readouterr()
+            assert out.encode() == (GOLDEN / (golden + suffix)).read_bytes(), fmt
+
     def test_forward_json_trace(self):
         code, out, _ = run_cli("bijection", "forward", "a1 / b2",
                                "--format", "json")

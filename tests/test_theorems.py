@@ -312,8 +312,8 @@ class TestCountedCensus:
         assert reports == [check_theorem1(*cell) for cell in cells]
         # the right side is read from its own row, the breakdown from the buckets'
         assert all(r.rhs_count == sum(r.breakdown.values()) for r in reports)
-        with pytest.raises(ValueError, match="unknown theorem 'S'"):
-            count_reports("S", [(3,)])
+        with pytest.raises(ValueError, match="unknown theorem 'T9'"):
+            count_reports("T9", [(3,)])
 
     def test_every_cell_is_checked_before_any_is_counted(self, monkeypatch):
         monkeypatch.setattr(theorems, "_Census", None)  # building one would raise
@@ -360,6 +360,17 @@ class TestClassicalTheorems:
     def test_goellnitz_values(self):
         reports = check_goellnitz(10)
         assert reports[10].lhs_count == 2 and all(r.holds for r in reports)
+
+    def test_the_checks_are_the_grid_reports(self):
+        # out of order and repeated: each cell reads the rows of the largest n
+        cells = [(7,), (0,), (12,), (7,)]
+        for theorem, check in (("S", check_schur), ("G", check_goellnitz)):
+            reports = count_reports(theorem, cells)
+            assert reports == [check(12)[n] for (n,) in cells]
+            assert [r.params for r in reports] == [{"n": n} for (n,) in cells]
+            assert count_reports(theorem, []) == []
+            with pytest.raises(ValueError, match="^n must be nonnegative$"):
+                check(-1)
 
     def test_both_theorems_hold_to_400_in_under_a_second(self):
         start = time.perf_counter()
