@@ -8,10 +8,14 @@ parameter names, and is the one way in.  verify(tag, *params) checks one
 cell and returns a Verdict carrying both sides and, when they differ, a
 witness locating the first differing q-coefficient.  sweep checks a grid
 of cells, compares the sides itself and builds a Verdict only for a
-failing cell.
+failing cell.  eq21 and eq32 decide their cell on one packed difference
+of the k-sum's terms and the right side (LaurentPoly.sum_equals): a
+holding cell returns its right side for both sides, so its k-sum is
+never formed and the compare is of one value with itself.
 
 Each shape of computation has one route: every triple-q-binomial k-sum
-(eq21, eq32, eq44, G_L) is _ksum, the triangular-exponent ones (eq44,
+(eq21, eq32, eq44, G_L) reads its terms through _ksum_terms and is formed,
+where it is formed, by _ksum, the triangular-exponent ones (eq44,
 G_L) shifted by T_i + T_j, both truncated marker identities
 (eq11, eq61) are _cellwise, every product of (1 + X q^m) factors (eq46,
 eq11, eq61) is _marker_product, every truncated product of 1/(q)_n
@@ -152,13 +156,12 @@ def _rows(L: int, M: int, i: int, j: int) -> tuple[list, list]:
     return heads, binoms
 
 
-def _ksum(L: int, M: int, i: int, j: int) -> LaurentPoly:
-    """Sum over k of q^{(i-k)(j-k)} [M-i-j+k; k] [M-j; i-k] [L-i; j-k] from
-    two rows read once per cell; the nonzero terms, in ascending k, are summed
-    on packed integers at one width (LaurentPoly.sum_of_products, the proof)."""
+def _ksum_terms(L: int, M: int, i: int, j: int) -> list:
+    """The nonzero terms (head, binomial, (i-k)(j-k)) of the k-sum at
+    (L, M, i, j), in ascending k, from two rows read once per cell."""
     n = (i if i < j else j) + 1
     if n <= 0:
-        return ZERO
+        return []
     heads, binoms = _head_row(M - j, i), _binom_row(L - i, j)
     if len(heads) < n or len(binoms) < n:
         heads, binoms = _rows(L, M, i, j)
@@ -167,7 +170,25 @@ def _ksum(L: int, M: int, i: int, j: int) -> LaurentPoly:
         h, c = heads[k], binoms[k]
         if h is not ZERO and c is not ZERO:
             terms.append((h, c, (i - k) * (j - k)))
-    return LaurentPoly.sum_of_products(terms)
+    return terms
+
+
+def _ksum(L: int, M: int, i: int, j: int) -> LaurentPoly:
+    """Sum over k of q^{(i-k)(j-k)} [M-i-j+k; k] [M-j; i-k] [L-i; j-k]: the
+    nonzero terms are summed on packed integers at one width
+    (LaurentPoly.sum_of_products, the proof)."""
+    return LaurentPoly.sum_of_products(_ksum_terms(L, M, i, j))
+
+
+def _ksum_sides(L: int, M: int, i: int, j: int, rhs: LaurentPoly) -> Sides:
+    """The k-sum at (L, M, i, j) against ``rhs``.  When they are equal,
+    decided on one packed difference (LaurentPoly.sum_equals, the proof),
+    ``rhs`` is returned for both sides and the k-sum is never formed;
+    otherwise the sides are (_ksum(L, M, i, j), rhs)."""
+    terms = _ksum_terms(L, M, i, j)
+    if LaurentPoly.sum_equals(terms, rhs):
+        return rhs, rhs
+    return LaurentPoly.sum_of_products(terms), rhs
 
 
 def rhs_21(L: int, M: int, i: int, j: int) -> LaurentPoly:
@@ -175,23 +196,27 @@ def rhs_21(L: int, M: int, i: int, j: int) -> LaurentPoly:
 
 
 def _sides_21(L: int, M: int, i: int, j: int) -> Sides:
-    """The double-bounded key identity; valid for arbitrary integers."""
-    return _ksum(L, M, i, j), rhs_21(L, M, i, j)
+    """The double-bounded key identity; valid for arbitrary integers.  A
+    holding cell returns its right side for both sides (_ksum_sides)."""
+    return _ksum_sides(L, M, i, j, rhs_21(L, M, i, j))
 
 
 def _sides_32(L: int, i: int, j: int) -> Sides:
     """The M-free Durfee-rectangle identity (i, j >= 0, L >= i+j): eq21 at
     M = i + j, where [k; k] = 1 and [i; i-k] = [i; k] leave
     sum_k q^{(i-k)(j-k)} [i; k] [L-i; j-k] = [L; j]
-    (q-Chu-Vandermonde; Gasper-Rahman, Basic Hypergeometric Series, 1.5)."""
-    return _ksum(L, i + j, i, j), qbinom(L, j)
+    (q-Chu-Vandermonde; Gasper-Rahman, Basic Hypergeometric Series, 1.5).
+    A holding cell returns its right side for both sides (_ksum_sides)."""
+    return _ksum_sides(L, i + j, i, j, qbinom(L, j))
 
 
 def _sides_44(L: int, M: int, i: int, j: int) -> Sides:
     """Triangular-exponent form of the key identity: the k-sum with
     exponents T_{i+j-k} + T_k against q^{T_i+T_j} [L; j] [M-j; i].  Since
     T_{i+j-k} + T_k = T_i + T_j + (i-k)(j-k) for every k, the left side is
-    the eq21 k-sum shifted by T_i + T_j."""
+    the eq21 k-sum shifted by T_i + T_j.  Unlike eq21 and eq32, a holding
+    cell keeps the k-sum as its left side: its packed state is the term by
+    term sum's, which a right side of equal value need not share."""
     shift = triangular(i) + triangular(j)
     return _ksum(L, M, i, j).shifted(shift), rhs_21(L, M, i, j).shifted(shift)
 
@@ -631,10 +656,16 @@ def sweep(identity: str, ranges: dict[str, Sequence[int]],
     ``identity+perturbed``.
     """
     spec = IDENTITIES[identity]
+    caps = caps or {}
+    for kind, given, takes in (("range", ranges, spec.range_params),
+                               ("cap", caps, spec.cap_params)):
+        for name in given:
+            if name not in takes:
+                raise ValueError(f"{identity} does not take {kind} {name}")
     missing = [p for p in spec.range_params if p not in ranges]
     if missing:
         raise ValueError(f"{identity} needs ranges for {', '.join(missing)}")
-    cap_values = tuple((caps or {}).get(cap, DEFAULT_CAPS[cap]) for cap in spec.cap_params)
+    cap_values = tuple(caps.get(cap, DEFAULT_CAPS[cap]) for cap in spec.cap_params)
     names = spec.range_params + spec.cap_params
     tag = identity + "+perturbed" if perturb else identity
 

@@ -19,7 +19,14 @@ are decoded only where they are read.  Widening has one route, _at: a
 value keeps its last widened form, so a value read again and again at
 one wider width, such as a table entry, is re-laid out once.  A sum of
 products, sum_of_products, is formed as one packed integer at the one
-width its summed bound needs.
+width its summed bound needs, and sum_equals decides whether such a sum
+equals a given value from one packed integer, building no value: at a
+width W where both sides' coefficients are below 2^(W-1), the
+difference's are below 2^W, so its packed integer is 0 exactly when the
+difference is.  Every value
+stores the index of its top digit, which the bound makes exact (see
+LaurentPoly), so a product's bound and a coefficient read need no
+bit_length.
 
 Exact division divides the packed values too.  Evaluating at q = 2^B is
 a ring map, so a remainder at any width disproves a quotient.  An exact
@@ -129,12 +136,20 @@ class LaurentPoly:
     read at; it holds the same polynomial, so no value, text or hash
     depends on it.
 
+    The slot _top holds V.bit_length() // W, set once where the value is
+    formed; it costs each value 8 bytes.  It is the index n of the top
+    digit: if c_n != 0 is the top digit of V = sum_{k<=n} c_k 2^(W k)
+    and every |c_k| <= bound < 2^(W-1), then
+    |V| >= 2^(W n) - (2^(W-1) - 1) (2^(W n) - 1) / (2^W - 1) > 2^(W n - 1)
+    and |V| <= (2^(W-1) - 1) (2^(W (n+1)) - 1) / (2^W - 1) < 2^(W (n+1) - 1),
+    so V.bit_length() lies in [W n, W (n+1) - 1] (0 for V = 0).
+
     Storage is dense: a value takes B/8 bytes (4 or more) for every
     exponent between its lowest and highest term, zero or not, so a
     sparse value such as 1 + q^(10^10) needs 40 GB or more.
     """
 
-    __slots__ = ("_lo", "_v", "_width", "_bound", "_wide")
+    __slots__ = ("_lo", "_v", "_width", "_bound", "_top", "_wide")
 
     def __init__(self, terms: Union[Mapping[int, int], Iterable[tuple[int, int]]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -150,6 +165,7 @@ class LaurentPoly:
         packed = LaurentPoly._raw(acc)
         self._lo, self._v = packed._lo, packed._v
         self._width, self._bound = packed._width, packed._bound
+        self._top = packed._top
         self._wide = None
 
     @classmethod
@@ -178,6 +194,7 @@ class LaurentPoly:
         self._v = v
         self._width = width
         self._bound = bound
+        self._top = v.bit_length() // width
         self._wide = None
         return self
 
@@ -203,7 +220,7 @@ class LaurentPoly:
     def coeff(self, exponent: int) -> int:
         v, width = self._v, self._width
         k = exponent - self._lo
-        if k < 0 or k > v.bit_length() // width:  # below lo or above the top digit
+        if k < 0 or k > self._top:
             return 0
         if k:
             # round V / 2^bits: the digits below k add up to less than
@@ -223,7 +240,7 @@ class LaurentPoly:
 
     @property
     def max_exp(self) -> Optional[int]:
-        return self._lo + len(_digits(self._v, self._width)) - 1 if self._v else None
+        return self._lo + self._top if self._v else None
 
     def __bool__(self) -> bool:
         return bool(self._v)
@@ -277,11 +294,10 @@ class LaurentPoly:
         if not self._v or not other._v:
             return ZERO
         # a product coefficient sums at most min(span) products of
-        # coefficients, where bit_length // width + 1 bounds a span; the
-        # lowest digits multiply to the (nonzero) lowest digit
-        span = min(self._v.bit_length() // self._width,
-                   other._v.bit_length() // other._width) + 1
-        bound = span * self._bound * other._bound
+        # coefficients, a span being _top + 1 digits; the lowest digits
+        # multiply to the (nonzero) lowest digit
+        na, nb = self._top, other._top
+        bound = ((na if na < nb else nb) + 1) * self._bound * other._bound
         width, a, b = _aligned(self, other, bound)
         return LaurentPoly._packed(self._lo + other._lo, a * b, width, bound)
 
@@ -308,32 +324,54 @@ class LaurentPoly:
         cancels, so the sum is formed again over the terms after the last
         such cancellation."""
         while terms:
-            width = bound = 0
-            lows = []
-            for a, b, e in terms:
-                # a product's bound, as * derives it
-                wa, wb = a._width, b._width
-                na, nb = a._v.bit_length() // wa, b._v.bit_length() // wb
-                bound += ((na if na < nb else nb) + 1) * a._bound * b._bound
-                if wa > width:
-                    width = wa
-                if wb > width:
-                    width = wb
-                lows.append(a._lo + b._lo + e)
-            if bound >> (width - 1):
-                width = _width(bound)
-            lo = min(lows)
+            width, bound, lo = _layout(terms, _WORD)
             v = cancelled = n = 0
-            for (a, b, _), low in zip(terms, lows):
+            for a, b, e in terms:
                 n += 1
                 v += ((a._v if a._width == width else a._at(width))
-                      * (b._v if b._width == width else b._at(width))) << width * (low - lo)
+                      * (b._v if b._width == width else b._at(width))) \
+                    << width * (a._lo + b._lo + e - lo)
                 if not v:
                     cancelled = n
             if not cancelled:
                 return _stripped(lo, v, width, bound)
             terms = terms[cancelled:]
         return ZERO
+
+    @classmethod
+    def sum_equals(cls, terms: Sequence[tuple["LaurentPoly", "LaurentPoly", int]],
+                   value: "LaurentPoly") -> bool:
+        """Whether the sum of q^e a b over the (a, b, e) of ``terms``, a and
+        b nonzero, equals ``value``: the sum sum_of_products forms, decided
+        from one packed integer, building no value.
+
+        W is the widest width among the operands and ``value``, or
+        _width(bound) when the products' summed bound, derived as in
+        sum_of_products, does not fit it (_layout).  Every coefficient of the sum is
+        at most that bound and every coefficient of ``value`` at most its
+        own, both below 2^(W-1), so every coefficient d_k of the difference
+        has |d_k| < 2^W.  Evaluation at q = 2^W is a ring map, so
+        D = sum_k d_k 2^(W k), formed exactly from the operands read at W
+        and shifted to the lowest exponent, is the difference evaluated
+        there.  If d_m is its lowest nonzero coefficient, then
+        D = 2^(W m) (d_m + 2^W r) for an integer r, and 0 < |d_m| < 2^W
+        keeps d_m + 2^W r nonzero: D is 0 exactly when the difference is.
+        The operands' width alone is not enough: 2^16 * 2^16 and q are
+        both 2^32 at q = 2^32."""
+        if not terms:
+            return not value._v
+        width, _, lo = _layout(terms, value._width)
+        d = 0
+        if value._v:
+            if value._lo < lo:
+                lo = value._lo
+            d = -(value._v if value._width == width else value._at(width)) \
+                << width * (value._lo - lo)
+        for a, b, e in terms:
+            d += ((a._v if a._width == width else a._at(width))
+                  * (b._v if b._width == width else b._at(width))) \
+                << width * (a._lo + b._lo + e - lo)
+        return not d
 
     def shifted(self, k: int) -> "LaurentPoly":
         """Multiply by q^k."""
@@ -352,7 +390,7 @@ class LaurentPoly:
     def truncated(self, q_cap: int) -> "LaurentPoly":
         """Drop terms with exponent above q_cap."""
         keep = q_cap - self._lo + 1  # digits kept
-        if not self._v or self._v.bit_length() // self._width < keep:
+        if not self._v or self._top < keep:
             return self
         if keep <= 0:
             return ZERO
@@ -402,6 +440,8 @@ class LaurentPoly:
     # -- comparison / hashing -----------------------------------------------
 
     def __eq__(self, other) -> bool:
+        if other is self:
+            return True
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -503,6 +543,29 @@ def _aligned(a: LaurentPoly, b: LaurentPoly, bound: int) -> tuple[int, int, int]
     va = a._v if a._width == width else a._at(width)
     vb = b._v if b._width == width else b._at(width)
     return width, va, vb
+
+
+def _layout(terms: Sequence[tuple[LaurentPoly, LaurentPoly, int]],
+            width: int) -> tuple[int, int, int]:
+    """The digit width, bound and lowest exponent of a sum of the products
+    q^e a b over the (a, b, e) of ``terms``, nonempty.  The bound is the
+    products' bounds, each as * derives it, added as + adds them; the
+    width is the widest of ``width`` and the operands' widths, or
+    _width(bound) when the bound does not fit it."""
+    bound, lo = 0, None
+    for a, b, e in terms:
+        wa, wb, na, nb = a._width, b._width, a._top, b._top
+        bound += ((na if na < nb else nb) + 1) * a._bound * b._bound
+        if wa > width:
+            width = wa
+        if wb > width:
+            width = wb
+        low = a._lo + b._lo + e
+        if lo is None or low < lo:
+            lo = low
+    if bound >> (width - 1):
+        width = _width(bound)
+    return width, bound, lo
 
 
 def _stripped(lo: int, v: int, width: int, bound: int) -> LaurentPoly:

@@ -222,6 +222,67 @@ class TestKsumTable:
         assert {key: len(identities._binom_row(*key)) for key in binoms} == binoms
 
 
+class TestOnePassSides:
+    """eq21 and eq32 decide a cell on one packed difference and return a
+    holding cell's right side for both sides.  Their sides must be the
+    k-sum and the right side as values, and the verdict the k-sum's
+    compare with the right side, on cells that hold and on cells whose
+    right side is broken."""
+
+    SIGNED = list(itertools.product(range(-5, 11), repeat=4))
+    WIDE = list(itertools.product(range(0, 26), range(0, 26), range(0, 13), range(0, 13)))
+
+    @staticmethod
+    def _broken(L, M, i, j):
+        # one cell in seven gets a bump, which is zero when M % 3 == 1
+        rhs = rhs_21(L, M, i, j)
+        return rhs + qpow(L - i, M % 3 - 1) if (L + 2 * M + 3 * i + j) % 7 == 0 else rhs
+
+    @pytest.mark.parametrize("grid", ["SIGNED", "WIDE"])
+    def test_eq21_sides_and_verdicts(self, grid, monkeypatch):
+        cells = getattr(self, grid)
+        monkeypatch.setattr(identities, "rhs_21", self._broken)
+        failing = []
+        for cell in cells:
+            ksum, rhs = identities._ksum(*cell), self._broken(*cell)
+            lhs_got, rhs_got = identities._sides_21(*cell)
+            assert lhs_got == ksum and rhs_got == rhs, cell
+            if ksum != rhs:
+                failing.append(cell)
+        assert len(failing) > len(cells) // 20
+        ranges = dict(zip("LMij", (sorted({cell[p] for cell in cells}) for p in range(4))))
+        result = sweep("eq21", ranges)
+        assert result.cells == len(cells)
+        assert [tuple(v.params.values()) for v in result.failures] == failing
+
+    def test_eq32_and_eq44_on_their_acceptance_grids(self):
+        bump = qpow(2, -1)
+        for L in range(0, 15):
+            for i in range(0, L + 1):
+                for j in range(0, L - i + 1):
+                    ksum, rhs = identities._ksum(L, i + j, i, j), qbinom(L, j)
+                    lhs_got, rhs_got = identities._sides_32(L, i, j)
+                    assert lhs_got == ksum and rhs_got == rhs, (L, i, j)
+                    assert verify("eq32", L, i, j).holds == (ksum == rhs)
+                    lhs_got, rhs_got = identities._ksum_sides(L, i + j, i, j, rhs + bump)
+                    assert lhs_got == ksum and rhs_got == rhs + bump != ksum, (L, i, j)
+        for L, M in itertools.product(range(0, 11), repeat=2):
+            for i in range(0, min(L, M) + 1):
+                for j in range(0, min(L, M) - i + 1):
+                    shift = triangular(i) + triangular(j)
+                    ksum = identities._ksum(L, M, i, j).shifted(shift)
+                    rhs = rhs_21(L, M, i, j).shifted(shift)
+                    lhs_got, rhs_got = identities._sides_44(L, M, i, j)
+                    assert lhs_got == ksum and rhs_got == rhs, (L, M, i, j)
+                    assert verify("eq44", L, M, i, j).holds == (ksum == rhs)
+
+    def test_a_holding_cell_compares_one_value_with_itself(self):
+        lhs, rhs = identities._sides_21(2, 2, 1, 1)
+        assert lhs is rhs and verify("eq21", 2, 2, 1, 1).holds
+        lhs, rhs = identities._sides_32(4, 2, 2)
+        assert lhs is rhs
+
+
 class TestMultinomialKernel:
     def test_trivial(self):
         assert verify("eq48", 3, 3, 0, 0).lhs == ONE
@@ -766,6 +827,19 @@ class TestSweep:
             verify("bogus", 1)
         with pytest.raises(TypeError, match=r"eq21 takes 4 parameters \(L, M, i, j\), got 3"):
             verify("eq21", 1, 2, 3)
+
+    def test_a_name_the_identity_does_not_take_is_an_error(self):
+        # worded like the command line's error, which never reaches sweep
+        for identity, ranges, caps, message in (
+                ("eq26", {"i": [0], "j": [0]}, {"qmx": 3}, "eq26 does not take cap qmx"),
+                ("eq21", {"L": [1], "M": [1], "i": [0], "j": [0], "k": [0]}, None,
+                 "eq21 does not take range k"),
+                ("eq21", {"L": [1], "M": [1], "i": [0], "j": [0]}, {"qmax": 5},
+                 "eq21 does not take cap qmax"),
+                ("eq11", {"qmax": [5]}, None, "eq11 does not take range qmax")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                sweep(identity, ranges, caps)
+        assert sweep("eq26", {"i": [0], "j": [0]}, {"qmax": 3}).holds
 
 
 def _side_pairs():

@@ -389,6 +389,126 @@ class TestSumOfProducts:
         assert _terms(got) == {2: 1, 4: 1} and got._lo == 2
 
 
+def _sum_dict(terms) -> dict:
+    """The term-dict oracle of the sum of q^e a b over ``terms``."""
+    want: dict = {}
+    for a, b, e in terms:
+        want = _add_dicts(want, {x + e: c for x, c in _mul_dicts(_terms(a), _terms(b)).items()})
+    return want
+
+
+def _wider(p: LaurentPoly, width: int) -> LaurentPoly:
+    """``p`` re-packed at ``width``, with its own bound."""
+    return LaurentPoly._packed(p._lo, qseries._widened(p._v, p._width, width), width, p._bound)
+
+
+term_lists = st.lists(st.tuples(nonzero_polys, nonzero_polys, st.integers(-30, 30)), max_size=5)
+
+
+class TestSumEquals:
+    """The one-difference equality of a sum of q^e a b and a value,
+    against the term-dict oracle."""
+
+    @given(term_lists, st.one_of(small_polys, big_polys, edge_polys), st.data())
+    @settings(max_examples=150)
+    def test_matches_the_term_dict_oracle(self, terms, other, data):
+        # a term and its negation cancel part of the sum
+        if terms and data.draw(st.booleans()):
+            a, b, e = data.draw(st.sampled_from(terms))
+            terms = terms + [(-a, b, e)]
+        want = _sum_dict(terms)
+        exact = LaurentPoly(want)
+        bump = data.draw(st.sampled_from(sorted(want) or [0])) + data.draw(st.integers(-2, 2))
+        for value in (exact, -exact, exact + other, exact + qpow(bump), exact + qpow(bump, -1),
+                      other, ZERO):
+            assert LaurentPoly.sum_equals(terms, value) == (_terms(value) == want)
+        for width in (64, 96, 128, 256):
+            if exact and width > exact._width:
+                assert LaurentPoly.sum_equals(terms, _wider(exact, width))
+
+    @pytest.mark.parametrize("limit", [2**31, 2**63, 2**127])
+    def test_coefficients_just_under_the_digit_limits(self, limit):
+        # negative top digits, and a sum whose terms cancel at the top
+        c = limit - 1
+        a, b = lp((0, c), (2, -c)), lp((0, -c), (1, 1))
+        terms = [(a, b, 0), (a, a, 1), (-a, a, 1), (b, b, -3)]
+        want = a * b + (b * b).shifted(-3)
+        assert LaurentPoly.sum_equals(terms, want)
+        assert LaurentPoly.sum_equals(terms, _wider(want, want._width + 64))
+        for off in (qpow(0), qpow(3, -1), qpow(-6), qpow(4, c)):
+            assert not LaurentPoly.sum_equals(terms, want + off)
+        assert _terms(want) == _sum_dict(terms)
+
+    def test_the_empty_sum(self):
+        assert LaurentPoly.sum_equals([], ZERO)
+        for value in (ONE, qpow(5, -2), lp((-3, 2**100))):
+            assert not LaurentPoly.sum_equals([], value)
+
+    def test_a_right_side_wider_than_every_term(self):
+        small = lp((0, 3), (1, -2))
+        terms = [(small, small, 0), (small, ONE, 4)]
+        want = small * small + small.shifted(4)
+        assert want._width == 32
+        for width in (64, 96, 128):
+            assert LaurentPoly.sum_equals(terms, _wider(want, width))
+        wide = want + qpow(2, 2**100)
+        assert not LaurentPoly.sum_equals(terms, wide)
+        assert LaurentPoly.sum_equals(terms + [(qpow(2, 2**50), qpow(0, 2**50), 0)], wide)
+
+    def test_a_carry_the_operand_widths_do_not_hold(self):
+        # 2^16 * 2^16 is the constant 2^32, which q is too at q = 2^32: a
+        # width from the operands alone (32 bits) would call them equal
+        half = LaurentPoly.const(2**16)
+        assert half._width == qpow(1)._width == 32
+        assert not LaurentPoly.sum_equals([(half, half, 0)], qpow(1))
+        assert LaurentPoly.sum_equals([(half, half, 0)], LaurentPoly.const(2**32))
+
+
+def _top_index(p: LaurentPoly) -> int:
+    """The index of the top digit, decoded (0 for zero)."""
+    return max(len(qseries._digits(p._v, p._width)) - 1, 0)
+
+
+class TestTopDigit:
+    """Each value stores the index of its top digit, _top."""
+
+    @given(st.one_of(small_polys, big_polys, edge_polys),
+           st.one_of(small_polys, big_polys, edge_polys),
+           st.integers(-10**30, 10**30), st.integers(-70, 70))
+    @settings(max_examples=100)
+    def test_every_value_the_ring_builds(self, a, b, k, cap):
+        values = [a, b, a * b, a * a * b, a + b, a - b, -a, a * k, a + k,
+                  a.shifted(k % 50), a.truncated(cap), a.dilated(2),
+                  LaurentPoly.sum_of_products([(a, b, 3), (b, b, -1)] if a and b else [])]
+        for p in values:
+            assert p._top == _top_index(p)
+            for width in (32, 64, 96, 128):
+                if width > p._width:
+                    assert _wider(p, width)._top == _top_index(_wider(p, width))
+
+    def test_every_width_from_32_to_128_bits(self):
+        a = lp((0, 2**20), (1, -(2**20 - 1)), (3, 7))
+        b = lp((-1, 2**31 - 1), (2, -(2**31 - 2**20)))
+        chain = [a, a * a, a * a * a, a * a * a * b]
+        assert [p._width for p in chain] == [32, 64, 96, 128]
+        for p in chain:
+            assert p._top == _top_index(p) > 0
+            assert (-p)._top == p._top
+
+    def test_every_constructor(self):
+        values = [ZERO, ONE, LaurentPoly.const(-(2**40)), LaurentPoly.const(2**31 - 1),
+                  LaurentPoly({-2: 1, 5: -(2**63 - 1)}), LaurentPoly([(3, 2**127 - 1)]),
+                  LaurentPoly({0: 4, 1: 1, 2: -4}) - LaurentPoly({0: 4, 2: -4}),
+                  LaurentPoly._raw({0: 1, 7: -2**90}), LaurentPoly._raw({})]
+        p = lp((-1, 5), (2, -(2**62)), (6, 1))
+        values += [-p, p.shifted(9), p.truncated(2), p.truncated(5), p.truncated(-1),
+                   qseries._stripped(0, p._v << (p._width * 2), p._width, p._bound),
+                   qseries._stripped(0, 0, 32, 0)]
+        for v in values:
+            assert v._top == _top_index(v), v
+        assert p.truncated(5)._top == 3  # the digits below the cut end at q^2
+
+
 def _divide_dicts(a: dict, b: dict):
     """Schoolbook Laurent long division on term dicts, with both operands
     moved to lowest exponent 0: the quotient, or None."""
