@@ -4,11 +4,11 @@ census builds, the T2 left sides, the per-cell reads and text lines of
 the T2 counts, the classical S and G counts, the one-color components,
 the forward correspondence alone and the bounded bijection round trips,
 the truncated and Durfee-rectangle identity checks, the three-color eq61
-and eq63 checks of the large-degree workload, warm eq21 cells, called
-directly and through the sweep harness, the cold eq21 k-sums of the
-signed grid's widest slice, cold multinomial and trinomial tables, the
-G_L / P_L series with the checks built on them, and the canonical text
-of the failing sides of a perturbed eq21 sweep.
+and eq63 checks and the warm eq48 sides of the large-degree workload,
+warm eq21 cells, called directly and through the sweep harness, the cold
+eq21 k-sums of the signed grid's widest slice, cold multinomial and
+trinomial tables, the G_L / P_L series with the checks built on them,
+and the canonical text of the failing sides of a perturbed eq21 sweep.
 
 Run from a checkout, importing that checkout's sources:
 
@@ -233,6 +233,13 @@ def _goellnitz():
             identities._sides_63(L, M, i, j, k)
 
 
+def _kernel_48():
+    # both sides of large-degree's eq48 ops: L, M in 16..18, i, j in 0..16
+    for L, M in itertools.product(range(16, 19), repeat=2):
+        for i, j in itertools.product(range(0, 17), repeat=2):
+            identities._sides_48(L, M, i, j)
+
+
 # one L-slice of the signed grid [-5..10]^4, the one with the largest L
 SIGNED = range(-5, 11)
 
@@ -329,6 +336,9 @@ LAYERS = {
     "goellnitz_s": (_goellnitz, "verify('eq61', 4, 4, 4, 40), then both sides of eq63 "
                                 "for L, M in 10..12 and i, j, k in 0..4 (large-degree's "
                                 "three-color ops), cold"),
+    "kernel_48_s": (_kernel_48, "both sides of eq48 for L, M in 16..18 and i, j in 0..16 "
+                                "(large-degree's eq48 ops), multinomial and q-binomial "
+                                "tables warmed by one untimed pass"),
     "ring_s": (_ring, "verify('eq21', 10, M, i, j) for M, i, j in -5..10, q-binomial "
                       "tables and the k-sum row tables, warmed by one untimed pass"),
     "sweep_s": (_sweep, "identities.sweep('eq21') over the ring_s slice, L = 10 and "
@@ -348,7 +358,7 @@ LAYERS = {
                           "eq21 sweep on L, M in 0..12, i, j in 0..6, built beforehand"),
 }
 
-WARM = {"ring_s": _ring, "sweep_s": _ring}
+WARM = {"kernel_48_s": _kernel_48, "ring_s": _ring, "sweep_s": _ring}
 
 # the inputs some layers read, built once by main before any timing
 INPUTS = (_partitions, _grid, _components, _sides, _t2_censuses)

@@ -8,28 +8,28 @@ parameter names, and is the one way in.  verify(tag, *params) checks one
 cell and returns a Verdict carrying both sides and, when they differ, a
 witness locating the first differing q-coefficient.  sweep checks a grid
 of cells, compares the sides itself and builds a Verdict only for a
-failing cell.  eq21 and eq32 decide their cell on one packed difference
-of the k-sum's terms and the right side (LaurentPoly.sum_equals): a
-holding cell returns its right side for both sides, so its k-sum is
-never formed and the compare is of one value with itself.
+failing cell.  A side that is a finite sum of q-binomial products
+(eq21, eq32, eq44, eq48, eq63, eq63lm) is decided against the other
+side by _sum_sides, on one packed difference of its nonzero terms
+(LaurentPoly.sum_equals): a holding cell returns that side for both,
+so its sum is never formed and the compare is of one value with itself.
 
 Each shape of computation has one route: every triple-q-binomial k-sum
-(eq21, eq32, eq44, G_L) reads its terms through _ksum_terms and is formed,
-where it is formed, by _ksum, the triangular-exponent ones (eq44,
-G_L) shifted by T_i + T_j, both truncated marker identities
-(eq11, eq61) are _cellwise, every product of (1 + X q^m) factors (eq46,
-eq11, eq61) is _marker_product, every truncated product of 1/(q)_n
-factors (eq26, eq61) is _inv_poch_product, and the G_L recurrence step
-shared by P_L and rec55 is _convergent_step.  A product whose inputs
-repeat is formed once: a k-sum cell reads two rows once, the head row
-keyed (M-j, i), whose entry k is the product [M-i-j+k; k] [M-j; i-k],
-so a term costs one ring product, and the binomial row [L-i; j-k] keyed
-(L-i, j), and its terms are summed on packed integers at one width;
-_bound_pair the one-bound factor pairs of an eq63 term; and
-_inv_poch_product's table one product per multiset of parts.
-_marker_product multiplies each marker's own factors before crossing
-the markers.  The ring commutes and no truncated factor has a negative
-q-exponent, so no reordering or cut at the q-cap changes a byte.
+(eq21, eq32, eq44, G_L) reads its terms through _ksum_terms, the
+triangular-exponent ones (eq44, G_L) shifted by T_i + T_j, both
+truncated marker identities (eq11, eq61) are _cellwise, every product of
+(1 + X q^m) factors (eq46, eq11, eq61) is _marker_product, every
+truncated product of 1/(q)_n factors (eq26, eq61) is _inv_poch_product,
+and the G_L recurrence step shared by P_L and rec55 is _convergent_step.
+A product whose inputs repeat is formed once: a k-sum cell reads two
+rows once, the head row keyed (M-j, i), whose entry k is the product
+[M-i-j+k; k] [M-j; i-k], so a term costs one ring product, and the
+binomial row [L-i; j-k] keyed (L-i, j); _bound_pair the one-bound factor
+pairs of an eq63 term; and _inv_poch_product's table one product per
+multiset of parts.  _marker_product multiplies each marker's own factors
+before crossing the markers.  The ring commutes and no truncated factor
+has a negative q-exponent, so no reordering or cut at the q-cap changes
+a byte.
 
 The generating function G_L of gap partitions with parts bounded by b_L
 is always built twice, over dilated values, with the gap from
@@ -180,15 +180,14 @@ def _ksum(L: int, M: int, i: int, j: int) -> LaurentPoly:
     return LaurentPoly.sum_of_products(_ksum_terms(L, M, i, j))
 
 
-def _ksum_sides(L: int, M: int, i: int, j: int, rhs: LaurentPoly) -> Sides:
-    """The k-sum at (L, M, i, j) against ``rhs``.  When they are equal,
-    decided on one packed difference (LaurentPoly.sum_equals, the proof),
-    ``rhs`` is returned for both sides and the k-sum is never formed;
-    otherwise the sides are (_ksum(L, M, i, j), rhs)."""
-    terms = _ksum_terms(L, M, i, j)
-    if LaurentPoly.sum_equals(terms, rhs):
-        return rhs, rhs
-    return LaurentPoly.sum_of_products(terms), rhs
+def _sum_sides(terms: list, value: LaurentPoly) -> Sides:
+    """The sum of q^e a b over the (a, b, e) of ``terms``, a and b nonzero,
+    and ``value``: (value, value) when they are equal, decided on one packed
+    difference (LaurentPoly.sum_equals, the proof), so the sum is never
+    formed, else (LaurentPoly.sum_of_products(terms), value)."""
+    if LaurentPoly.sum_equals(terms, value):
+        return value, value
+    return LaurentPoly.sum_of_products(terms), value
 
 
 def rhs_21(L: int, M: int, i: int, j: int) -> LaurentPoly:
@@ -196,39 +195,37 @@ def rhs_21(L: int, M: int, i: int, j: int) -> LaurentPoly:
 
 
 def _sides_21(L: int, M: int, i: int, j: int) -> Sides:
-    """The double-bounded key identity; valid for arbitrary integers.  A
-    holding cell returns its right side for both sides (_ksum_sides)."""
-    return _ksum_sides(L, M, i, j, rhs_21(L, M, i, j))
+    """The double-bounded key identity, for arbitrary integers (_sum_sides)."""
+    return _sum_sides(_ksum_terms(L, M, i, j), rhs_21(L, M, i, j))
 
 
 def _sides_32(L: int, i: int, j: int) -> Sides:
     """The M-free Durfee-rectangle identity (i, j >= 0, L >= i+j): eq21 at
-    M = i + j, where [k; k] = 1 and [i; i-k] = [i; k] leave
-    sum_k q^{(i-k)(j-k)} [i; k] [L-i; j-k] = [L; j]
-    (q-Chu-Vandermonde; Gasper-Rahman, Basic Hypergeometric Series, 1.5).
-    A holding cell returns its right side for both sides (_ksum_sides)."""
-    return _ksum_sides(L, i + j, i, j, qbinom(L, j))
+    M = i + j, where [k; k] = 1 and [i; i-k] = [i; k] leave the sum
+    sum_k q^{(i-k)(j-k)} [i; k] [L-i; j-k] = [L; j] (q-Chu-Vandermonde;
+    Gasper-Rahman, Basic Hypergeometric Series, 1.5), by _sum_sides."""
+    return _sum_sides(_ksum_terms(L, i + j, i, j), qbinom(L, j))
 
 
 def _sides_44(L: int, M: int, i: int, j: int) -> Sides:
     """Triangular-exponent form of the key identity: the k-sum with
     exponents T_{i+j-k} + T_k against q^{T_i+T_j} [L; j] [M-j; i].  Since
-    T_{i+j-k} + T_k = T_i + T_j + (i-k)(j-k) for every k, the left side is
-    the eq21 k-sum shifted by T_i + T_j.  Unlike eq21 and eq32, a holding
-    cell keeps the k-sum as its left side: its packed state is the term by
-    term sum's, which a right side of equal value need not share."""
+    T_{i+j-k} + T_k = T_i + T_j + (i-k)(j-k) for every k, the left side's
+    terms are the eq21 k-sum's shifted by T_i + T_j (_sum_sides)."""
     shift = triangular(i) + triangular(j)
-    return _ksum(L, M, i, j).shifted(shift), rhs_21(L, M, i, j).shifted(shift)
+    terms = [(h, c, e + shift) for h, c, e in _ksum_terms(L, M, i, j)]
+    return _sum_sides(terms, rhs_21(L, M, i, j).shifted(shift))
 
 
 def _sides_48(L: int, M: int, i: int, j: int) -> Sides:
-    """Multinomial-kernel bounded identity (0 <= i <= M, 0 <= j <= L)."""
-    lhs = (qbinom(M, i) * qbinom(L, j)).shifted(triangular(i) + triangular(j))
-    rhs = ZERO
+    """Multinomial-kernel bounded identity (0 <= i <= M, 0 <= j <= L): its
+    closed side q^{T_i+T_j} [M; i] [L; j] is eq21's right side at M + j."""
+    terms = []
     for k in range(0, min(i, j) + 1):
-        # [M; M-i, i-k, k] = (q)_M / ((q)_{M-i} (q)_{i-k} (q)_k)
-        term = qmultinomial3(M, M - i, i - k) * qbinom(L - i, j - k)
-        rhs = rhs + term.shifted(triangular(i + j - k) + triangular(k))
+        a, b = qmultinomial3(M, M - i, i - k), qbinom(L - i, j - k)
+        if a and b:
+            terms.append((a, b, triangular(i + j - k) + triangular(k)))
+    rhs, lhs = _sum_sides(terms, rhs_21(L, M + j, i, j).shifted(triangular(i) + triangular(j)))
     return lhs, rhs
 
 
@@ -423,7 +420,8 @@ def _bound_pair(top: int, x: int, y: int) -> LaurentPoly:
 
 
 def _lhs_63(L: int, M: int, i: int, j: int, k: int) -> LaurentPoly:
-    total = ZERO
+    """The composition sum, over the terms with a nonzero common and tail."""
+    terms = []
     for c in goellnitz_compositions(i, j, k):
         s = c.s
         common = _bound_pair(L - s, c.beta, c.delta) * _bound_pair(M - s, c.gamma, c.epsilon)
@@ -431,33 +429,35 @@ def _lhs_63(L: int, M: int, i: int, j: int, k: int) -> LaurentPoly:
             continue
         first = (qbinom(L - s + c.alpha, c.alpha) * qbinom(M - s, c.phi)).shifted(c.phi)
         second = qbinom(L - s + c.alpha - 1, c.alpha - 1) * qbinom(M - s, c.phi - 1)
-        total = total + (common * (first + second)).shifted(c.shift)
-    return total
+        if tail := first + second:
+            terms.append((common, tail, c.shift))
+    return LaurentPoly.sum_of_products(terms)
 
 
-def _rhs_63(L: int, M: int, i: int, j: int, k: int) -> LaurentPoly:
-    total = ZERO
+def _rhs_63_terms(L: int, M: int, i: int, j: int, k: int) -> list:
+    """The tau-sum's nonzero terms, each as two products of two q-binomials."""
+    terms = []
     for tau in range(0, min(i, j, k) + 1):
-        term = (qbinom(L - tau, tau) * qbinom(L - 2 * tau, i - tau)
-                * qbinom(L - i - tau, j - tau) * qbinom(M - i - j, k - tau))
-        shift = (tau * (M + 2) - triangular(tau) + triangular(i - tau)
-                 + triangular(j - tau) + triangular(k - tau))
-        total = total + term.shifted(shift)
-    return total
+        a = qbinom(L - tau, tau) * qbinom(L - 2 * tau, i - tau)
+        b = qbinom(L - i - tau, j - tau) * qbinom(M - i - j, k - tau)
+        if a and b:
+            terms.append((a, b, tau * (M + 2) - triangular(tau) + triangular(i - tau)
+                          + triangular(j - tau) + triangular(k - tau)))
+    return terms
 
 
 def _sides_63(L: int, M: int, i: int, j: int, k: int) -> Sides:
     """The double-bounded three-color key identity (i, j, k >= 0)."""
-    return _lhs_63(L, M, i, j, k), _rhs_63(L, M, i, j, k)
+    rhs, lhs = _sum_sides(_rhs_63_terms(L, M, i, j, k), _lhs_63(L, M, i, j, k))
+    return lhs, rhs
 
 
 def _sides_63lm(L: int, i: int, j: int, k: int) -> Sides:
     """At L = M the tau-sum collapses to the cyclic closed form
     q^{T_i+T_j+T_k} [L-k; i] [L-i; j] [L-j; k]."""
-    lhs = _rhs_63(L, L, i, j, k)
-    rhs = (qbinom(L - k, i) * qbinom(L - i, j) * qbinom(L - j, k)).shifted(
+    closed = (qbinom(L - k, i) * qbinom(L - i, j) * qbinom(L - j, k)).shifted(
         triangular(i) + triangular(j) + triangular(k))
-    return lhs, rhs
+    return _sum_sides(_rhs_63_terms(L, L, i, j, k), closed)
 
 
 # --------------------------------------------------------------------------

@@ -27,7 +27,11 @@ term as the seven-factor product, the references for the library's
 table of 1/(q)_n products keyed by part multiset.  ``lhs_63_literal``
 sums the eq63 left side over the compositions under either the part-count
 statistic or the rejected alternative one, the reference for the
-library's left side and the record of the bookkeeping that fails.
+library's left side and the record of the bookkeeping that fails;
+``rhs_63_literal`` sums its tau-sum, and ``rhs_48_literal`` the eq48
+k-sum with the multinomial written as two q-binomials, each term the
+product of its q-binomials added to ZERO one at a time, the references
+for the library's sums, which are decided and formed on packed integers.
 ``bijection_literal`` and ``bijection_literal_inverse`` walk the
 column-subtraction correspondence on colored symbols, step by step, the
 reference for the library's walk on dilated values.  Each profile filter
@@ -378,6 +382,30 @@ def lhs_63_literal(L, M, i, j, k, alt_s=False) -> LaurentPoly:
         total = total + (qbinom(L - s + c.beta, c.beta) * qbinom(M - s + c.gamma, c.gamma)
                          * qbinom(L - s, c.delta) * qbinom(M - s, c.epsilon)
                          * (first + second)).shifted(shift)
+    return total
+
+
+def rhs_63_literal(L, M, i, j, k) -> LaurentPoly:
+    """The eq63 tau-sum: over tau, q^{tau(M+2) - T_tau + T_{i-tau} +
+    T_{j-tau} + T_{k-tau}} [L-tau; tau] [L-2tau; i-tau] [L-i-tau; j-tau]
+    [M-i-j; k-tau], each term the product of its four q-binomials."""
+    total = ZERO
+    for tau in range(0, min(i, j, k) + 1):
+        shift = (tau * (M + 2) - triangular(tau) + triangular(i - tau)
+                 + triangular(j - tau) + triangular(k - tau))
+        total = total + (qbinom(L - tau, tau) * qbinom(L - 2 * tau, i - tau)
+                         * qbinom(L - i - tau, j - tau) * qbinom(M - i - j, k - tau)).shifted(shift)
+    return total
+
+
+def rhs_48_literal(L, M, i, j) -> LaurentPoly:
+    """The eq48 k-sum for 0 <= i <= M: over k, q^{T_{i+j-k} + T_k}
+    [M; M-i, i-k, k] [L-i; j-k], the multinomial written as [M; i] [i; k],
+    each term the product of its three q-binomials."""
+    total = ZERO
+    for k in range(0, min(i, j) + 1):
+        total = total + (qbinom(M, i) * qbinom(i, k) * qbinom(L - i, j - k)).shifted(
+            triangular(i + j - k) + triangular(k))
     return total
 
 

@@ -29,6 +29,8 @@ from oracles import (
     ksum_literal,
     lhs_63_literal,
     marker_product_literal,
+    rhs_48_literal,
+    rhs_63_literal,
 )
 
 
@@ -144,20 +146,19 @@ class TestKsumTable:
             assert _bits(got) == _bits(ksum_literal(L, M, i, j)), (L, M, i, j)
 
     def test_eq44_lhs_is_the_triangular_term_sum(self):
-        # eq44 shifts the eq21 k-sum by T_i + T_j; the reference sums its
-        # terms with exponents T_{i+j-k} + T_k
+        # eq44's left side is the eq21 k-sum shifted by T_i + T_j; the
+        # reference sums its terms with exponents T_{i+j-k} + T_k
         for L, M, i, j in self.GRID:
-            got = verify("eq44", L, M, i, j).lhs
+            got = identities._ksum(L, M, i, j).shifted(triangular(i) + triangular(j))
             want = ksum_literal(L, M, i, j, triangular_exponents=True)
             assert _bits(got) == _bits(want), (L, M, i, j)
 
     @pytest.mark.parametrize("triangular_exponents", [False, True])
     def test_cold_and_warm_reads_agree(self, triangular_exponents):
-        # False reads the eq21 k-sum, True the eq44 lhs built from it
+        # False reads the eq21 k-sum, True that sum shifted to eq44's left side
         def read(L, M, i, j):
-            if triangular_exponents:
-                return verify("eq44", L, M, i, j).lhs
-            return identities._ksum(L, M, i, j)
+            ksum = identities._ksum(L, M, i, j)
+            return ksum.shifted(triangular(i) + triangular(j)) if triangular_exponents else ksum
 
         for L, M, i, j in self.GRID:
             identities._head_row.cache_clear()
@@ -223,14 +224,14 @@ class TestKsumTable:
 
 
 class TestOnePassSides:
-    """eq21 and eq32 decide a cell on one packed difference and return a
-    holding cell's right side for both sides.  Their sides must be the
-    k-sum and the right side as values, and the verdict the k-sum's
-    compare with the right side, on cells that hold and on cells whose
-    right side is broken."""
+    """eq21, eq32, eq44, eq48, eq63 and eq63lm decide a cell on one packed
+    difference of a sum's terms and the other side (_sum_sides), and
+    return a holding cell's other side for both sides.  Their sides must
+    be the term-by-term sum and the other side as values, and the verdict
+    their compare, on cells that hold and on cells with a broken side."""
 
-    SIGNED = list(itertools.product(range(-5, 11), repeat=4))
-    WIDE = list(itertools.product(range(0, 26), range(0, 26), range(0, 13), range(0, 13)))
+    SIGNED = dict.fromkeys("LMij", range(-5, 11))
+    WIDE = dict(L=range(0, 26), M=range(0, 26), i=range(0, 13), j=range(0, 13))
 
     @staticmethod
     def _broken(L, M, i, j):
@@ -238,22 +239,29 @@ class TestOnePassSides:
         rhs = rhs_21(L, M, i, j)
         return rhs + qpow(L - i, M % 3 - 1) if (L + 2 * M + 3 * i + j) % 7 == 0 else rhs
 
-    @pytest.mark.parametrize("grid", ["SIGNED", "WIDE"])
-    def test_eq21_sides_and_verdicts(self, grid, monkeypatch):
-        cells = getattr(self, grid)
-        monkeypatch.setattr(identities, "rhs_21", self._broken)
+    @staticmethod
+    def _sides_match_oracles(tag, ranges, oracle):
+        # every valid cell's sides equal the oracle's as values, and the
+        # sweep fails exactly the cells whose oracle sides differ
+        spec = IDENTITIES[tag]
+        cells = [cell for cell in itertools.product(*(ranges[p] for p in spec.range_params))
+                 if spec.valid is None or spec.valid(*cell)]
         failing = []
         for cell in cells:
-            ksum, rhs = identities._ksum(*cell), self._broken(*cell)
-            lhs_got, rhs_got = identities._sides_21(*cell)
-            assert lhs_got == ksum and rhs_got == rhs, cell
-            if ksum != rhs:
+            want = oracle(*cell)
+            assert spec.fn(*cell) == want, cell
+            if want[0] != want[1]:
                 failing.append(cell)
-        assert len(failing) > len(cells) // 20
-        ranges = dict(zip("LMij", (sorted({cell[p] for cell in cells}) for p in range(4))))
-        result = sweep("eq21", ranges)
+        assert len(cells) // 20 < len(failing) < len(cells)
+        result = sweep(tag, ranges)
         assert result.cells == len(cells)
         assert [tuple(v.params.values()) for v in result.failures] == failing
+
+    @pytest.mark.parametrize("grid", ["SIGNED", "WIDE"])
+    def test_eq21_sides_and_verdicts(self, grid, monkeypatch):
+        monkeypatch.setattr(identities, "rhs_21", self._broken)
+        self._sides_match_oracles("eq21", getattr(self, grid),
+                                  lambda *cell: (identities._ksum(*cell), self._broken(*cell)))
 
     def test_eq32_and_eq44_on_their_acceptance_grids(self):
         bump = qpow(2, -1)
@@ -264,7 +272,8 @@ class TestOnePassSides:
                     lhs_got, rhs_got = identities._sides_32(L, i, j)
                     assert lhs_got == ksum and rhs_got == rhs, (L, i, j)
                     assert verify("eq32", L, i, j).holds == (ksum == rhs)
-                    lhs_got, rhs_got = identities._ksum_sides(L, i + j, i, j, rhs + bump)
+                    terms = identities._ksum_terms(L, i + j, i, j)
+                    lhs_got, rhs_got = identities._sum_sides(terms, rhs + bump)
                     assert lhs_got == ksum and rhs_got == rhs + bump != ksum, (L, i, j)
         for L, M in itertools.product(range(0, 11), repeat=2):
             for i in range(0, min(L, M) + 1):
@@ -277,10 +286,55 @@ class TestOnePassSides:
                     assert verify("eq44", L, M, i, j).holds == (ksum == rhs)
 
     def test_a_holding_cell_compares_one_value_with_itself(self):
-        lhs, rhs = identities._sides_21(2, 2, 1, 1)
-        assert lhs is rhs and verify("eq21", 2, 2, 1, 1).holds
-        lhs, rhs = identities._sides_32(4, 2, 2)
-        assert lhs is rhs
+        for tag, cell in (("eq21", (2, 2, 1, 1)), ("eq32", (4, 2, 2)), ("eq44", (3, 4, 1, 2)),
+                          ("eq48", (3, 4, 2, 2)), ("eq63", (3, 4, 1, 2, 1)),
+                          ("eq63lm", (4, 1, 2, 1))):
+            lhs, rhs = IDENTITIES[tag].fn(*cell)
+            assert lhs is rhs and len(lhs) > 1 and verify(tag, *cell).holds, tag
+
+    def test_eq48_sides_and_verdicts(self, monkeypatch):
+        # the closed side is eq21's right side at M + j, broken there
+        monkeypatch.setattr(identities, "rhs_21", self._broken)
+
+        def oracle(L, M, i, j):
+            return (self._broken(L, M + j, i, j).shifted(triangular(i) + triangular(j)),
+                    rhs_48_literal(L, M, i, j))
+
+        self._sides_match_oracles("eq48", dict.fromkeys("LMij", range(0, 9)), oracle)
+
+    def test_eq63_sides_and_verdicts(self, monkeypatch):
+        # the composition sum gets a bump on one cell in seven, zero when M % 3 == 1
+        real = identities._lhs_63
+
+        def bump(L, M, i, j, k):
+            return qpow(L - i, M % 3 - 1) if (L + 2 * M + 3 * i + j + k) % 7 == 0 else ZERO
+
+        monkeypatch.setattr(identities, "_lhs_63", lambda *cell: real(*cell) + bump(*cell))
+        ranges = dict(L=range(-2, 7), M=range(-2, 7), i=range(0, 4), j=range(0, 4), k=range(0, 4))
+        self._sides_match_oracles(
+            "eq63", ranges,
+            lambda *cell: (lhs_63_literal(*cell) + bump(*cell), rhs_63_literal(*cell)))
+
+    def test_eq63lm_sides_and_verdicts(self, monkeypatch):
+        # the tau-sum gets one more term on one cell in five, none when
+        # (L + k) % 3 == 1
+        real = identities._rhs_63_terms
+
+        def bump(L, i, j, k):
+            return qpow(L - i + j, (L + k) % 3 - 1) if (L + 2 * i + 3 * j + k) % 5 == 0 else ZERO
+
+        def broken(L, M, i, j, k):
+            extra = bump(L, i, j, k)
+            return real(L, M, i, j, k) + ([(extra, ONE, 0)] if extra else [])
+
+        def oracle(L, i, j, k):
+            closed = (qbinom(L - k, i) * qbinom(L - i, j) * qbinom(L - j, k)).shifted(
+                triangular(i) + triangular(j) + triangular(k))
+            return rhs_63_literal(L, L, i, j, k) + bump(L, i, j, k), closed
+
+        monkeypatch.setattr(identities, "_rhs_63_terms", broken)
+        ranges = dict(L=range(0, 9), i=range(0, 5), j=range(0, 5), k=range(0, 5))
+        self._sides_match_oracles("eq63lm", ranges, oracle)
 
 
 class TestMultinomialKernel:
