@@ -1,8 +1,9 @@
 """In-process timings of the partition, bijection, identity, ring and
 marker-series layers: both enumerators, the gap test, the T1/T2/T3
-census builds, the T2 left sides, the per-cell reads and text lines of
-the T2 counts, the classical S and G counts, the one-color components,
-the forward correspondence alone and the bounded bijection round trips,
+census builds, the every-n censuses of three wide bound pairs, the T2
+left sides, the per-cell reads and text lines of the T2 counts, the
+classical S and G counts, the one-color components, the forward
+correspondence alone and the bounded bijection round trips,
 the truncated and Durfee-rectangle identity checks, the three-color eq61
 and eq63 checks and the warm eq48 sides of the large-degree workload,
 warm eq21 cells, called directly and through the sweep harness, the cold
@@ -135,6 +136,18 @@ def _census_T3():
             for i in range(0, L + 1):
                 for j in range(0, L - i + 1):
                     census.rows(i, j)
+
+
+def _census_wide():
+    # every-n censuses: for each bound pair the census cut at q^{XY} (X, Y
+    # the smaller and larger bound), where no domain row is cut, then the
+    # rows of every pair i + j <= X
+    for L, M in ((6, 16), (8, 16), (16, 6)):
+        census = theorems._Census(L * M, (L, M))
+        top = min(L, M)
+        for i in range(0, top + 1):
+            for j in range(0, top - i + 1):
+                census.rows(i, j)
 
 
 @functools.cache
@@ -316,6 +329,9 @@ LAYERS = {
     "census_T3_build_s": (_census_T3, "theorems._Census(20, (L, M)) for 0 <= L <= M <= 5, "
                                       "then rows(i, j) for i + j <= L (the weights "
                                       "(N+2i+j)/3 of dilated weight N <= 45), cold"),
+    "census_wide_s": (_census_wide, "theorems._Census(L * M, (L, M)) for (L, M) in (6, 16), "
+                                    "(8, 16) and (16, 6), then rows(i, j) for i + j <= "
+                                    "min(L, M), cold"),
     "count_V_s": (_count_V, "count_V's product q^{T_i+T_j} [M-j; i] [L; j] decoded once for "
                             "L, M <= 8 and i + j <= min(L, M) (the left sides of the "
                             "partition-census T2 ops), cold"),

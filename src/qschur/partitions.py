@@ -15,8 +15,9 @@ On dilated values this is Schur's gap condition, the one test used here
 (``_schur_next_bound``): parts differ by at least 3, strictly when the
 larger is a multiple of 3.  Gap partitions and Schur-gap partitions are
 thus the same value sequences, graded by weight and by value; one
-recursion enumerates both.  A ColoredPartition stores only its dilated
-values, so symbols are built only at the API, text and JSON boundary.
+recursion enumerates both and one transfer counts them, up or down the
+values (``gap_prefixes``, ``gap_suffixes``).  A ColoredPartition stores
+only dilated values; symbols are built at the API, text and JSON boundary.
 """
 
 from __future__ import annotations
@@ -422,6 +423,24 @@ def gap_prefixes(w_max: int, n_max: int) -> Iterator[MarkerSeries]:
                             _schur_next_bound, term)
     yield next(steps)
     yield from itertools.islice(steps, 1, None, 3)
+
+
+def gap_suffixes(Y: int, colors: tuple[str, ...], n_max: int) -> Iterator[MarkerSeries]:
+    """E_{Y+1}, E_Y, ..., E_1: E_w counts the sets of parts colored in
+    ``colors`` with weights in [w, Y] and Schur's gaps, markers and cut as
+    in gap_prefixes.  One _transfer_steps run down the dilated values,
+    indexed by b = 3Y - d, read at b = 3(Y-w+1), the least value of weight
+    w (at b = 3Y, d = 0 is no part).  Its bound is _schur_next_bound: the
+    part above a least part d is at least d+3, or d+4 when d = 0 mod 3
+    (the gap is strict above a multiple of 3), that is index b-3, or b-4
+    when b = 0 mod 3, which holds exactly when d = 0 mod 3."""
+    residues = {_COLOR_OF_RESIDUE.index(color) for color in colors}
+    def term(b: int, above: MarkerSeries) -> Optional[MarkerSeries]:
+        d = 3 * Y - b
+        if d and d % 3 in residues:
+            return above.shifted(d // 3 + 1, _COLOR_MARKER[d % 3])
+    return itertools.islice(_transfer_steps(
+        3 * Y, MarkerSeries.one(3, Truncation(None, n_max)), _schur_next_bound, term), 0, None, 3)
 
 
 # Each side of the two classical theorems as (modulus, residues, excluded,

@@ -32,8 +32,8 @@ the empty weight X-l+1 differ by at least 2, so the dilated values
 differ by at least 4, which meets every gap condition: the two sides are
 independent.  So bucket l is the product U_l D_{X-l}, where U_l counts
 the sets of exactly l parts of unbounded colors with weights in
-[X-l+2, Y] and Schur's gaps (a short walk), and D_{X-l} is the empty
-partition alone when X-l <= 0.
+[X-l+2, Y] and Schur's gaps (l-part terms of ``gap_suffixes``), and
+D_{X-l} is the empty partition alone when X-l <= 0.
 
 The split counts a partition once for each l that fits, so uniqueness
 of the statistic is not asserted partition by partition; one cross-check
@@ -81,12 +81,12 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .coefficients import triangular
 from .identities import InternalMismatch, _inv_poch_product, _rows
 from .partitions import (
-    _schur_next_bound,
     _vector_gf,
     classical_rows,
     color_counts,
     count_V,
     gap_prefixes,
+    gap_suffixes,
     iter_type1_dilated,
     scan_statistic,
 )
@@ -169,43 +169,24 @@ def _row(poly: LaurentPoly) -> dict[int, int]:
     return dict(poly.terms())
 
 
-def _upper_sets(X: int, Y: int, residues: tuple[int, ...], n_max: int) -> dict:
-    """l -> U_l: the sets of exactly l parts whose dilated values have a
-    residue mod 3 in ``residues`` and whose weights lie in [X-l+2, Y], with
-    Schur's gaps, by q^weight and the (a, b, ab)-part markers, cut at
-    q^n_max.  One walk down from the largest value of weight Y: a set whose
-    least weight w and size l have w + l >= X+2 is in U_l, and adding a
-    smaller part lowers w by at least 1 as it raises l by 1, so a set that
-    fails has no extension that passes."""
-    counts: Counter = Counter()
-
-    def extend(bound: int, l: int, weight: int, values: tuple[int, ...]):
-        counts[l, color_counts(values), weight] += 1
-        for d in range(bound, 0, -1):
-            w = d // 3 + 1
-            if w + l + 1 < X + 2:
-                break
-            if d % 3 in residues and weight + w <= n_max:
-                extend(_schur_next_bound(d), l + 1, weight + w, values + (d,))
-
-    extend(3 * Y - 1, 0, 0, ())
-    polys: dict = {}
-    for (l, markers, weight), c in counts.items():
-        polys.setdefault(l, {}).setdefault(markers, {})[weight] = c
-    return {l: MarkerSeries(3, {m: LaurentPoly(p) for m, p in by_markers.items()},
-                            Truncation(None, n_max))
-            for l, by_markers in sorted(polys.items())}
-
-
 def _split(L: int, M: int, n_max: int,
            prefixes: list[MarkerSeries]) -> list[tuple[int, MarkerSeries]]:
-    """(l, U_l * D_{X-l}) for every l with U_l nonzero, in ascending l: the
-    bucket l of the bound pair's census, by q^weight and the (a, b,
-    ab)-part markers, cut at q^n_max.  ``prefixes`` holds D_0, ..., D_X,
-    X = min(L, M)."""
-    X, Y, residues = (L, M, (1, 0)) if M >= L else (M, L, (2,))
-    return [(l, upper * prefixes[max(X - l, 0)])
-            for l, upper in _upper_sets(X, Y, residues, n_max).items()]
+    """(l, U_l * D_{X-l}) for each nonzero U_l, l ascending: the buckets of
+    the bound pair's census, cut at q^n_max.  U_l is the l-part terms of
+    E_{X-l+2}, read in one pass, with E_1 for l > X+1; ``prefixes`` is D_0,
+    ..., D_X, X = min(L, M)."""
+    X, Y, colors = (L, M, ("a", "ab")) if M >= L else (M, L, ("b",))
+    if X == Y:  # l >= 1 parts of distinct weights never fit the l-1 weights [X-l+2, X]
+        return [(0, MarkerSeries.one(3, Truncation(None, n_max)) * prefixes[X])]
+    uppers: dict = {}
+    suffixes = zip(range(Y + 1, 0, -1), gap_suffixes(Y, colors, n_max))
+    for w, suffix in itertools.islice(suffixes, Y - X - 1, None):  # no U_l above E_{X+2}
+        for markers, poly in suffix.terms():
+            l = sum(markers)
+            if w == max(X + 2 - l, 1):
+                uppers.setdefault(l, {})[markers] = poly
+    return [(l, MarkerSeries(3, upper, Truncation(None, n_max)) * prefixes[max(X - l, 0)])
+            for l, upper in sorted(uppers.items())]
 
 
 def _eq44_term(L: int, M: int, i: int, j: int, t: int) -> LaurentPoly:

@@ -6,10 +6,13 @@ partitions by Schur's difference rule.  Neither shares code with the
 library's one recursion over dilated values, so the enumerator and census
 tests read these in its place.  ``gl_by_enumeration`` builds G_L by
 walking every gap partition with parts <= b_L, the reference for the
-library's transfer-matrix count.  ``series_model`` and its helpers keep
-a marker series as a dict of dicts, {marker tuple: {q exponent:
-coefficient}}, and state the keep-or-drop rule of ``MarkerSeries``
-term by term, the reference for its constructor and arithmetic.
+library's transfer-matrix count.  ``upper_sets_literal`` walks down the
+dilated values and lists each upper set U_l of the T2 split one by one,
+the reference for the library's U_l, read from a transfer's suffixes.
+``series_model`` and its helpers keep a marker series as a dict of
+dicts, {marker tuple: {q exponent: coefficient}}, and state the
+keep-or-drop rule of ``MarkerSeries`` term by term, the reference for
+its constructor and arithmetic.
 ``p3_count`` counts the residue-class partitions of the dilated
 refinement's left side on ordinary integers, the reference for the
 library's read of that side at the undilated weight.  ``ksum_literal``
@@ -44,6 +47,7 @@ dict, the reference for the command's writer, which formats each cell's
 counts with no report object.
 """
 
+from collections import Counter
 from functools import lru_cache
 
 from qschur.bijection import BijectionTrace, InvalidInput
@@ -284,6 +288,36 @@ def g3_profile(parts, l, L, M) -> bool:
 def fitting_buckets(profile, parts, L, M) -> list[int]:
     """Every bucket whose profile the partition satisfies."""
     return [l for l in range(0, len(parts) + 1) if profile(parts, l, L, M)]
+
+
+def upper_sets_literal(X, Y, colors, n_max) -> dict:
+    """l -> U_l for every l with a set within the cut: the sets of exactly
+    l parts colored in ``colors`` whose weights lie in [X-l+2, Y], with
+    Schur's gaps, by q^weight and the (a, b, ab)-part markers, cut at
+    q^n_max.  One walk down from the largest value of weight Y, listing
+    each set: a set whose least weight w and size l have w + l >= X+2 is
+    in U_l, and adding a smaller part lowers w by at least 1 as it raises
+    l by 1, so a set that fails has no extension that passes.  The gap is
+    written out here, not read from the library."""
+    counts = Counter()
+    residues = {("ab", "a", "b").index(color) for color in colors}
+
+    def extend(bound, l, weight, values):
+        counts[l, color_counts(values), weight] += 1
+        for d in range(bound, 0, -1):
+            w = d // 3 + 1
+            if w + l + 1 < X + 2:
+                break
+            if d % 3 in residues and weight + w <= n_max:
+                extend(d - 3 - (d % 3 == 0), l + 1, weight + w, values + (d,))
+
+    extend(3 * Y - 1, 0, 0, ())
+    polys = {}
+    for (l, markers, weight), c in counts.items():
+        polys.setdefault(l, {}).setdefault(markers, {})[weight] = c
+    return {l: MarkerSeries(3, {m: LaurentPoly(p) for m, p in by_markers.items()},
+                            Truncation(None, n_max))
+            for l, by_markers in sorted(polys.items())}
 
 
 def merged_truncation(a, b):

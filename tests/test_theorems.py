@@ -20,18 +20,21 @@ from qschur.partitions import (
     NoValidStatistic,
     _transfer,
     _transfer_steps,
+    _vector_gf,
     color_counts,
     gap_prefixes,
+    gap_suffixes,
     iter_type1,
     iter_type1_dilated,
     nu_statistics,
 )
-from qschur.qseries import ONE, qpow
+from qschur.qseries import ONE, MarkerSeries, qpow
 from qschur.theorems import (
     _Census,
     _g3_census,
     _s_census,
     _s_census_mirrored,
+    _split,
     _type1_census,
     cell_counts,
     check_goellnitz,
@@ -51,6 +54,7 @@ from oracles import (
     s_profile_mirrored,
     schur_gap_literal,
     type1_upto,
+    upper_sets_literal,
 )
 
 
@@ -292,6 +296,63 @@ class TestCountedCensus:
                 expected = Counter(map(color_counts, iter_type1_dilated(n, w, w, w)))
                 assert {key: poly.coeff(n) for key, poly in prefix.terms()
                         if poly.coeff(n)} == dict(expected), (w, n)
+
+    def test_upper_sets_are_the_walk(self):
+        # U_l, read from the suffixes with every D_w replaced by 1, against
+        # the walk that lists each set, the buckets with l > X included
+        # (the bound pair (L, M) = (X, Y) has unbounded colors a and ab, and
+        # (Y, X) has b)
+        beyond = 0
+        for Y in range(0, 10):
+            for X in range(0, Y + 1):
+                for colors, bounds in ((("a", "ab"), (X, Y)), (("b",), (Y, X))):
+                    for cut in (0, 7, 16, X * Y):
+                        uppers = dict(_split(*bounds, cut, [MarkerSeries.one(3)] * (X + 1)))
+                        assert uppers == upper_sets_literal(X, Y, colors, cut), (bounds, cut)
+                        beyond += sum(l > X for l in uppers)
+        assert beyond > 100
+
+    def test_the_suffixes_of_every_color_end_at_the_last_prefix(self):
+        for Y in range(0, 7):
+            suffixes = list(gap_suffixes(Y, ("a", "b", "ab"), 20))
+            assert len(suffixes) == Y + 1 and suffixes[0] == MarkerSeries.one(3)
+            assert suffixes[-1] == list(gap_prefixes(Y, 20))[-1], Y
+
+    def test_no_census_enumerates(self, monkeypatch):
+        grids = {"T1": [(n, i, j) for n in range(0, 13) for i in range(0, 4) for j in range(0, 4)],
+                 "T2": [(n, i, j, L, M) for L, M in ((3, 5), (5, 3), (4, 4), (2, 6), (6, 2))
+                        for n in range(0, 15) for i in range(0, 3) for j in range(0, 3)
+                        if i + j <= min(L, M)],
+                 "T3": [(N, i, j, L, M) for L, M in ((2, 4), (3, 3), (3, 6))
+                        for N in range(0, 31) for i in range(0, 3) for j in range(0, 3)
+                        if i + j <= L]}
+        expected = {theorem: list(cell_counts(theorem, cells)) for theorem, cells in grids.items()}
+
+        def enumerates(*args, **kwargs):
+            raise AssertionError("a census enumerated its partitions")
+
+        for target in ("qschur.theorems.color_counts", "qschur.theorems.iter_type1_dilated",
+                       "qschur.partitions._gap_walk"):
+            monkeypatch.setattr(target, enumerates)
+        for theorem, cells in grids.items():
+            assert list(cell_counts(theorem, cells)) == expected[theorem], theorem
+
+    @pytest.mark.parametrize("pairs", [
+        [(L, M) for L in range(0, 13) for M in range(0, 13)], [(6, 16), (16, 6)]],
+        ids=["L,M<=12", "wide"])
+    def test_rows_cut_at_XY_are_whole_and_equal(self, pairs):
+        # every partition a domain pair reads has at most X parts of weight
+        # at most Y, and the left side has degree at most XY: so the rows
+        # cut at q^{XY} are whole polynomials, and equal rows prove T2 at
+        # (L, M, i, j) for every n (each bucket is also checked against its
+        # eq44 term, which then drops nothing either)
+        for L, M in pairs:
+            census = _Census(L * M, (L, M))
+            for i in range(0, min(L, M) + 1):
+                for j in range(0, min(L, M) - i + 1):
+                    lhs, rhs, _ = census.rows(i, j)
+                    assert lhs == rhs, (L, M, i, j)
+                    assert _vector_gf(i, j, L, M).max_exp <= L * M, (L, M, i, j)
 
     def test_transfer_steps_end_at_the_transfer(self):
         steps = list(_transfer_steps(9, ONE, lambda b: b - 2, lambda b, below: below.shifted(b)))
